@@ -26,6 +26,7 @@ from .state import State
 
 MAGIC = b"MPES"
 VERSION = 1
+HEADER_BYTES = 24  # magic, version, three grid dims, config length
 
 
 def write_checkpoint(path: str, state: State, cfg) -> None:
@@ -53,18 +54,20 @@ def read_checkpoint(path: str):
 
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 20 or raw[:4] != MAGIC:
+    if raw[:4] != MAGIC:
         raise DataError(f"{path!r} is not a checkpoint file (bad magic)")
+    if len(raw) < HEADER_BYTES:
+        raise DataError(f"checkpoint header truncated: {len(raw)} bytes, "
+                        f"expected at least {HEADER_BYTES}")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     nx, ny, npp = struct.unpack_from("<III", raw, 8)
     (blob_len,) = struct.unpack_from("<I", raw, 20)
-    blob_start = 24
-    blob_end = blob_start + blob_len
+    blob_end = HEADER_BYTES + blob_len
     if len(raw) < blob_end:
         raise DataError("checkpoint truncated inside the config block")
-    cfg = config_mod.parse(raw[blob_start:blob_end].decode("utf-8"))
+    cfg = config_mod.parse(raw[HEADER_BYTES:blob_end].decode("utf-8"))
     if (cfg.nx, cfg.ny, cfg.np) != (nx, ny, npp):
         raise DataError(
             f"checkpoint header dims {(nx, ny, npp)} disagree with its config "

@@ -38,6 +38,11 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
+def _seed_kwargs(args) -> dict:
+    """Forward --seed only when given, so each probe keeps its own default."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
 # --- run --------------------------------------------------------------------
 
 
@@ -179,7 +184,7 @@ def cmd_verify(args) -> int:
     failed = False
 
     if "invariants" in suites:
-        checks = probes.invariants_run(variant=variant)
+        checks = probes.invariants_run(variant=variant, **_seed_kwargs(args))
         for c in checks:
             rows.append({"suite": "invariants", "name": c.name, "value": c.value,
                          "bound": c.bound, "passed": c.ok, "detail": c.detail})
@@ -261,7 +266,7 @@ def cmd_probe(args) -> int:
             status = 3
 
     else:  # gronwall
-        result = probes.gronwall_probe(seed=seed0 if seed0 else 11)
+        result = probes.gronwall_probe(**_seed_kwargs(args))
         for name, data in result["series"].items():
             for t, lhs, rhs in zip(data["t"], data["lhs"], data["rhs"]):
                 rows.append({"form": name, "t": t, "lhs": lhs, "rhs": rhs})

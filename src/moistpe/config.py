@@ -38,7 +38,7 @@ set reuses them, so there is exactly one place to mistype them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import Grid
@@ -185,11 +185,6 @@ def load(path: str) -> RunConfig:
             return parse(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
-def save(path: str, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(cfg))
 
 
 # --- validation and materialization ----------------------------------------

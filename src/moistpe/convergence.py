@@ -23,6 +23,7 @@ import numpy as np
 from .fields import Field3D, rfftn_norm
 from .grid import Grid
 from .manufactured import ManufacturedSolution, get_case
+from .norms import parseval_sum
 from .params import PhysParams
 from .stepper import StepConfig, run
 
@@ -115,9 +116,8 @@ def contrast_profile_decay(resolutions=SPATIAL_RESOLUTIONS) -> dict:
         grid = Grid(n, n, n, p_ref.p0, p_ref.p1)
         f = Field3D.from_function(grid, lambda x, y, p: np.abs(np.sin(2.0 * np.pi * x)) + 0.0 * y + 0.0 * p)
         C = rfftn_norm(grid, f.data)
-        w = grid.parseval_weights
-        total = float(((C.real**2 + C.imag**2) * w).sum())
-        kept = float(((C.real**2 + C.imag**2) * w * grid.dealias_mask).sum())
+        total = float(parseval_sum(grid, C))
+        kept = float(parseval_sum(grid, C, grid.dealias_mask))
         out[n] = (total - kept) / total
     return out
 

@@ -99,9 +99,6 @@ class Field3D:
             raise DataError(f"{op} requires a {rep} field, got {self.rep}")
         return self
 
-    def copy(self) -> "Field3D":
-        return Field3D(self.grid, self.data.copy(), self.rep)
-
 
 # --- raw-array transforms used by the hot paths ---------------------------
 
@@ -161,13 +158,6 @@ def dealias(field: Field3D) -> Field3D:
     """Zero all modes with index |j| > floor(n/3) in any direction (2/3 rule)."""
     field.require(SPECTRAL, "dealias")
     return Field3D.spectral(field.grid, field.data * field.grid.dealias_mask)
-
-
-def band_limit(field: Field3D, band: int) -> Field3D:
-    """Zero all modes with index |j| > band in any direction."""
-    spec = field.as_spectral()
-    out = Field3D.spectral(field.grid, spec.data * field.grid.band_mask(band))
-    return out if field.rep == SPECTRAL else backward(out)
 
 
 def _flip_p(data: np.ndarray) -> np.ndarray:

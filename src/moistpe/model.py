@@ -28,14 +28,14 @@ consistency monitors use the same ramp/fluctuation split.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintError, DataError
 from .fields import PHYSICAL, SPECTRAL, Field3D, irfftn_norm, rfftn_norm
 from .grid import Grid
-from .norms import vector_sobolev_norm, weight_profile
+from .norms import vector_sobolev_norm
 from .params import PhysParams
 from .state import State
 
@@ -114,18 +114,18 @@ class Coefficients:
             self.phi_s = phi_s
 
 
-def coefficients(grid: Grid, params: PhysParams) -> Coefficients:
-    return Coefficients(grid, params)
-
-
 # --- potential temperature <-> temperature --------------------------------
+
+
+def _temperature(co: Coefficients, theta_phys: np.ndarray) -> np.ndarray:
+    return (theta_phys + co.theta_h) * co.pk_inv
 
 
 def temperature_from_theta(theta: Field3D, params: PhysParams) -> Field3D:
     """T = (theta + theta_h) * (p/p0)^kappa, evaluated pointwise."""
     theta.require(PHYSICAL, "temperature_from_theta")
     co = Coefficients(theta.grid, params)
-    return Field3D.physical(theta.grid, (theta.data + co.theta_h) * co.pk_inv)
+    return Field3D.physical(theta.grid, _temperature(co, theta.data))
 
 
 def theta_from_temperature(T: Field3D, params: PhysParams) -> Field3D:
@@ -135,27 +135,37 @@ def theta_from_temperature(T: Field3D, params: PhysParams) -> Field3D:
     return Field3D.physical(T.grid, T.data * co.pk - co.theta_h)
 
 
-# --- vertical velocity ----------------------------------------------------
+# --- vertical calculus ----------------------------------------------------
 
 
 def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return 1j * grid.KX * V1 + 1j * grid.KY * V2
 
 
-def _omega_hat_parts(grid: Grid, D: np.ndarray) -> np.ndarray:
-    """Spectral antiderivative (in p, from p0) of the fluctuating part of -D."""
-    G = np.zeros_like(D)
-    kp = grid.kp
-    G[..., 1:] = D[..., 1:] / (1j * kp[1:])
-    return G
+def _integral_to_p1(grid: Grid, F: np.ndarray, base=None) -> np.ndarray:
+    """base + integral from p to p1 of the zero-p-mean part of F, sampled.
+
+    F holds spectral coefficients (one field or a stack).  The antiderivative
+    G = F / (i kp) is taken mode by mode with the p-mean plane dropped, and
+    G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
+    (default zero) is the value at p = p0.
+    """
+    G = np.zeros_like(F)
+    G[..., 1:] = F[..., 1:] / (1j * grid.kp[1:])
+    G = irfftn_norm(grid, G)
+    top = G[..., :1] if base is None else base + G[..., :1]
+    return top - G
+
+
+# --- vertical velocity ----------------------------------------------------
 
 
 def divergence_residual(v1: Field3D, v2: Field3D) -> float:
     """Spectral max modulus of the divergence of the vertical average of v."""
     V1 = v1.as_spectral().data
     V2 = v2.as_spectral().data
-    D = _divergence_hat(v1.grid, V1, V2)
-    return float(np.max(np.abs(D[:, :, 0])))
+    D = _divergence_hat(v1.grid, V1[..., :1], V2[..., :1])
+    return float(np.max(np.abs(D)))
 
 
 def diagnose_omega(v1: Field3D, v2: Field3D, check: bool = True) -> Field3D:
@@ -167,9 +177,7 @@ def diagnose_omega(v1: Field3D, v2: Field3D, check: bool = True) -> Field3D:
     construction.
     """
     g = v1.grid
-    V1 = v1.as_spectral().data
-    V2 = v2.as_spectral().data
-    D = _divergence_hat(g, V1, V2)
+    D = _divergence_hat(g, v1.as_spectral().data, v2.as_spectral().data)
     if check:
         residual = float(np.max(np.abs(D[:, :, 0])))
         vnorm = vector_sobolev_norm((v1, v2), 1)
@@ -179,9 +187,7 @@ def diagnose_omega(v1: Field3D, v2: Field3D, check: bool = True) -> Field3D:
                 f"1e-11 * ||v||_H1 = {1e-11 * vnorm:.3e}; project the state first",
                 residual,
             )
-    G = irfftn_norm(g, _omega_hat_parts(g, D))
-    om = G[:, :, :1] - G
-    return Field3D.physical(g, om)
+    return Field3D.physical(g, _integral_to_p1(g, D))
 
 
 def omega_top_residual(v1: Field3D, v2: Field3D) -> float:
@@ -192,9 +198,8 @@ def omega_top_residual(v1: Field3D, v2: Field3D) -> float:
 # --- geopotential ---------------------------------------------------------
 
 
-def _integrand_parts(grid: Grid, params: PhysParams, co: Coefficients,
-                     theta_phys: np.ndarray):
-    """(gfield, gbar, fluct_hat) for g = R*T/p built from theta samples.
+class _Integrand(NamedTuple):
+    """The hydrostatic integrand g = R*T/p and its parts, from theta samples.
 
     fluct_hat holds the zero-p-mean part of g with the p-Nyquist plane
     removed: the antiderivative of the Nyquist cosine is a sine that
@@ -204,28 +209,33 @@ def _integrand_parts(grid: Grid, params: PhysParams, co: Coefficients,
     residue is ordinary spectral truncation of the non-band-limited
     integrand, which the convergence suite measures instead.
     """
-    T = (theta_phys + co.theta_h) * co.pk_inv
+
+    T: np.ndarray
+    gfield: np.ndarray
+    gbar: np.ndarray
+    fluct_hat: np.ndarray
+
+
+def _integrand(grid: Grid, params: PhysParams, co: Coefficients,
+               theta_phys: np.ndarray) -> _Integrand:
+    T = _temperature(co, theta_phys)
     gfield = params.R * T * co.inv_p
     gbar = gfield.mean(axis=2)
     fluct_hat = rfftn_norm(grid, gfield - gbar[:, :, None])
     if grid.np % 2 == 0:
         fluct_hat[..., -1] = 0.0
-    return gfield, gbar, fluct_hat
+    return _Integrand(T, gfield, gbar, fluct_hat)
 
 
-def _phi_parts(grid: Grid, params: PhysParams, co: Coefficients, theta_phys: np.ndarray):
-    """Compute (phi_phys, gbar, gfield) for theta samples.
+def _ramp(grid: Grid, params: PhysParams, gbar: np.ndarray) -> np.ndarray:
+    """gbar*(p1 - p): the integral from p to p1 of the p-mean of g."""
+    return gbar[:, :, None] * (params.p1 - grid.p)[None, None, :]
 
-    phi = phi_s + gbar*(p1 - p) + Gg(p0) - Gg(p), where g = R*T/p and Gg is
-    the spectral antiderivative of the zero-mean part of g.
-    """
-    gfield, gbar, Ghat = _integrand_parts(grid, params, co, theta_phys)
-    A = np.zeros_like(Ghat)
-    A[..., 1:] = Ghat[..., 1:] / (1j * grid.kp[1:])
-    Gg = irfftn_norm(grid, A)
-    ramp = gbar[:, :, None] * (params.p1 - grid.p)[None, None, :]
-    phi = co.phi_s[:, :, None] + ramp + Gg[:, :, :1] - Gg
-    return phi, gbar, gfield
+
+def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand) -> np.ndarray:
+    """phi = phi_s + gbar*(p1 - p) + integral from p to p1 of the fluctuation of g."""
+    return _integral_to_p1(grid, it.fluct_hat,
+                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar))
 
 
 def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
@@ -233,8 +243,7 @@ def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
     theta.require(PHYSICAL, "diagnose_phi")
     g = theta.grid
     co = Coefficients(g, params)
-    phi, _, _ = _phi_parts(g, params, co, theta.data)
-    return Field3D.physical(g, phi)
+    return Field3D.physical(g, _phi(g, params, co, _integrand(g, params, co, theta.data)))
 
 
 def hydrostatic_residual(phi: Field3D, theta: Field3D, params: PhysParams) -> float:
@@ -244,19 +253,18 @@ def hydrostatic_residual(phi: Field3D, theta: Field3D, params: PhysParams) -> fl
     spectral p-derivative (the raw samples contain that non-periodic piece);
     the comparison term R T / p is rebuilt from theta as the interpolant the
     vertical calculus acts on (zero-mean part Nyquist-free, see
-    _integrand_parts), so the residual measures consistency of the supplied
+    _Integrand), so the residual measures consistency of the supplied
     phi samples rather than truncation of the integrand.
     """
     phi.require(PHYSICAL, "hydrostatic_residual")
     theta.require(PHYSICAL, "hydrostatic_residual")
     g = phi.grid
     co = Coefficients(g, params)
-    _, gbar, fluct_hat = _integrand_parts(g, params, co, theta.data)
-    ramp = gbar[:, :, None] * (params.p1 - g.p)[None, None, :]
-    periodic = phi.data - ramp
+    it = _integrand(g, params, co, theta.data)
+    periodic = phi.data - _ramp(g, params, it.gbar)
     Phat = rfftn_norm(g, periodic)
-    dphi = irfftn_norm(g, 1j * g.KP * Phat) - gbar[:, :, None]
-    g_used = gbar[:, :, None] + irfftn_norm(g, fluct_hat)
+    dphi = irfftn_norm(g, 1j * g.KP * Phat) - it.gbar[:, :, None]
+    g_used = it.gbar[:, :, None] + irfftn_norm(g, it.fluct_hat)
     res = dphi + g_used
     return float(np.sqrt(g.volume * np.mean(res**2)))
 
@@ -266,19 +274,17 @@ def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
 
     Route one differentiates the assembled Phi (ramp split off before the
     spectral p-derivative); route two forms (R/p) grad T from theta as the
-    interpolant the vertical calculus acts on (see _integrand_parts).  The
+    interpolant the vertical calculus acts on (see _Integrand).  The
     two routes traverse independent code paths and must agree to roundoff.
     """
     theta.require(PHYSICAL, "hydrostatic_gradient_residual")
     g = theta.grid
     co = Coefficients(g, params)
-    phi, gbar, _ = _phi_parts(g, params, co, theta.data)
-    _, _, fluct_hat = _integrand_parts(g, params, co, theta.data)
-    ramp = gbar[:, :, None] * (params.p1 - g.p)[None, None, :]
-    Pper = rfftn_norm(g, phi - ramp)
-    Gb = np.ascontiguousarray(np.broadcast_to(gbar[:, :, None], g.shape))
+    it = _integrand(g, params, co, theta.data)
+    Pper = rfftn_norm(g, _phi(g, params, co, it) - _ramp(g, params, it.gbar))
+    Gb = np.ascontiguousarray(np.broadcast_to(it.gbar[:, :, None], g.shape))
     Gbhat = rfftn_norm(g, Gb)
-    Ghat = Gbhat + fluct_hat
+    Ghat = Gbhat + it.fluct_hat
     worst = 0.0
     scale = 0.0
     for K in (g.KX, g.KY):
@@ -301,26 +307,56 @@ def _mask_of(grid: Grid, variant: ModelVariant):
     return grid.dealias_mask if variant.dealias else 1.0
 
 
+def _viscosities(params: PhysParams, which: str) -> tuple[float, float]:
+    """(mu, nu) of variable 'v', 'theta' or 'q'."""
+    if which not in ("v", "theta", "q"):
+        raise DataError(f"unknown variable {which!r}")
+    return getattr(params, f"mu_{which}"), getattr(params, f"nu_{which}")
+
+
+def _conjugated_hat(grid: Grid, co: Coefficients, mask, f: np.ndarray) -> np.ndarray:
+    """dealias(rfft((p0/p)^kappa f)) for physical samples f."""
+    return rfftn_norm(grid, co.pk * f) * mask
+
+
+def _viscous_flux_hat(grid: Grid, co: Coefficients, mask, dpf: np.ndarray) -> np.ndarray:
+    """W = dealias(rfft(c * dpf)) for a physical p-derivative dpf or a stack of them."""
+    return rfftn_norm(grid, co.c * dpf) * mask
+
+
+def _dp_viscous(grid: Grid, co: Coefficients, mask, F: np.ndarray, which: str) -> np.ndarray:
+    """Physical d/dp of the field the vertical viscosity differentiates: f for
+    v and q, the dealiased s = (p0/p)^kappa f for theta."""
+    if which == "theta":
+        F = _conjugated_hat(grid, co, mask, irfftn_norm(grid, F))
+    return irfftn_norm(grid, 1j * grid.KP * F)
+
+
+def _apply_viscosity(field: Field3D, params: PhysParams, which: str,
+                     variant: ModelVariant) -> Field3D:
+    g = field.grid
+    co = Coefficients(g, params)
+    mu, nu = _viscosities(params, which)
+    mask = _mask_of(g, variant)
+    F = field.as_spectral().data
+    W = _viscous_flux_hat(g, co, mask, _dp_viscous(g, co, mask, F, which))
+    if which == "theta":
+        outer = _conjugated_hat(g, co, mask, irfftn_norm(g, 1j * g.KP * W))
+        out = mu * g.kh2 * F - nu * outer
+    else:
+        out = mu * g.kh2 * F - nu * (1j * g.KP) * W
+    spec = Field3D.spectral(g, out)
+    return spec if field.rep == SPECTRAL else spec.as_physical()
+
+
 def apply_viscosity_v(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
     """A_v f = -mu_v Lap f - nu_v d/dp(c df/dp); the product c*df/dp is dealiased."""
-    return _apply_viscosity_plain(field, params, params.mu_v, params.nu_v, variant)
+    return _apply_viscosity(field, params, "v", variant)
 
 
 def apply_viscosity_q(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
     """A_q f, identical in form to A_v with the humidity coefficients."""
-    return _apply_viscosity_plain(field, params, params.mu_q, params.nu_q, variant)
-
-
-def _apply_viscosity_plain(field, params, mu, nu, variant):
-    g = field.grid
-    co = Coefficients(g, params)
-    F = field.as_spectral().data
-    mask = _mask_of(g, variant)
-    dpf = irfftn_norm(g, 1j * g.KP * F)
-    W = rfftn_norm(g, co.c * dpf) * mask
-    out = mu * g.kh2 * F - nu * (1j * g.KP) * W
-    spec = Field3D.spectral(g, out)
-    return spec if field.rep == SPECTRAL else spec.as_physical()
+    return _apply_viscosity(field, params, "q", variant)
 
 
 def apply_viscosity_theta(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
@@ -329,19 +365,7 @@ def apply_viscosity_theta(field: Field3D, params: PhysParams, variant: ModelVari
     The composite coefficient chain is evaluated pointwise on the grid with
     every product dealiased.  At kappa = 0 this reduces to the plain operator.
     """
-    g = field.grid
-    co = Coefficients(g, params)
-    mask = _mask_of(g, variant)
-    F = field.as_spectral().data
-    f_phys = irfftn_norm(g, F)
-    S = rfftn_norm(g, co.pk * f_phys) * mask
-    dps = irfftn_norm(g, 1j * g.KP * S)
-    W = rfftn_norm(g, co.c * dps) * mask
-    inner = irfftn_norm(g, 1j * g.KP * W)
-    outer = rfftn_norm(g, co.pk * inner) * mask
-    out = params.mu_theta * g.kh2 * F - params.nu_theta * outer
-    spec = Field3D.spectral(g, out)
-    return spec if field.rep == SPECTRAL else spec.as_physical()
+    return _apply_viscosity(field, params, "theta", variant)
 
 
 # --- barotropic projection ------------------------------------------------
@@ -381,7 +405,7 @@ def project_state(state: State) -> State:
     return State(pv1, pv2, state.theta, state.q, t=state.t)
 
 
-# --- advection and work integrals (probes / budgets) ----------------------
+# --- advection and rotation -----------------------------------------------
 
 
 def advection_work(v1: Field3D, v2: Field3D, omega: Field3D, s: Field3D) -> float:
@@ -397,6 +421,22 @@ def advection_work(v1: Field3D, v2: Field3D, omega: Field3D, s: Field3D) -> floa
     omp = omega.as_physical().data
     integrand = (v1p * dxs + v2p * dys + omp * dps) * sp
     return float(g.volume * np.mean(integrand))
+
+
+def coriolis_term(v1: np.ndarray, v2: np.ndarray, params: PhysParams,
+                  variant: ModelVariant = FAITHFUL) -> tuple[np.ndarray, np.ndarray]:
+    """f_cor v_perp on physical samples, as the tendency subtracts it from dv/dt.
+
+    Faithful: (-f v2, f v1).  The coriolis_bug slip gives (f v2, f v1), and a
+    variant without rotation gives zeros.
+    """
+    if not variant.coriolis:
+        zeros = np.zeros_like(v1)
+        return zeros, zeros
+    f = params.f_cor
+    if variant.coriolis_bug:
+        return f * v2, f * v1
+    return -f * v2, f * v1
 
 
 # --- full tendency --------------------------------------------------------
@@ -420,6 +460,7 @@ def tendency(
     """
     g = state.grid
     co = Coefficients(g, params)
+    mask = _mask_of(g, variant)
     st = state.as_spectral()
     V1, V2, TH, Q = (f.data for f in st.fields)
     iKX, iKY, iKP = 1j * g.KX, 1j * g.KY, 1j * g.KP
@@ -439,32 +480,15 @@ def tendency(
 
     # vertical velocity from the divergence (fluctuating part only; the
     # projected state carries no vertical-mean divergence)
-    D = iKX * V1 + iKY * V2
-    Ghat = _omega_hat_parts(g, D)
-
+    om = _integral_to_p1(g, _divergence_hat(g, V1, V2))
     # temperature -> hydrostatic geopotential
-    T = (th + co.theta_h) * co.pk_inv
-    gfield = params.R * T * co.inv_p
-    gbar = gfield.mean(axis=2)
-    s_conj = co.pk * th  # conjugated theta for A_theta
+    it = _integrand(g, params, co, th)
+    phi = _phi(g, params, co, it)
+    Phat = rfftn_norm(g, phi)
 
-    Ghat_g, Shat = rfftn_norm(g, np.stack([gfield - gbar[:, :, None], s_conj]))
-    if g.np % 2 == 0:
-        Ghat_g[..., -1] = 0.0  # p-Nyquist antiderivative vanishes at the nodes
-    A = np.zeros_like(Ghat_g)
-    A[..., 1:] = Ghat_g[..., 1:] / (1j * g.kp[1:])
-    mask = _mask_of(g, variant)
-    Shat = Shat * mask
-
-    G_om, Gg, dps = irfftn_norm(g, np.stack([Ghat, A, iKP * Shat]))
-    om = G_om[:, :, :1] - G_om
-    ramp = gbar[:, :, None] * (params.p1 - g.p)[None, None, :]
-    phi = co.phi_s[:, :, None] + ramp + Gg[:, :, :1] - Gg
-
-    Phat, Wth, Wv1, Wv2, Wq = rfftn_norm(g, np.stack([
-        phi, co.c * dps, co.c * dpv1, co.c * dpv2, co.c * dpq,
-    ]))
-    Wth = Wth * mask
+    # vertical viscous fluxes; theta's acts on s = (p0/p)^kappa theta
+    dps = irfftn_norm(g, iKP * _conjugated_hat(g, co, mask, th))
+    Wth, Wv1, Wv2, Wq = _viscous_flux_hat(g, co, mask, np.stack([dps, dpv1, dpv2, dpq]))
 
     dxphi, dyphi, inner_th = irfftn_norm(g, np.stack([
         iKX * Phat, iKY * Phat, iKP * Wth,
@@ -476,14 +500,7 @@ def tendency(
     advt = (v1 * dxth + v2 * dyth + om * dpth) if variant.advection else zeros
     advq = (v1 * dxq + v2 * dyq + om * dpq) if variant.advection else zeros
 
-    if variant.coriolis:
-        f = params.f_cor
-        if variant.coriolis_bug:
-            cor1, cor2 = f * v2, f * v1
-        else:
-            cor1, cor2 = -f * v2, f * v1
-    else:
-        cor1 = cor2 = zeros
+    cor1, cor2 = coriolis_term(v1, v2, params, variant)
 
     if variant.pressure:
         pr1, pr2 = dxphi, dyphi
@@ -502,10 +519,10 @@ def tendency(
     H1, H2, Ht, Hq = rfftn_norm(g, np.stack([P1, P2, Pt, Pq]))
 
     if variant.viscosity:
-        F1 = -H1 - params.mu_v * g.kh2 * V1 + params.nu_v * iKP * (Wv1 * mask)
-        F2 = -H2 - params.mu_v * g.kh2 * V2 + params.nu_v * iKP * (Wv2 * mask)
+        F1 = -H1 - params.mu_v * g.kh2 * V1 + params.nu_v * iKP * Wv1
+        F2 = -H2 - params.mu_v * g.kh2 * V2 + params.nu_v * iKP * Wv2
         Ft = -Ht - params.mu_theta * g.kh2 * TH
-        Fq = -Hq - params.mu_q * g.kh2 * Q + params.nu_q * iKP * (Wq * mask)
+        Fq = -Hq - params.mu_q * g.kh2 * Q + params.nu_q * iKP * Wq
     else:
         F1, F2, Ft, Fq = -H1, -H2, -Ht, -Hq
 
@@ -531,7 +548,7 @@ def tendency(
         diag = Diagnostics(
             Field3D.physical(g, om),
             Field3D.physical(g, phi),
-            Field3D.physical(g, T),
+            Field3D.physical(g, it.T),
         )
         return out, diag
     return out
@@ -560,22 +577,10 @@ def vertical_dissipation(field: Field3D, params: PhysParams, which: str,
     """
     g = field.grid
     co = Coefficients(g, params)
-    mask = g.dealias_mask if variant.dealias else 1.0
-    F = field.as_spectral().data
-    if which in ("v", "q"):
-        nu = params.nu_v if which == "v" else params.nu_q
-        dpf = irfftn_norm(g, 1j * g.KP * F)
-        W = rfftn_norm(g, co.c * dpf) * mask
-        dpf_hat = rfftn_norm(g, dpf)
-        total = _pair(g, dpf_hat, W)
-        return nu * total
-    if which == "theta":
-        f_phys = irfftn_norm(g, F)
-        S = rfftn_norm(g, co.pk * f_phys) * mask
-        dps = irfftn_norm(g, 1j * g.KP * S)
-        W = rfftn_norm(g, co.c * dps) * mask
-        return params.nu_theta * _pair(g, rfftn_norm(g, dps), W)
-    raise DataError(f"unknown variable {which!r}")
+    _, nu = _viscosities(params, which)
+    mask = _mask_of(g, variant)
+    dpf = _dp_viscous(g, co, mask, field.as_spectral().data, which)
+    return nu * _pair(g, rfftn_norm(g, dpf), _viscous_flux_hat(g, co, mask, dpf))
 
 
 def _pair(grid: Grid, Ahat: np.ndarray, Bhat: np.ndarray) -> float:

@@ -25,17 +25,30 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import SamplingError
-from .fields import Field3D, ParityClass, irfftn_norm, parity_violation, rfftn_norm
+from .fields import Field3D, ParityClass, derivative, irfftn_norm, parity_violation, rfftn_norm
 from .model import (
+    FAITHFUL,
     Coefficients,
-    _omega_hat_parts,
+    ModelVariant,
+    _divergence_hat,
+    _integrand,
     _pair,
-    _phi_parts,
+    _phi,
+    coriolis_term,
+    diagnose_omega,
+    diagnose_phi,
     divergence_residual,
     hydrostatic_residual,
+    temperature_from_theta,
     vertical_dissipation,
 )
-from .norms import sobolev_norm, spectral_weighted_sum, weighted_norm_w
+from .norms import (
+    parseval_sum,
+    sobolev_norm,
+    spectral_weighted_sum,
+    vector_sobolev_norm,
+    weighted_norm_w,
+)
 from .params import PhysParams
 from .state import State
 
@@ -81,64 +94,47 @@ class NormReport:
         return [f.name for f in dc_fields(cls)]
 
 
-def _dp_field(field: Field3D) -> Field3D:
-    g = field.grid
-    return Field3D.spectral(g, 1j * g.KP * field.as_spectral().data)
-
-
-def _vec_norm(fields, order) -> float:
-    return float(np.sqrt(sum(sobolev_norm(f, order) ** 2 for f in fields)))
+def _w_vec_norm(components, params: PhysParams) -> float:
+    """sqrt of the summed ||f||_w^2 over the components."""
+    return float(np.sqrt(sum(weighted_norm_w(f.as_physical(), params) ** 2
+                             for f in components)))
 
 
 def norm_report(state: State, params: PhysParams) -> NormReport:
     g = state.grid
     st = state.as_spectral()
     v1, v2, th, q = st.v1, st.v2, st.theta, st.q
-    dpv1, dpv2, dpth, dpq = (_dp_field(f) for f in (v1, v2, th, q))
+    dpv1, dpv2, dpth, dpq = (derivative(f, "p") for f in (v1, v2, th, q))
 
-    dpv1_p = dpv1.as_physical()
-    dpv2_p = dpv2.as_physical()
-    w_dp_v = float(np.sqrt(
-        weighted_norm_w(dpv1_p, params) ** 2 + weighted_norm_w(dpv2_p, params) ** 2))
-    dp2v1 = _dp_field(dpv1).as_physical()
-    dp2v2 = _dp_field(dpv2).as_physical()
-    w_dp2_v = float(np.sqrt(
-        weighted_norm_w(dp2v1, params) ** 2 + weighted_norm_w(dp2v2, params) ** 2))
-    acc = 0.0
-    for f in (dpv1, dpv2):
-        F = f.data
-        for K in (g.KX, g.KY):
-            comp = Field3D.spectral(g, 1j * K * F).as_physical()
-            acc += weighted_norm_w(comp, params) ** 2
-    w_grad_dp_v = float(np.sqrt(acc))
+    w_dp_v = _w_vec_norm((dpv1, dpv2), params)
+    w_dp2_v = _w_vec_norm((derivative(f, "p") for f in (dpv1, dpv2)), params)
+    w_grad_dp_v = _w_vec_norm(
+        (derivative(f, axis) for f in (dpv1, dpv2) for axis in ("x", "y")), params)
 
     D0 = divergence_residual(v1, v2)
     phys = state.as_physical()
-    from .model import diagnose_phi, temperature_from_theta
     phi = diagnose_phi(phys.theta, params)
     hydro = hydrostatic_residual(phi, phys.theta, params)
     temp = temperature_from_theta(phys.theta, params)
     l2_T = sobolev_norm(temp, 0)
 
-    V1 = v1.data
-    V2 = v2.data
-    dbar_hat = 1j * g.KX[:, :, 0] * V1[:, :, 0] + 1j * g.KY[:, :, 0] * V2[:, :, 0]
+    dbar_hat = _divergence_hat(g, v1.data[..., :1], v2.data[..., :1])[:, :, 0]
     dbar = np.real(np.fft.ifft2(dbar_hat)) * g.nx * g.ny
     omega_p1 = g.Lp * float(np.max(np.abs(dbar)))
 
     return NormReport(
         t=state.t,
-        l2_v=_vec_norm((v1, v2), 0),
-        h1_v=_vec_norm((v1, v2), 1),
-        h2_v=_vec_norm((v1, v2), 2),
+        l2_v=vector_sobolev_norm((v1, v2), 0),
+        h1_v=vector_sobolev_norm((v1, v2), 1),
+        h2_v=vector_sobolev_norm((v1, v2), 2),
         l2_theta=sobolev_norm(th, 0),
         h1_theta=sobolev_norm(th, 1),
         h2_theta=sobolev_norm(th, 2),
         l2_q=sobolev_norm(q, 0),
         h1_q=sobolev_norm(q, 1),
         h2_q=sobolev_norm(q, 2),
-        l2_dp_v=_vec_norm((dpv1, dpv2), 0),
-        h1_dp_v=_vec_norm((dpv1, dpv2), 1),
+        l2_dp_v=vector_sobolev_norm((dpv1, dpv2), 0),
+        h1_dp_v=vector_sobolev_norm((dpv1, dpv2), 1),
         l2_dp_theta=sobolev_norm(dpth, 0),
         h1_dp_theta=sobolev_norm(dpth, 1),
         l2_dp_q=sobolev_norm(dpq, 0),
@@ -175,7 +171,7 @@ class BudgetSample:
     max_term: float
 
 
-def budget_terms(state: State, params: PhysParams, forcing=None, variant=None) -> dict:
+def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
     """Instantaneous energy pairings for each prognostic variable.
 
     Every entry is a contribution to d/dt (1/2)||u||_L2^2 with its sign, except
@@ -189,13 +185,11 @@ def budget_terms(state: State, params: PhysParams, forcing=None, variant=None) -
     faithful dealiased dynamics it vanishes to roundoff, and any violation
     belongs in the residual.
     """
-    from .model import FAITHFUL
     g = state.grid
     co = Coefficients(g, params)
     st = state.as_spectral()
     V1, V2, TH, Q = (f.data for f in st.fields)
     phys = state.as_physical()
-    v1p, v2p = phys.v1.data, phys.v2.data
 
     diss = {
         "v": {
@@ -214,17 +208,12 @@ def budget_terms(state: State, params: PhysParams, forcing=None, variant=None) -
         },
     }
 
-    phi, gbar, gfield = _phi_parts(g, params, co, phys.theta.data)
-    Phat = rfftn_norm(g, phi)
+    it = _integrand(g, params, co, phys.theta.data)
+    Phat = rfftn_norm(g, _phi(g, params, co, it))
     coupling = -(_pair(g, V1, 1j * g.KX * Phat) + _pair(g, V2, 1j * g.KY * Phat))
 
-    D = 1j * g.KX * V1 + 1j * g.KY * V2
-    om = irfftn_norm(g, _omega_hat_parts(g, D))
-    om = om[:, :, :1] - om
-    heat_flux = -float(g.volume * np.mean(gfield * om))
-
-    f = params.f_cor
-    cor_work = float(g.volume * np.mean(v1p * (f * v2p) + v2p * (-f * v1p)))
+    om = diagnose_omega(st.v1, st.v2, check=False).data
+    heat_flux = -float(g.volume * np.mean(it.gfield * om))
 
     if forcing is not None:
         fv1, fv2, fth, fq = forcing(state.t)
@@ -235,9 +224,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None, variant=None) -
         w_f_v = w_f_th = w_f_q = 0.0
 
     def energy(*arrays):
-        w = g.parseval_weights
-        return 0.5 * g.volume * float(sum(
-            ((a.real**2 + a.imag**2) * w).sum() for a in arrays))
+        return 0.5 * g.volume * float(sum(parseval_sum(g, a) for a in arrays))
 
     return {
         "v": {
@@ -246,7 +233,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None, variant=None) -
             "diss_v": diss["v"]["p"],
             "coupling": coupling,
             "coupling_heat_flux": heat_flux,
-            "coriolis_work": cor_work,
+            "coriolis_work": coriolis_work(phys, params),
             "forcing_work": w_f_v,
         },
         "theta": {
@@ -357,13 +344,12 @@ def minkowski_probe(v1: Field3D, v2: Field3D) -> tuple[float, float]:
 
     For a projected field, ||omega||_L2 <= sqrt(Lp) times the second value.
     """
-    from .model import diagnose_omega
     g = v1.grid
     om = diagnose_omega(v1, v2, check=False)
     lhs = sobolev_norm(om.as_spectral(), 0)
     V1 = v1.as_spectral().data
     V2 = v2.as_spectral().data
-    div = irfftn_norm(g, 1j * g.KX * V1 + 1j * g.KY * V2)
+    div = irfftn_norm(g, _divergence_hat(g, V1, V2))
     level = np.sqrt(np.mean(div**2, axis=(0, 1)))
     rhs = float(np.mean(level) * g.Lp)
     return lhs, rhs
@@ -385,9 +371,8 @@ def _sq(x: float) -> float:
 def gronwall_record(state: State, params: PhysParams, forcing=None) -> GronwallRecord:
     g = state.grid
     st = state.as_spectral()
-    V1, V2, TH = st.v1.data, st.v2.data, st.theta.data
     v1, v2, th = st.v1, st.v2, st.theta
-    dpv1, dpv2, dpth = (_dp_field(f) for f in (v1, v2, th))
+    dpv1, dpv2, dpth = (derivative(f, "p") for f in (v1, v2, th))
 
     def vecs(fields, order):
         return sum(_sq(sobolev_norm(f, order)) for f in fields)
@@ -430,9 +415,10 @@ def gronwall_record(state: State, params: PhysParams, forcing=None) -> GronwallR
         Fv2 = Field3D.spectral(g, fv2)
         Fth = Field3D.spectral(g, fth)
         scal["fv_h1s"] = _sq(sobolev_norm(Fv1, 1)) + _sq(sobolev_norm(Fv2, 1))
-        scal["dpfv_s"] = _sq(sobolev_norm(_dp_field(Fv1), 0)) + _sq(sobolev_norm(_dp_field(Fv2), 0))
+        scal["dpfv_s"] = (_sq(sobolev_norm(derivative(Fv1, "p"), 0))
+                          + _sq(sobolev_norm(derivative(Fv2, "p"), 0)))
         scal["fth_h1s"] = _sq(sobolev_norm(Fth, 1))
-        scal["dpfth_s"] = _sq(sobolev_norm(_dp_field(Fth), 0))
+        scal["dpfth_s"] = _sq(sobolev_norm(derivative(Fth, "p"), 0))
     else:
         scal["fv_h1s"] = scal["dpfv_s"] = scal["fth_h1s"] = scal["dpfth_s"] = 0.0
 
@@ -495,10 +481,16 @@ def gronwall_series(records, params: PhysParams) -> dict:
     return out
 
 
-def coriolis_work(state: State, params: PhysParams) -> float:
-    """Discrete Coriolis energy input; antisymmetry makes it vanish."""
+def coriolis_work(state: State, params: PhysParams,
+                  variant: ModelVariant = FAITHFUL) -> float:
+    """Energy input of the rotation term exactly as the tendency applies it.
+
+    The faithful term is f(-v2, v1) entering the velocity equation with a
+    minus sign, whose pointwise product with v vanishes identically; any
+    implementation whose sign or component pairing differs does measurable
+    work, which is what this check is for.
+    """
     phys = state.as_physical()
-    g = state.grid
-    f = params.f_cor
     v1, v2 = phys.v1.data, phys.v2.data
-    return float(g.volume * np.mean(v1 * (f * v2) + v2 * (-f * v1)))
+    cor1, cor2 = coriolis_term(v1, v2, params, variant)
+    return float(state.grid.volume * np.mean(v1 * -cor1 + v2 * -cor2))

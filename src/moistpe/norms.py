@@ -20,18 +20,23 @@ from .fields import PHYSICAL, Field3D
 from .grid import Grid
 
 
+def parseval_sum(grid: Grid, coeff: np.ndarray, multiplier=None):
+    """sum_k w_k |c_k|^2 (times multiplier_k) over the half spectrum.
+
+    w_k counts each stored mode with its conjugate (grid.parseval_weights);
+    times the volume this is the L^2 integral of the weighted field.
+    """
+    mag2 = (coeff.real**2 + coeff.imag**2) * grid.parseval_weights
+    return (mag2 if multiplier is None else mag2 * multiplier).sum()
+
+
 def sobolev_norm(field: Field3D, order: int) -> float:
     """H^order norm for order in {0, 1, 2, 3}; order 0 is the L^2 norm."""
     if order not in (0, 1, 2, 3):
         raise DataError(f"sobolev_norm: order must be 0..3, got {order!r}")
     g = field.grid
-    spec = field.as_spectral()
-    mag2 = (spec.data.real**2 + spec.data.imag**2) * g.parseval_weights
-    if order == 0:
-        total = mag2.sum()
-    else:
-        total = (mag2 * (1.0 + g.k2) ** order).sum()
-    return float(np.sqrt(g.volume * total))
+    multiplier = None if order == 0 else (1.0 + g.k2) ** order
+    return float(np.sqrt(g.volume * parseval_sum(g, field.as_spectral().data, multiplier)))
 
 
 def spectral_weighted_sum(field: Field3D, multiplier: np.ndarray) -> float:
@@ -41,9 +46,7 @@ def spectral_weighted_sum(field: Field3D, multiplier: np.ndarray) -> float:
     ||Delta f||^2 (multiplier kh2^2).
     """
     g = field.grid
-    spec = field.as_spectral()
-    mag2 = (spec.data.real**2 + spec.data.imag**2) * g.parseval_weights
-    return float(g.volume * (mag2 * multiplier).sum())
+    return float(g.volume * parseval_sum(g, field.as_spectral().data, multiplier))
 
 
 def vector_sobolev_norm(components: tuple[Field3D, ...], order: int) -> float:

@@ -3,8 +3,7 @@
 Defaults are the nondimensional configuration used throughout the test
 suite: unit gas constant, unit gravity, unit rotation rate, cp chosen so the
 adiabatic exponent R/cp equals 2/7, pressure shell (0.2, 1.0), and all four
-viscosity pairs equal to 1e-2.  A dimensional preset with air-like constants
-is provided for reference but is not the default.
+viscosity pairs equal to 1e-2.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class Profile:
     @classmethod
     def proportional(cls, a: float) -> "Profile":
         return cls("proportional", a=float(a))
-
-    @classmethod
-    def from_callable(cls, fn) -> "Profile":
-        return cls("custom", fn=fn)
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -126,23 +121,6 @@ class PhysParams:
 
     def with_(self, **kwargs) -> "PhysParams":
         return replace(self, **kwargs)
-
-    @classmethod
-    def nondimensional(cls) -> "PhysParams":
-        return cls()
-
-    @classmethod
-    def physical_units(cls) -> "PhysParams":
-        """Air-like dimensional constants; pressures in Pa. Not the default."""
-        return cls(
-            R=287.0,
-            cp=1004.0,
-            g=9.8,
-            f_cor=1e-4,
-            p0=2.0e4,
-            p1=1.0e5,
-            theta_bar=Profile.constant(300.0),
-        )
 
     def check_grid(self, grid) -> None:
         """The grid and the parameter set must agree on the pressure shell."""

@@ -35,13 +35,14 @@ from .model import (
     hydrostatic_gradient_residual,
 )
 from .monitors import (
+    coriolis_work,
     energy_budget,
     gronwall_series,
     minkowski_probe,
     trilinear_bound,
     trilinear_form,
 )
-from .norms import sobolev_norm
+from .norms import sobolev_norm, vector_sobolev_norm
 from .params import PhysParams
 from .state import State
 from .stepper import StepConfig, run
@@ -177,35 +178,9 @@ def skew_suite(grid: Grid, n: int = 50, seed0: int = 0,
         sc = seeded_scalar(grid, s + 1900, band)
         om = diagnose_omega(v1, v2, check=False)
         work = abs(advection_work(v1, v2, om, sc))
-        scale = (np.sqrt(sobolev_norm(v1, 1) ** 2 + sobolev_norm(v2, 1) ** 2)
-                 * sobolev_norm(sc, 1) ** 2)
-        out.append(SkewSample(s, work, float(scale)))
+        scale = vector_sobolev_norm((v1, v2), 1) * sobolev_norm(sc, 1) ** 2
+        out.append(SkewSample(s, work, scale))
     return out
-
-
-# --- Coriolis work as implemented ------------------------------------------
-
-
-def coriolis_work_applied(state: State, params: PhysParams,
-                          variant: ModelVariant = FAITHFUL) -> float:
-    """Energy input of the rotation term exactly as the tendency applies it.
-
-    The faithful term is f(-v2, v1) entering the velocity equation with a
-    minus sign, whose pointwise product with v vanishes identically; any
-    implementation whose sign or component pairing differs does measurable
-    work, which is what this check is for.
-    """
-    if not variant.coriolis:
-        return 0.0
-    phys = state.as_physical()
-    g = state.grid
-    f = params.f_cor
-    v1, v2 = phys.v1.data, phys.v2.data
-    if variant.coriolis_bug:
-        dv1, dv2 = -f * v2, -f * v1
-    else:
-        dv1, dv2 = f * v2, -f * v1
-    return float(g.volume * np.mean(v1 * dv1 + v2 * dv2))
 
 
 # --- named invariant suite --------------------------------------------------
@@ -283,7 +258,7 @@ def invariants_run(
 
     worst_cor = 0.0
     for st in (state0, traj.final_state):
-        w = abs(coriolis_work_applied(st, params, variant))
+        w = abs(coriolis_work(st, params, variant))
         l2v2 = sobolev_norm(st.v1, 0) ** 2 + sobolev_norm(st.v2, 0) ** 2
         if l2v2 > 0:
             worst_cor = max(worst_cor, w / l2v2)

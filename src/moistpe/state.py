@@ -61,6 +61,3 @@ class State:
         for f in phys.fields:
             h.update(np.ascontiguousarray(f.data).tobytes())
         return h.hexdigest()[:16]
-
-    def all_finite(self) -> bool:
-        return all(bool(np.all(np.isfinite(f.data))) for f in self.fields)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BlowupError, ConfigError
-from .fields import Field3D, SPECTRAL
+from .fields import Field3D
 from .grid import Grid
 from .model import (
     FAITHFUL,
@@ -38,6 +38,7 @@ from .model import (
     project_state,
     tendency,
 )
+from .norms import sobolev_norm
 from .state import State
 
 SCHEMES = ("imex_cnab2", "erk4_fully_explicit")
@@ -99,17 +100,6 @@ def _make_state(grid: Grid, arrays, t: float) -> State:
 def _rhs(state: State, params, forcing, variant):
     tend = tendency(state, params, forcing=forcing, variant=variant)
     return tuple(f.data for f in (tend.v1, tend.v2, tend.theta, tend.q))
-
-
-def euler_step(state: State, dt: float, params: PhysParams,
-               forcing: ForcingFn | None = None,
-               variant: ModelVariant = FAITHFUL) -> State:
-    """One projected fully explicit Euler step (reference integrator)."""
-    g = state.grid
-    u = _spectral_arrays(state)
-    F = _rhs(state, params, forcing, variant)
-    new = tuple(ui + dt * Fi for ui, Fi in zip(u, F))
-    return project_state(_make_state(g, new, state.t + dt))
 
 
 def imex_euler_step(state: State, dt: float, ws: Workspace,
@@ -230,12 +220,6 @@ class Trajectory:
 BLOWUP_FACTOR = 1e8
 
 
-def _l2_vector(arrays, grid):
-    w = grid.parseval_weights
-    return float(np.sqrt(grid.volume * sum(
-        ((a.real**2 + a.imag**2) * w).sum() for a in arrays)))
-
-
 def run(
     state: State,
     params: PhysParams,
@@ -271,7 +255,7 @@ def run(
         st = _make_state(g, arrays, st.t)
     st = project_state(st)
 
-    ref = [max(_l2_vector([f.data], g), 0.0) for f in st.fields]
+    ref = [sobolev_norm(f, 0) for f in st.fields]
     ref_total = max(max(ref), 1.0)
     limits = [BLOWUP_FACTOR * (r if r > 0.0 else ref_total) for r in ref]
 
@@ -280,7 +264,7 @@ def run(
     traj.gronwall = gron
 
     def record(s: State):
-        budget = monitors.budget_terms(s, params, forcing, variant) if collect_budget else None
+        budget = monitors.budget_terms(s, params, forcing) if collect_budget else None
         rep = monitors.norm_report(s, params)
         sample = TrajectorySample(s.t, s.checksum(), rep, budget)
         traj.samples.append(sample)
@@ -292,13 +276,9 @@ def run(
             on_sample(s, sample)
 
     def blown(s: State) -> bool:
-        arrs = [f.data for f in s.fields]
-        if not all(np.all(np.isfinite(a)) for a in arrs):
+        if not all(np.all(np.isfinite(f.data)) for f in s.fields):
             return True
-        for a, lim in zip(arrs, limits):
-            if _l2_vector([a], g) > lim:
-                return True
-        return False
+        return any(sobolev_norm(f, 0) > lim for f, lim in zip(s.fields, limits))
 
     record(st)
 

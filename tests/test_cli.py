@@ -4,8 +4,12 @@ import json
 
 import pytest
 
-from moistpe.checkpoint import read_checkpoint
+from moistpe import probes
+from moistpe.checkpoint import read_checkpoint, write_checkpoint
 from moistpe.cli import MUTATIONS, PROBE_KINDS, main
+from moistpe.config import RunConfig
+from moistpe.grid import Grid
+from moistpe.initial import random_smooth
 from moistpe.output import read_norms
 
 
@@ -134,6 +138,20 @@ def test_run_resumes_from_checkpoint(tmp_path):
     assert main(["run", "--config", cfg_c, "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("size", [20, 22, 23])
+def test_run_truncated_checkpoint_header(tmp_path, capsys, size):
+    ck = tmp_path / "full.mpes"
+    state = random_smooth(Grid(8, 8, 8, 0.2, 1.0), 3, amplitude=0.5)
+    write_checkpoint(str(ck), state, RunConfig(nx=8, ny=8, np=8))
+    short = tmp_path / "short.mpes"
+    short.write_bytes(ck.read_bytes()[:size])
+    cfg = _write_config(tmp_path, **{"initial.kind": f"file:{short}"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "header" in err
+    assert "Traceback" not in err
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -166,6 +184,20 @@ def test_verify_invariants_catches_rotation_defect(tmp_path, capsys):
     assert failed
     assert failed <= {"energy_budget", "coriolis_work", "scalar_monotonicity"}
     assert "coriolis_work" in failed
+
+
+def test_verify_forwards_seed(monkeypatch):
+    calls = []
+
+    def fake_invariants(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    monkeypatch.setattr(probes, "invariants_run", fake_invariants)
+    assert main(["verify", "--suite", "invariants", "--seed", "5", "--quiet"]) == 0
+    assert main(["verify", "--suite", "invariants", "--quiet"]) == 0
+    assert calls[0]["seed"] == 5
+    assert calls[1].get("seed", 11) == 11
 
 
 # --- probe ------------------------------------------------------------------
@@ -203,3 +235,17 @@ def test_probe_gronwall(tmp_path, probe_cfg):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     fitted = {r["form"] for r in rows if "fitted_constant" in r}
     assert fitted == {"vp", "thetap", "lapv", "laptheta"}
+
+
+def test_probe_gronwall_seed(monkeypatch):
+    # --seed 0 is a seed like any other; 11 is the default only when omitted
+    calls = []
+
+    def fake_gronwall(**kwargs):
+        calls.append(kwargs)
+        return {"series": {}, "fitted": {}}
+
+    monkeypatch.setattr(probes, "gronwall_probe", fake_gronwall)
+    for extra in (["--seed", "0"], ["--seed", "4"], []):
+        assert main(["probe", "gronwall", "--quiet", *extra]) == 0
+    assert [c.get("seed", 11) for c in calls] == [0, 4, 11]

@@ -250,3 +250,17 @@ def test_checkpoint_rejects_corruption(tmp_path, params):
     truncated.write_bytes(bytes(raw[:-100]))
     with pytest.raises(DataError):
         read_checkpoint(str(truncated))
+
+
+@pytest.mark.parametrize("size", [20, 22, 23])
+def test_checkpoint_rejects_truncated_header(tmp_path, params, size):
+    # the header is 24 bytes; a file cut inside the config-length field must
+    # raise DataError, not a raw struct.error
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    path = tmp_path / "s.mpes"
+    write_checkpoint(str(path), random_smooth(g, 1, amplitude=1.0), RunConfig(nx=8, ny=8, np=8))
+    short = tmp_path / "short.mpes"
+    short.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(DataError, match="header"):
+        read_checkpoint(str(short))

@@ -209,6 +209,26 @@ def test_viscosity_positive_pairing(grid16, params):
             assert pairing >= -1e-10 * max(1.0, abs(pairing))
 
 
+@pytest.mark.parametrize("distinct", [False, True])
+def test_viscous_tendency_matches_standalone_operators(grid16, params, distinct):
+    # with transport, rotation and pressure switched off the tendency is
+    # -dealias(A u) for each variable, and must agree with the standalone
+    # operators (default params, then a linear theta_bar with six distinct
+    # viscosities)
+    if distinct:
+        params = params.with_(theta_bar=Profile.linear(0.5, 1.5),
+                              mu_v=2e-2, nu_v=3e-2, mu_theta=4e-3,
+                              nu_theta=5e-3, mu_q=6e-3, nu_q=7e-3)
+    variant = ModelVariant(advection=False, coriolis=False, pressure=False)
+    state = project_state(random_smooth(grid16, 5, amplitude=1.0)).as_spectral()
+    tend = tendency(state, params, variant=variant)
+    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
+    for got, field, op in zip((tend.v1, tend.v2, tend.theta, tend.q), state.fields, ops):
+        want = -op(field, params).data * grid16.dealias_mask
+        diff = sobolev_norm(Field3D.spectral(grid16, got.data - want), 0)
+        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(grid16, want), 0)
+
+
 # --- finite-difference reference agreement ----------------------------------
 
 def _order_ratio(apply_spec, op_name, grid, pr, *arrays, axis=None):

@@ -10,9 +10,9 @@ from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import ModelVariant, divergence_residual
 from moistpe.norms import sobolev_norm
+from moistpe.monitors import coriolis_work as coriolis_work_applied
 from moistpe.params import PhysParams
 from moistpe.probes import (
-    coriolis_work_applied,
     gronwall_probe,
     invariants_run,
     minkowski_suite,
