@@ -67,7 +67,11 @@ def read_checkpoint(path: str):
     blob_end = HEADER_BYTES + blob_len
     if len(raw) < blob_end:
         raise DataError("checkpoint truncated inside the config block")
-    cfg = config_mod.parse(raw[HEADER_BYTES:blob_end].decode("utf-8"))
+    try:
+        cfg_text = raw[HEADER_BYTES:blob_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path!r}: checkpoint config block is not UTF-8: {exc}") from exc
+    cfg = config_mod.parse(cfg_text)
     if (cfg.nx, cfg.ny, cfg.np) != (nx, ny, npp):
         raise DataError(
             f"checkpoint header dims {(nx, ny, npp)} disagree with its config "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 
 import numpy as np
 
@@ -46,11 +47,21 @@ def _seed_kwargs(args) -> dict:
 # --- run --------------------------------------------------------------------
 
 
+def _load_numpy(key: str, path: str):
+    """np.load of the file a config key names; unreadable content is a ConfigError."""
+    try:
+        return np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{key}: cannot read {path!r} as a NumPy file: {exc}") from exc
+
+
 def _load_phi_s(cfg, grid):
     if cfg.phi_s == "zero":
         return None
     path = cfg.phi_s.partition(":")[2]
-    arr = np.load(path)
+    arr = _load_numpy("physics.phi_s", path)
+    if not isinstance(arr, np.ndarray):
+        raise ConfigError(f"physics.phi_s: {path!r} is an archive, expected one .npy array")
     if arr.shape != (grid.nx, grid.ny):
         raise ConfigError(
             f"physics.phi_s: array at {path!r} has shape {arr.shape}, "
@@ -85,7 +96,7 @@ def _build_forcing(cfg, grid, params):
     if kind == "manufactured":
         ms = ManufacturedSolution(get_case(arg), grid, params)
         return ms.forcing
-    data = np.load(arg)
+    data = _load_numpy("forcing.kind", arg)
     needed = ("fv1", "fv2", "ftheta", "fq")
     missing = [k for k in needed if k not in data]
     if missing:
@@ -139,7 +150,7 @@ def cmd_run(args) -> int:
         state, params, step_cfg, forcing=forcing,
         record_every=cfg.norms_every,
         on_sample=on_sample,
-        collect_budget=want_norms and not cfg.adapt,
+        collect_budget=want_norms,
     )
 
     if want_norms:
@@ -329,6 +340,11 @@ def main(argv=None) -> int:
     except BlowupError as exc:
         print(f"blowup at t = {exc.t_last:.6g}", file=sys.stderr)
         return 2
+    except ConfigError as exc:
+        # e.g. an end time that is not a whole number of steps from a
+        # resumed checkpoint's time, which only run() can see
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,10 +17,9 @@ Sections and keys:
   physics.theta_bar, physics.theta_h   profile tokens: constant:a |
                                        linear:a,b | proportional:a
   physics.phi_s                      zero | file:<path to .npy, shape nx x ny>
-  time.dt, time.t_end, time.t0       floats (t0 is the resume time)
+  time.dt, time.t_end, time.t0       floats (t0 is the resume time);
+                                     t_end - t0 a whole number of dt
   time.scheme                        imex_cnab2 | erk4_fully_explicit
-  time.cfl_target                    in (0, 1]
-  time.adapt                         true | false
   forcing.kind                       zero | manufactured:<case> | file:<path>
   initial.kind                       rest | random_smooth:<seed[,amplitude[,band]]>
                                      | file:<path>
@@ -31,6 +30,9 @@ Sections and keys:
   output.checkpoint_path             none | <path>
   output.checkpoint_every            0 = final state only; k > 0 also every
                                      k-th recorded sample (file is rolling)
+
+Retired keys (time.adapt, time.cfl_target) are accepted and ignored so that
+older checkpoints still load, but time.adapt = true is an error.
 
 The pressure bounds live in the domain section only; the physics parameter
 set reuses them, so there is exactly one place to mistype them.
@@ -43,7 +45,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .grid import Grid
 from .params import PhysParams, Profile
-from .stepper import SCHEMES, StepConfig
+from .stepper import SCHEMES, StepConfig, step_count
 
 SYMMETRY_TOKENS = ("none", "paper_parity")
 
@@ -72,8 +74,6 @@ class RunConfig:
     t_end: float = 1.0
     t0: float = 0.0
     scheme: str = "imex_cnab2"
-    cfl_target: float = 0.5
-    adapt: bool = False
     forcing_kind: str = "zero"
     initial_kind: str = "rest"
     initial_symmetry: str = "none"
@@ -95,8 +95,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+def _retired_adapt(text: str) -> None:
+    if _parse_bool(text):
+        raise ConfigError("time.adapt: adaptive stepping was removed; "
+                          "runs take fixed steps of time.dt")
 
 
 # dotted key -> (attribute, parse, format)
@@ -123,8 +125,6 @@ KEYMAP = {
     "time.t_end": ("t_end", float, repr),
     "time.t0": ("t0", float, repr),
     "time.scheme": ("scheme", str, str),
-    "time.cfl_target": ("cfl_target", float, repr),
-    "time.adapt": ("adapt", _parse_bool, _fmt_bool),
     "forcing.kind": ("forcing_kind", str, str),
     "initial.kind": ("initial_kind", str, str),
     "initial.symmetry": ("initial_symmetry", str, str),
@@ -135,6 +135,13 @@ KEYMAP = {
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _, _) in KEYMAP.items()}
+
+# keys of the removed adaptive stepping -> value check; checkpoints written
+# before the removal embed them
+RETIRED_KEYS = {
+    "time.adapt": _retired_adapt,
+    "time.cfl_target": float,
+}
 
 
 def parse(text: str) -> RunConfig:
@@ -150,13 +157,16 @@ def parse(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KEYMAP:
+        if key not in KEYMAP and key not in RETIRED_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         seen.add(key)
-        attr, parse_fn, _ = KEYMAP[key]
         try:
+            if key in RETIRED_KEYS:
+                RETIRED_KEYS[key](value)
+                continue
+            attr, parse_fn, _ = KEYMAP[key]
             values[attr] = parse_fn(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
@@ -216,12 +226,9 @@ def validate(cfg: RunConfig) -> None:
         raise _key_error("phi_s", f"expected 'zero' or 'file:<path>', got {cfg.phi_s!r}")
     if cfg.dt <= 0.0:
         raise _key_error("dt", f"must be positive, got {cfg.dt}")
-    if cfg.t_end < cfg.t0:
-        raise _key_error("t_end", f"must be >= time.t0, got t_end={cfg.t_end}, t0={cfg.t0}")
+    step_count(cfg.t0, cfg.t_end, cfg.dt)
     if cfg.scheme not in SCHEMES:
         raise _key_error("scheme", f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
-    if not (0.0 < cfg.cfl_target <= 1.0):
-        raise _key_error("cfl_target", f"must lie in (0, 1], got {cfg.cfl_target}")
     parse_forcing_kind(cfg.forcing_kind)
     parse_initial_kind(cfg.initial_kind)
     if cfg.initial_symmetry not in SYMMETRY_TOKENS:
@@ -301,5 +308,4 @@ def build_params(cfg: RunConfig, phi_s=None) -> PhysParams:
 
 
 def build_step_config(cfg: RunConfig) -> StepConfig:
-    return StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
-                      cfl_target=cfg.cfl_target, adapt=cfg.adapt)
+    return StepConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)

@@ -177,10 +177,11 @@ def diagnose_omega(v1: Field3D, v2: Field3D, check: bool = True) -> Field3D:
     construction.
     """
     g = v1.grid
-    D = _divergence_hat(g, v1.as_spectral().data, v2.as_spectral().data)
+    S1, S2 = v1.as_spectral(), v2.as_spectral()
+    D = _divergence_hat(g, S1.data, S2.data)
     if check:
         residual = float(np.max(np.abs(D[:, :, 0])))
-        vnorm = vector_sobolev_norm((v1, v2), 1)
+        vnorm = vector_sobolev_norm((S1, S2), 1)
         if residual > 1e-11 * vnorm:
             raise ConstraintError(
                 f"vertically-averaged divergence residual {residual:.3e} exceeds "
@@ -246,6 +247,17 @@ def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
     return Field3D.physical(g, _phi(g, params, co, _integrand(g, params, co, theta.data)))
 
 
+def _hydrostatic_residual(grid: Grid, params: PhysParams, phi: np.ndarray,
+                          it: _Integrand) -> float:
+    """hydrostatic_residual for physical phi samples and the integrand of theta."""
+    periodic = phi - _ramp(grid, params, it.gbar)
+    Phat = rfftn_norm(grid, periodic)
+    dphi = irfftn_norm(grid, 1j * grid.KP * Phat) - it.gbar[:, :, None]
+    g_used = it.gbar[:, :, None] + irfftn_norm(grid, it.fluct_hat)
+    res = dphi + g_used
+    return float(np.sqrt(grid.volume * np.mean(res**2)))
+
+
 def hydrostatic_residual(phi: Field3D, theta: Field3D, params: PhysParams) -> float:
     """|| d(phi)/dp + R T / p ||_{L2}, differentiating phi structurally.
 
@@ -260,13 +272,7 @@ def hydrostatic_residual(phi: Field3D, theta: Field3D, params: PhysParams) -> fl
     theta.require(PHYSICAL, "hydrostatic_residual")
     g = phi.grid
     co = Coefficients(g, params)
-    it = _integrand(g, params, co, theta.data)
-    periodic = phi.data - _ramp(g, params, it.gbar)
-    Phat = rfftn_norm(g, periodic)
-    dphi = irfftn_norm(g, 1j * g.KP * Phat) - it.gbar[:, :, None]
-    g_used = it.gbar[:, :, None] + irfftn_norm(g, it.fluct_hat)
-    res = dphi + g_used
-    return float(np.sqrt(g.volume * np.mean(res**2)))
+    return _hydrostatic_residual(g, params, phi.data, _integrand(g, params, co, theta.data))
 
 
 def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
@@ -588,26 +594,3 @@ def _pair(grid: Grid, Ahat: np.ndarray, Bhat: np.ndarray) -> float:
     prod = (Ahat.real * Bhat.real + Ahat.imag * Bhat.imag) * grid.parseval_weights
     return float(grid.volume * prod.sum())
 
-
-# --- CFL ------------------------------------------------------------------
-
-
-def cfl_dt(state: State, cfl_target: float, dt_max: float = np.inf) -> float:
-    """Advective CFL step: cfl_target / max(|v1|/dx + |v2|/dy + |omega|/dp).
-
-    An all-zero velocity field returns dt_max.
-    """
-    if not (0.0 < cfl_target <= 1.0):
-        raise DataError(f"cfl_target must lie in (0, 1], got {cfl_target}")
-    g = state.grid
-    phys = state.as_physical()
-    pv1, pv2 = barotropic_project(phys.v1, phys.v2)
-    om = diagnose_omega(pv1, pv2, check=False)
-    dx = g.Lx / g.nx
-    dy = g.Ly / g.ny
-    dp = g.Lp / g.np
-    speed = np.abs(pv1.data) / dx + np.abs(pv2.data) / dy + np.abs(om.data) / dp
-    peak = float(speed.max())
-    if peak == 0.0:
-        return dt_max
-    return min(cfl_target / peak, dt_max)

@@ -31,15 +31,13 @@ from .model import (
     Coefficients,
     ModelVariant,
     _divergence_hat,
+    _hydrostatic_residual,
     _integrand,
     _pair,
     _phi,
     coriolis_term,
     diagnose_omega,
-    diagnose_phi,
     divergence_residual,
-    hydrostatic_residual,
-    temperature_from_theta,
     vertical_dissipation,
 )
 from .norms import (
@@ -113,10 +111,10 @@ def norm_report(state: State, params: PhysParams) -> NormReport:
 
     D0 = divergence_residual(v1, v2)
     phys = state.as_physical()
-    phi = diagnose_phi(phys.theta, params)
-    hydro = hydrostatic_residual(phi, phys.theta, params)
-    temp = temperature_from_theta(phys.theta, params)
-    l2_T = sobolev_norm(temp, 0)
+    co = Coefficients(g, params)
+    it = _integrand(g, params, co, phys.theta.data)
+    hydro = _hydrostatic_residual(g, params, _phi(g, params, co, it), it)
+    l2_T = sobolev_norm(Field3D.physical(g, it.T), 0)
 
     dbar_hat = _divergence_hat(g, v1.data[..., :1], v2.data[..., :1])[:, :, 0]
     dbar = np.real(np.fft.ifft2(dbar_hat)) * g.nx * g.ny

@@ -51,8 +51,6 @@ class StepConfig:
     dt: float
     t_end: float
     scheme: str = "imex_cnab2"
-    cfl_target: float = 0.5
-    adapt: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -61,8 +59,26 @@ class StepConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (self.t_end >= 0.0 and np.isfinite(self.t_end)):
             raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
-        if not (0.0 < self.cfl_target <= 1.0):
-            raise ConfigError(f"cfl_target must lie in (0, 1], got {self.cfl_target}")
+
+
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """The number of fixed steps of length dt from t0 to t_end.
+
+    The span must be a whole number of steps to 1e-9 relative; any other end
+    time would be missed, so it raises ConfigError instead of rounding.
+    """
+    span = t_end - t0
+    if not (dt > 0.0 and np.isfinite(span / dt)):
+        raise ConfigError(f"time.dt = {dt!r} must be positive and time.t_end = {t_end!r}, "
+                          f"time.t0 = {t0!r} finite")
+    if span < 0:
+        raise ConfigError(f"time.t_end = {t_end!r} precedes time.t0 = {t0!r}")
+    n = round(span / dt)
+    if abs(span - n * dt) > 1e-9 * max(span, dt):
+        raise ConfigError(
+            f"time.t_end - time.t0 = {span!r} is not a whole number of steps of "
+            f"time.dt = {dt!r} (time.t_end = {t_end!r}, time.t0 = {t0!r})")
+    return n
 
 
 class Workspace:
@@ -206,7 +222,6 @@ class Trajectory:
     final_state: State | None = None
     completed: bool = False
     blowup_time: float | None = None
-    checkpoints: list = dc_field(default_factory=list)
     gronwall: list | None = None
 
     @property
@@ -231,9 +246,13 @@ def run(
     collect_budget: bool = False,
     collect_gronwall: bool = False,
     raise_on_blowup: bool = False,
-    keep_states_every: int = 0,
 ) -> Trajectory:
-    """Integrate from state.t to t_end, recording monitor samples.
+    """Integrate from state.t to t_end in fixed steps of config.dt.
+
+    Samples are recorded at the start, every record_every steps and at the
+    final step.  t_end - state.t must be a whole number of steps (see
+    step_count); the state's own time counts, so a resumed run is checked
+    against the time it resumes from.
 
     The initial state is truncated to the dealiased ball (when the variant
     dealiases) and projected, so the advertised invariants hold from the first
@@ -245,6 +264,7 @@ def run(
 
     g = state.grid
     params.check_grid(g)
+    n_steps = step_count(state.t, config.t_end, config.dt)
     ws = Workspace(g, params, variant)
     if config.scheme == "erk4_fully_explicit":
         check_erk4_stability(ws, config.dt)
@@ -270,8 +290,6 @@ def run(
         traj.samples.append(sample)
         if gron is not None:
             gron.append(monitors.gronwall_record(s, params, forcing))
-        if keep_states_every > 0 and (len(traj.samples) - 1) % keep_states_every == 0:
-            traj.checkpoints.append(s)
         if on_sample is not None:
             on_sample(s, sample)
 
@@ -283,38 +301,13 @@ def run(
     record(st)
 
     t0 = st.t
-    span = config.t_end - t0
-    if span < 0:
-        raise ConfigError(f"t_end {config.t_end} precedes the state time {t0}")
-
     n_prev = None
-    step_index = 0
-    if not config.adapt:
-        n_steps = int(round(span / config.dt))
-        if n_steps == 0 and span > 0:
-            n_steps = 1
-        plan = [config.dt] * n_steps
-    else:
-        plan = None  # decided on the fly
-
-    while True:
-        if plan is not None:
-            if step_index >= len(plan):
-                break
-            dt = plan[step_index]
-            t_next = t0 + (step_index + 1) * config.dt
-        else:
-            if st.t >= config.t_end - 1e-12 * max(1.0, abs(config.t_end)):
-                break
-            dt = model_cfl(st, config)
-            dt = min(dt, config.t_end - st.t)
-            t_next = st.t + dt
+    for k in range(1, n_steps + 1):
         if config.scheme == "imex_cnab2":
-            st, n_prev = imex_step(st, n_prev, dt, ws, forcing)
+            st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
         else:
-            st = erk4_step(st, dt, params, forcing, variant)
-        st = _make_state(g, tuple(f.data for f in st.fields), t_next)
-        step_index += 1
+            st = erk4_step(st, config.dt, params, forcing, variant)
+        st = _make_state(g, tuple(f.data for f in st.fields), t0 + k * config.dt)
         if blown(st):
             traj.completed = False
             traj.blowup_time = st.t
@@ -322,22 +315,9 @@ def run(
             if raise_on_blowup:
                 raise BlowupError(f"solution diverged at t = {st.t:.6g}", st.t)
             return traj
-        if step_index % record_every == 0 or _at_end(st.t, config.t_end):
+        if k % record_every == 0 or k == n_steps:
             record(st)
-        if plan is None and st.t >= config.t_end - 1e-12:
-            break
 
-    if traj.samples[-1].t != st.t:
-        record(st)
     traj.final_state = st
     traj.completed = True
     return traj
-
-
-def _at_end(t: float, t_end: float) -> bool:
-    return abs(t - t_end) <= 1e-12 * max(1.0, abs(t_end))
-
-
-def model_cfl(state: State, config: StepConfig) -> float:
-    from .model import cfl_dt
-    return cfl_dt(state, config.cfl_target, dt_max=config.dt)

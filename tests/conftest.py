@@ -8,6 +8,7 @@ reproduce.
 import numpy as np
 import pytest
 
+from moistpe import fields
 from moistpe.grid import Grid
 from moistpe.params import PhysParams
 
@@ -30,3 +31,20 @@ def grid16(params):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fft_fields(monkeypatch):
+    """A one-item list counting the 3-D fields moved through scipy.fft's
+    rfftn/irfftn; a stacked transform counts each field of the stack."""
+    moved = [0]
+
+    def counting(fn):
+        def wrapped(x, *args, **kwargs):
+            moved[0] += int(np.prod(np.shape(x)[:-3]))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name)))
+    return moved

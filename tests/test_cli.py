@@ -2,15 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from moistpe import probes
 from moistpe.checkpoint import read_checkpoint, write_checkpoint
 from moistpe.cli import MUTATIONS, PROBE_KINDS, main
-from moistpe.config import RunConfig
+from moistpe.config import RunConfig, build_params
+from moistpe.errors import ConfigError
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.output import read_norms
+from moistpe.stepper import StepConfig, run
 
 
 def _write_config(tmp_path, name="run.cfg", **overrides):
@@ -150,6 +153,69 @@ def test_run_truncated_checkpoint_header(tmp_path, capsys, size):
     err = capsys.readouterr().err
     assert "configuration error" in err and "header" in err
     assert "Traceback" not in err
+
+
+def _assert_configuration_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("t_end", ["0.0104", "0.0006"])
+def test_run_end_time_off_the_step_grid(tmp_path, capsys, t_end):
+    cfg = _write_config(tmp_path, **{"time.t_end": t_end})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "time.t_end", "time.dt")
+
+
+def test_run_resume_span_off_the_step_grid(tmp_path, capsys):
+    # the checkpoint is at t = 0.005; 0.01 is five steps of 2e-3 from
+    # time.t0 = 0 but two and a half from the checkpoint's time
+    ck = tmp_path / "half.mpes"
+    cfg_a = _write_config(tmp_path, "a.cfg", **{"output.checkpoint_path": ck})
+    assert main(["run", "--config", cfg_a, "--quiet"]) == 0
+    ck_cfg, state = read_checkpoint(str(ck))
+    with pytest.raises(ConfigError, match=r"time\.t_end"):
+        run(state, build_params(ck_cfg), StepConfig(dt=2e-3, t_end=0.01))
+
+    cfg_b = _write_config(
+        tmp_path, "b.cfg",
+        **{"initial.kind": f"file:{ck}", "time.dt": "2e-3", "time.t_end": "1e-2"})
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_b, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "time.t_end")
+
+
+def test_run_undecodable_checkpoint_config(tmp_path, capsys):
+    ck = tmp_path / "bad.mpes"
+    write_checkpoint(str(ck), random_smooth(Grid(8, 8, 8, 0.2, 1.0), 3, amplitude=0.5),
+                     RunConfig(nx=8, ny=8, np=8))
+    raw = bytearray(ck.read_bytes())
+    raw[30] = 0xFF
+    ck.write_bytes(bytes(raw))
+    cfg = _write_config(tmp_path, **{"initial.kind": f"file:{ck}"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, str(ck))
+
+
+@pytest.mark.parametrize("content", [b"this is not a NumPy file\n", b"",
+                                     b"PK\x03\x04 not a zip archive"])
+@pytest.mark.parametrize("key", ["physics.phi_s", "forcing.kind"])
+def test_run_input_file_not_numpy(tmp_path, capsys, key, content):
+    junk = tmp_path / "junk.npy"
+    junk.write_bytes(content)
+    cfg = _write_config(tmp_path, **{key: f"file:{junk}"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, key, str(junk))
+
+
+def test_run_phi_s_archive_instead_of_array(tmp_path, capsys):
+    archive = tmp_path / "phi.npz"
+    np.savez(archive, phi=np.zeros((8, 8)))
+    cfg = _write_config(tmp_path, **{"physics.phi_s": f"file:{archive}"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "physics.phi_s")
 
 
 def test_run_blowup_exit_code(tmp_path, capsys):

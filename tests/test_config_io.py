@@ -41,7 +41,7 @@ def test_defaults_roundtrip():
 
 def test_custom_values_roundtrip():
     cfg = RunConfig(nx=48, p0=0.17, dt=2.5e-4, theta_bar="linear:1.0,0.5",
-                    adapt=True, initial_kind="random_smooth:9,0.5,2",
+                    initial_kind="random_smooth:9,0.5,2",
                     norms_path="/tmp/x.ndjson", checkpoint_every=7)
     assert parse(serialize(cfg)) == cfg
 
@@ -78,7 +78,6 @@ def test_unparseable_value_names_key():
     ("domain.p0 = 1.0\ndomain.p1 = 0.5\n", "domain.p0"),
     ("physics.mu_v = -1e-3\n", "physics.mu_v"),
     ("time.scheme = leapfrog\n", "time.scheme"),
-    ("time.cfl_target = 1.5\n", "time.cfl_target"),
     ("initial.symmetry = mirror\n", "initial.symmetry"),
     ("output.norms_every = 0\n", "output.norms_every"),
     ("physics.theta_bar = wavy:1.0\n", "physics.theta_bar"),
@@ -86,6 +85,24 @@ def test_unparseable_value_names_key():
 def test_validation_errors_name_dotted_keys(text, fragment):
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         parse(text)
+
+
+@pytest.mark.parametrize("t_end", ["0.0104", "0.0006"])
+def test_end_time_must_be_a_whole_number_of_steps(t_end):
+    with pytest.raises(ConfigError, match=r"time\.t_end.*time\.dt"):
+        parse(f"time.dt = 1e-3\ntime.t_end = {t_end}\n")
+
+
+def test_retired_keys_are_ignored_and_never_written():
+    cfg = parse("time.adapt = false\ntime.cfl_target = 0.5\n")
+    assert cfg == RunConfig()
+    text = serialize(cfg)
+    assert "time.adapt" not in text and "time.cfl_target" not in text
+
+
+def test_retired_adapt_true_is_rejected():
+    with pytest.raises(ConfigError, match=r"time\.adapt.*removed"):
+        parse("time.adapt = true\n")
 
 
 def test_parse_initial_kind_variants():
@@ -118,7 +135,7 @@ def test_parse_forcing_kind_variants():
 def test_builders_materialize_config():
     cfg = RunConfig(nx=16, ny=16, np=16, p0=0.25, p1=0.75,
                     theta_bar="linear:1.0,0.5", dt=5e-4, t_end=0.1,
-                    scheme="erk4_fully_explicit", cfl_target=0.25)
+                    scheme="erk4_fully_explicit")
     grid = build_grid(cfg)
     assert grid.shape == (16, 16, 16)
     assert grid.Lp == pytest.approx(0.5)
@@ -126,8 +143,7 @@ def test_builders_materialize_config():
     assert params.theta_bar.kind == "linear"
     assert params.theta_bar.b == 0.5
     step = build_step_config(cfg)
-    assert step == StepConfig(dt=5e-4, t_end=0.1, scheme="erk4_fully_explicit",
-                              cfl_target=0.25)
+    assert step == StepConfig(dt=5e-4, t_end=0.1, scheme="erk4_fully_explicit")
 
 
 # --- norm output files ----------------------------------------------------
@@ -178,6 +194,23 @@ def test_budget_residuals_need_uniform_triples():
     assert budget_residual_by_time(stubs) == {}
     ragged = [TrajectorySample(t, "", None, {}) for t in (0.0, 0.1, 0.4, 0.5)]
     assert budget_residual_by_time(ragged) == {}
+
+
+def test_budget_residuals_when_the_interval_does_not_divide_the_steps(tmp_path, params):
+    # 20 steps sampled every 3: t = 0, 0.003, ..., 0.018 and the final 0.02;
+    # the uniform samples still carry residuals, the off-grid final one not
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    st = random_smooth(g, 2, amplitude=0.5, band=2)
+    traj = run(st, params, StepConfig(dt=1e-3, t_end=0.02), record_every=3,
+               collect_budget=True)
+    path = tmp_path / "norms.ndjson"
+    write_norms(str(path), traj.samples)
+    rows = read_norms(str(path))
+    assert len(rows) == 8
+    residuals = [r["budget_residual"] for r in rows]
+    assert all(r is not None for r in residuals[3:6])
+    assert residuals[:3] == [None] * 3 and residuals[6:] == [None] * 2
 
 
 # --- checkpoints ----------------------------------------------------------
@@ -264,3 +297,40 @@ def test_checkpoint_rejects_truncated_header(tmp_path, params, size):
     short.write_bytes(path.read_bytes()[:size])
     with pytest.raises(DataError, match="header"):
         read_checkpoint(str(short))
+
+
+def _splice_config(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """Replace bytes inside a checkpoint's config block and fix its length field."""
+    (blob_len,) = struct.unpack_from("<I", raw, 20)
+    blob = raw[24:24 + blob_len].replace(old, new)
+    return raw[:20] + struct.pack("<I", len(blob)) + blob + raw[24 + blob_len:]
+
+
+def test_checkpoint_with_retired_keys_loads(tmp_path, params):
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    cfg = RunConfig(nx=8, ny=8, np=8)
+    path = tmp_path / "s.mpes"
+    write_checkpoint(str(path), random_smooth(g, 1, amplitude=1.0), cfg)
+    legacy = tmp_path / "legacy.mpes"
+    legacy.write_bytes(_splice_config(
+        path.read_bytes(), b"time.scheme = imex_cnab2\n",
+        b"time.scheme = imex_cnab2\ntime.cfl_target = 0.5\ntime.adapt = false\n"))
+    assert b"time.adapt = false" in legacy.read_bytes()
+    cfg2, state2 = read_checkpoint(str(legacy))
+    assert cfg2 == cfg
+    _, state = read_checkpoint(str(path))
+    for a, b in zip(state.fields, state2.fields):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_checkpoint_rejects_undecodable_config(tmp_path, params):
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    path = tmp_path / "s.mpes"
+    write_checkpoint(str(path), random_smooth(g, 1, amplitude=1.0), RunConfig(nx=8, ny=8, np=8))
+    raw = bytearray(path.read_bytes())
+    raw[30] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="UTF-8"):
+        read_checkpoint(str(path))

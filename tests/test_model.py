@@ -12,14 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from moistpe.errors import ConstraintError, DataError, ParameterError
+from moistpe.errors import ConstraintError, ParameterError
 from moistpe.fd_oracle import OP_NAMES, FdOracle, reference_apply
 from moistpe.fields import Field3D, derivative
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import (FAITHFUL, ModelVariant, apply_viscosity_q,
                            apply_viscosity_theta, apply_viscosity_v,
-                           barotropic_project, cfl_dt, diagnose,
+                           barotropic_project, diagnose,
                            diagnose_omega, diagnose_phi, divergence_residual,
                            hydrostatic_gradient_residual,
                            hydrostatic_residual, omega_top_residual,
@@ -412,23 +412,11 @@ def test_rotational_barotropic_flow_is_projection_invariant(grid16):
     assert np.abs(p2.data - v2.data).max() <= 1e-12
 
 
-# --- advective step control -------------------------------------------------
 
-def test_cfl_zero_velocity_returns_cap(grid16, params):
-    st = State.zeros(grid16)
-    assert cfl_dt(st, 0.5, dt_max=2.5) == 2.5
-
-
-def test_cfl_uniform_flow_matches_formula(grid16):
-    U = 2.0
-    v1 = Field3D.physical(grid16, np.full(grid16.shape, U))
-    z = Field3D.zeros(grid16, "physical")
-    st = State(v1, z, z, z)
-    got = cfl_dt(st, 0.5)
-    want = 0.5 / (U * grid16.nx)   # |v1|/dx with dx = 1/nx
-    assert abs(got - want) <= 1e-13 * want
-
-
-def test_cfl_rejects_bad_target(grid16):
-    with pytest.raises(DataError):
-        cfl_dt(State.zeros(grid16), 0.0)
+def test_diagnose_transforms_each_velocity_forward_once(grid16, params, fft_fields):
+    # v1 and v2 forward once (divergence and H1 scale), omega back, the
+    # integrand forward, Phi back
+    phys = random_smooth(grid16, 5, amplitude=1.0).as_physical()
+    fft_fields[0] = 0
+    diagnose(phys, params)
+    assert fft_fields[0] == 5

@@ -10,7 +10,8 @@ from moistpe.errors import SamplingError
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.manufactured import ManufacturedSolution, get_case
-from moistpe.model import ModelVariant
+from moistpe.model import (ModelVariant, diagnose_phi, hydrostatic_residual,
+                           temperature_from_theta)
 from moistpe.monitors import (
     NormReport,
     budget_terms,
@@ -129,6 +130,17 @@ def test_report_field_names_cover_dict(grid16, params):
     assert list(rep.to_dict().keys()) == names
     assert names[0] == "t"
     assert "budget_residual" in names
+
+
+def test_norm_report_builds_the_integrand_once(grid16, params, fft_fields):
+    st = random_smooth(grid16, 5, amplitude=1.0).as_spectral()
+    theta = st.as_physical().theta
+    fft_fields[0] = 0
+    rep = norm_report(st, params)
+    assert fft_fields[0] == 18
+    # the shared integrand gives what the public functions give, bit for bit
+    assert rep.hydro_residual == hydrostatic_residual(diagnose_phi(theta, params), theta, params)
+    assert rep.l2_T == sobolev_norm(temperature_from_theta(theta, params), 0)
 
 
 # --- energy budgets -------------------------------------------------------

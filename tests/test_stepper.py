@@ -20,7 +20,8 @@ from moistpe.params import PhysParams, Profile
 from moistpe.state import State
 from moistpe import stepper
 from moistpe.stepper import (ERK4_STABILITY_LIMIT, StepConfig, Workspace,
-                             check_erk4_stability, erk4_step, imex_step, run)
+                             check_erk4_stability, erk4_step, imex_step, run,
+                             step_count)
 
 P0, P1 = 0.2, 1.0
 LP = P1 - P0
@@ -216,27 +217,6 @@ def test_every_recorded_sample_satisfies_the_divergence_constraint():
         assert r.div_residual <= 1e-11 * max(1.0, r.h1_v)
 
 
-def test_keep_states_every_collects_checkpoints():
-    g = _grid(8)
-    pr = PhysParams()
-    st = random_smooth(g, 4, amplitude=0.5, band=2)
-    traj = run(st, pr, StepConfig(dt=1e-3, t_end=0.01), keep_states_every=5)
-    assert len(traj.checkpoints) == 3   # samples 0, 5, 10
-    assert traj.checkpoints[0].t == 0.0
-
-
-def test_adaptive_run_reaches_the_end_time():
-    g = _grid(8)
-    pr = PhysParams()
-    st = random_smooth(g, 4, amplitude=1.0, band=2)
-    cfg = StepConfig(dt=5e-3, t_end=0.02, adapt=True)
-    traj = run(st, pr, cfg)
-    assert traj.completed
-    times = [s.t for s in traj.samples]
-    assert abs(times[-1] - 0.02) <= 1e-10
-    assert np.all(np.diff(times) > 0)
-
-
 def test_step_config_validation():
     with pytest.raises(ConfigError):
         StepConfig(dt=1e-3, t_end=1.0, scheme="leapfrog")
@@ -244,10 +224,6 @@ def test_step_config_validation():
         StepConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ConfigError):
         StepConfig(dt=1e-3, t_end=-1.0)
-    with pytest.raises(ConfigError):
-        StepConfig(dt=1e-3, t_end=1.0, cfl_target=0.0)
-    with pytest.raises(ConfigError):
-        StepConfig(dt=1e-3, t_end=1.0, cfl_target=1.5)
 
 
 def test_run_rejects_end_time_before_state_time():
@@ -255,3 +231,23 @@ def test_run_rejects_end_time_before_state_time():
     st = State.zeros(g, t=1.0)
     with pytest.raises(ConfigError):
         run(st, PhysParams(), StepConfig(dt=1e-3, t_end=0.5))
+
+
+@pytest.mark.parametrize("t_end", [0.0104, 0.0006])
+def test_run_rejects_end_time_off_the_step_grid(t_end):
+    # rounding would stop at 0.010 or run on to 0.001 and still report completion
+    st = random_smooth(_grid(8), 4, amplitude=0.5, band=2)
+    with pytest.raises(ConfigError, match=r"time\.t_end.*time\.dt"):
+        run(st, PhysParams(), StepConfig(dt=1e-3, t_end=t_end))
+
+
+def test_step_count_takes_whole_spans_only():
+    assert step_count(0.0, 0.02, 1e-3) == 20
+    assert step_count(0.005, 0.01, 1e-3) == 5
+    assert step_count(0.3, 0.3, 1e-3) == 0
+    assert step_count(0.0, 200 * 1e-4, 1e-4) == 200
+    for t0, t_end, dt in ((0.0, 0.0104, 1e-3), (0.0, 0.0006, 1e-3), (0.005, 0.01, 2e-3)):
+        with pytest.raises(ConfigError, match=r"time\.t_end.*time\.dt.*time\.t0"):
+            step_count(t0, t_end, dt)
+    with pytest.raises(ConfigError, match="precedes"):
+        step_count(1.0, 0.5, 1e-3)
