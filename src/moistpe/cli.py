@@ -9,6 +9,7 @@ from the config file and flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import zipfile
 
@@ -117,6 +118,16 @@ def _build_forcing(cfg, grid, params):
     return forcing
 
 
+def _check_output_dir(key: str, path: str) -> None:
+    """The directory an output file goes into must exist before the run
+    starts, not be found missing when the run is over."""
+    if path == "none":
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{key}: directory {folder!r} of {path!r} does not exist")
+
+
 def cmd_run(args) -> int:
     if args.config is None:
         print("run: --config is required", file=sys.stderr)
@@ -125,6 +136,8 @@ def cmd_run(args) -> int:
         cfg = config_mod.load(args.config)
         if args.out is not None:
             cfg = cfg.with_(norms_path=args.out)
+        _check_output_dir("output.norms_path", cfg.norms_path)
+        _check_output_dir("output.checkpoint_path", cfg.checkpoint_path)
         grid = config_mod.build_grid(cfg)
         params = config_mod.build_params(cfg, phi_s=_load_phi_s(cfg, grid))
         step_cfg = config_mod.build_step_config(cfg)

@@ -101,18 +101,50 @@ class Field3D:
 
 
 # --- raw-array transforms used by the hot paths ---------------------------
+#
+# Both take an optional number of leading p-planes.  A spectrum inside the
+# 2/3-rule ball is zero on the p-planes above np//3, so its x-y transforms
+# need only run on the planes below.  The pruned transforms make the same
+# pocketfft passes in the same order as the full ones (forward: p, x, y;
+# inverse: x, y, p), so every coefficient and sample they return is
+# bit-identical to the full transform's when the dropped planes are zero.
+# The forward transform runs unscaled and is scaled by 1/N afterwards, a
+# step the pruned transform repeats exactly; the inverse needs no scaling.
 
 
-def rfftn_norm(grid: Grid, data: np.ndarray) -> np.ndarray:
-    """Forward real FFT over the trailing three axes, normalized coefficients."""
+def rfftn_norm(grid: Grid, data: np.ndarray, planes: int | None = None) -> np.ndarray:
+    """Forward real FFT over the trailing three axes, normalized coefficients.
+
+    With planes, only the leading `planes` p-planes are computed; the others
+    are returned as zeros.
+    """
     scale = 1.0 / (grid.nx * grid.ny * grid.np)
-    return _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers()) * scale
+    if planes is None:
+        out = _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers())
+        out *= scale
+        return out
+    out = _fft.rfft(data, axis=-1, workers=_workers())
+    out[..., planes:] = 0.0
+    kept = out[..., :planes]
+    _fft.fftn(kept, axes=(-3, -2), overwrite_x=True, workers=_workers())
+    kept *= scale
+    return out
 
 
-def irfftn_norm(grid: Grid, coeff: np.ndarray) -> np.ndarray:
-    """Inverse of rfftn_norm; returns real samples on the collocation grid."""
-    scale = grid.nx * grid.ny * grid.np
-    return _fft.irfftn(coeff * scale, s=grid.shape, axes=(-3, -2, -1), workers=_workers())
+def irfftn_norm(grid: Grid, coeff: np.ndarray, planes: int | None = None) -> np.ndarray:
+    """Inverse of rfftn_norm; returns real samples on the collocation grid.
+
+    With planes, only the leading `planes` p-planes of coeff are synthesised
+    and coeff is the work array: its other planes are set to zero and its
+    leading ones are overwritten.  Without, coeff is left as it was.
+    """
+    if planes is None:
+        return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",
+                           workers=_workers())
+    coeff[..., planes:] = 0.0
+    _fft.ifftn(coeff[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
+               workers=_workers())
+    return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 
 def forward(field: Field3D) -> Field3D:

@@ -20,6 +20,12 @@ the dealias radius n//3: at n = 16 that radius is five, so the product
 content at indices six and seven becomes a genuine spatial truncation
 residual, while any grid with n//3 >= 7 (n >= 21, so 24 and 32) reproduces
 the trajectory to the time-discretization floor.
+
+The stored arrays are band-exact: the profiles are zero outside mode index
+four and Q outside index eight, exactly rather than to roundoff.  With
+n//3 >= 8 (n >= 24) the forcing, and so the forced trajectory, then stays
+exactly inside the dealiased ball, where the tendency's transforms skip the
+empty p-planes.
 """
 
 from __future__ import annotations
@@ -132,8 +138,12 @@ class ManufacturedSolution:
                         (static.v1, static.v2, static.theta, static.q))
         self._L = tuple(lf.data - sf for lf, sf in zip(
             (lin_full.v1, lin_full.v2, lin_full.theta, lin_full.q), self._S))
-        self._Q = tuple(f.data for f in (quad.v1, quad.v2, quad.theta, quad.q))
-        self._Uhat = tuple(f.data for f in self.U)
+        # band-exact (see the module docstring): the transforms leave
+        # roundoff outside the band; a product of the profiles has twice it
+        self._Q = tuple(np.where(grid.band_mask(2 * case.band), f.data, 0.0)
+                        for f in (quad.v1, quad.v2, quad.theta, quad.q))
+        self._Uhat = tuple(np.where(grid.band_mask(case.band), f.data, 0.0) for f in self.U)
+        self._last = None  # (t, forcing arrays) of the latest forcing call
 
     def modulation(self, t: float) -> tuple[float, float]:
         c, s = math.cos(self.case.sigma * t), math.sin(self.case.sigma * t)
@@ -143,11 +153,22 @@ class ManufacturedSolution:
         return m, mdot
 
     def forcing(self, t: float):
+        """The forcing arrays at time t, read-only.
+
+        The latest (t, arrays) pair is kept: a Runge-Kutta step asks twice for
+        its midpoint, and the next step starts where this one ended.
+        """
+        if self._last is not None and self._last[0] == t:
+            return self._last[1]
         m, mdot = self.modulation(t)
-        return tuple(
+        arrays = tuple(
             mdot * u - m * l - (m * m) * qq - s
             for u, l, qq, s in zip(self._Uhat, self._L, self._Q, self._S)
         )
+        for a in arrays:
+            a.flags.writeable = False
+        self._last = (t, arrays)
+        return arrays
 
     def exact_state(self, t: float) -> State:
         m, _ = self.modulation(t)

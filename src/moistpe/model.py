@@ -142,17 +142,21 @@ def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return 1j * grid.KX * V1 + 1j * grid.KY * V2
 
 
-def _integral_to_p1(grid: Grid, F: np.ndarray, base=None) -> np.ndarray:
+def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None) -> np.ndarray:
     """base + integral from p to p1 of the zero-p-mean part of F, sampled.
 
     F holds spectral coefficients (one field or a stack).  The antiderivative
     G = F / (i kp) is taken mode by mode with the p-mean plane dropped, and
     G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
-    (default zero) is the value at p = p0.
+    (default zero) is the value at p = p0.  Given a spectral work array to
+    build G in, F may hold only the leading p-planes (the rest are zero) and
+    the transform skips the others (see irfftn_norm).
     """
-    G = np.zeros_like(F)
-    G[..., 1:] = F[..., 1:] / (1j * grid.kp[1:])
-    G = irfftn_norm(grid, G)
+    n = F.shape[-1]
+    G = np.empty_like(F) if work is None else work
+    G[..., 0] = 0.0
+    np.divide(F[..., 1:], 1j * grid.kp[1:n], out=G[..., 1:n])
+    G = irfftn_norm(grid, G, None if work is None else n)
     top = G[..., :1] if base is None else base + G[..., :1]
     return top - G
 
@@ -233,10 +237,11 @@ def _ramp(grid: Grid, params: PhysParams, gbar: np.ndarray) -> np.ndarray:
     return gbar[:, :, None] * (params.p1 - grid.p)[None, None, :]
 
 
-def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand) -> np.ndarray:
+def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand,
+         work=None) -> np.ndarray:
     """phi = phi_s + gbar*(p1 - p) + integral from p to p1 of the fluctuation of g."""
     return _integral_to_p1(grid, it.fluct_hat,
-                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar))
+                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar), work)
 
 
 def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
@@ -320,14 +325,32 @@ def _viscosities(params: PhysParams, which: str) -> tuple[float, float]:
     return getattr(params, f"mu_{which}"), getattr(params, f"nu_{which}")
 
 
-def _conjugated_hat(grid: Grid, co: Coefficients, mask, f: np.ndarray) -> np.ndarray:
-    """dealias(rfft((p0/p)^kappa f)) for physical samples f."""
-    return rfftn_norm(grid, co.pk * f) * mask
+def _dealiased_hat(grid: Grid, mask, f: np.ndarray, planes: int | None = None) -> np.ndarray:
+    """dealias(rfft(f)).  With planes, only the leading p-planes are computed
+    (see rfftn_norm) and mask is the part of the mask on them."""
+    hat = rfftn_norm(grid, f, planes)
+    kept = hat[..., :planes]
+    kept *= mask
+    return hat
 
 
-def _viscous_flux_hat(grid: Grid, co: Coefficients, mask, dpf: np.ndarray) -> np.ndarray:
-    """W = dealias(rfft(c * dpf)) for a physical p-derivative dpf or a stack of them."""
-    return rfftn_norm(grid, co.c * dpf) * mask
+def _conjugated_hat(grid: Grid, co: Coefficients, mask, f: np.ndarray,
+                    planes: int | None = None, work=None) -> np.ndarray:
+    """dealias(rfft((p0/p)^kappa f)) for physical samples f; the product goes
+    into the physical array work when one is given."""
+    return _dealiased_hat(grid, mask, np.multiply(co.pk, f, out=work), planes)
+
+
+def _viscous_flux_hat(grid: Grid, co: Coefficients, mask, dpf,
+                      planes: int | None = None, work=None) -> np.ndarray:
+    """W = dealias(rfft(c * dpf)) for a physical p-derivative dpf or a stack of
+    them.  Given a physical stack work, dpf may be any sequence of fields and
+    the products go into work."""
+    if work is None:
+        return _dealiased_hat(grid, mask, co.c * dpf, planes)
+    for w, f in zip(work, dpf):
+        np.multiply(co.c, f, out=w)
+    return _dealiased_hat(grid, mask, work, planes)
 
 
 def _dp_viscous(grid: Grid, co: Coefficients, mask, F: np.ndarray, which: str) -> np.ndarray:
@@ -449,6 +472,50 @@ def coriolis_term(v1: np.ndarray, v2: np.ndarray, params: PhysParams,
 
 ForcingFn = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
+_VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
+
+
+class Workspace:
+    """What the tendency and the time steppers reuse for one (grid, params,
+    variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 and
+    nu*i*kp of each variable, the dealias mask, the implicit multipliers of
+    the IMEX split, and scratch buffers sized by the grid.
+
+    The scratch holds intermediate values of one tendency call; nothing a
+    call returns refers to it.  A run builds one workspace and passes it to
+    every step.
+    """
+
+    def __init__(self, grid: Grid, params: PhysParams, variant: ModelVariant = FAITHFUL):
+        co = Coefficients(grid, params)
+        self.grid = grid
+        self.params = params
+        self.variant = variant
+        self.co = co
+        # p-planes a dealiased spectrum can occupy: mode index <= np // 3
+        self.planes = grid.np // 3 + 1 if variant.dealias else grid.np // 2 + 1
+        # the dealias mask on those planes
+        self.mask = grid.dealias_mask[..., :self.planes] if variant.dealias else 1.0
+        self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
+        kp2 = grid.KP**2
+        self.mu_kh2, self.nu_iKP, lam = {}, {}, {}
+        for which in ("v", "theta", "q"):
+            mu, nu = _viscosities(params, which)
+            self.mu_kh2[which] = mu * grid.kh2
+            self.nu_iKP[which] = nu * self.iK[2]
+            lam[which] = (self.mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
+                          else np.zeros(grid.spectral_shape))
+        self.lam_v, self.lam_theta, self.lam_q = lam["v"], lam["theta"], lam["q"]
+        self.lam_max = float(max(a.max() for a in lam.values()))
+        # scratch: the spectral input of the stacked inverse transforms, the
+        # physical input of the stacked forward ones and one physical temporary
+        self.spec = np.zeros((16,) + grid.spectral_shape, dtype=np.complex128)
+        self.phys = np.empty((4,) + grid.shape)
+        self.tmp = np.empty(grid.shape)
+
+    def multipliers(self):
+        return (self.lam_v, self.lam_v, self.lam_theta, self.lam_q)
+
 
 def tendency(
     state: State,
@@ -456,100 +523,106 @@ def tendency(
     forcing: ForcingFn | None = None,
     variant: ModelVariant = FAITHFUL,
     return_diagnostics: bool = False,
+    ws: Workspace | None = None,
 ):
     """Evaluate the semi-discrete right-hand side at the state's time.
 
-    All operator terms are truncated by the 2/3 mask (variant permitting), so
-    evolved states stay inside the dealiased ball; supplied forcing is added
-    untruncated.  Returns a Tendency of spectral fields, optionally with the
-    freshly diagnosed omega and Phi.
+    All operator terms are truncated by the 2/3 mask (variant permitting) and
+    supplied forcing is added untruncated, so evolved states stay inside the
+    dealiased ball only when the forcing does: manufactured forcing does on
+    grids with n >= 24, forcing read from a file in general does not.
+    Returns a Tendency of spectral fields, optionally with the freshly
+    diagnosed omega and Phi.
+
+    ws is the Workspace of (grid, params, variant); a temporary one is built
+    when none is given.  Transforms skip the p-planes above np//3 where their
+    data are zero: those of masked products whenever the variant dealiases,
+    those of the state and its derivatives only when the state has no
+    content on those planes.  The result is bit for bit the one the full
+    transforms give.
     """
     g = state.grid
-    co = Coefficients(g, params)
-    mask = _mask_of(g, variant)
-    st = state.as_spectral()
-    V1, V2, TH, Q = (f.data for f in st.fields)
-    iKX, iKY, iKP = 1j * g.KX, 1j * g.KY, 1j * g.KP
+    if ws is None:
+        ws = Workspace(g, params, variant)
+    elif ws.grid != g or ws.params is not params or ws.variant != variant:
+        raise DataError("tendency: the workspace belongs to another grid, params or variant")
+    co, buf, P, tmp = ws.co, ws.spec, ws.phys, ws.tmp
+    iKX, iKY, iKP = ws.iK
+    U = tuple(f.data for f in state.as_spectral().fields)
+    V1, V2, TH, Q = U
+    # nk: planes kept by the masked transforms; n: planes the state occupies
+    nk = ws.planes
+    n = g.np // 2 + 1 if any(np.any(u[..., nk:]) for u in U) else nk
 
-    stack = np.stack([
-        V1, V2, TH, Q,
-        iKX * V1, iKY * V1, iKP * V1,
-        iKX * V2, iKY * V2, iKP * V2,
-        iKX * TH, iKY * TH, iKP * TH,
-        iKX * Q, iKY * Q, iKP * Q,
-    ])
+    for i, u in enumerate(U):
+        u = u[..., :n]
+        buf[i, ..., :n] = u
+        for j, iK in enumerate(ws.iK):
+            np.multiply(iK[..., :n], u, out=buf[4 + 3 * i + j, ..., :n])
     (v1, v2, th, q,
      dxv1, dyv1, dpv1,
      dxv2, dyv2, dpv2,
      dxth, dyth, dpth,
-     dxq, dyq, dpq) = irfftn_norm(g, stack)
+     dxq, dyq, dpq) = irfftn_norm(g, buf, n)
 
     # vertical velocity from the divergence (fluctuating part only; the
     # projected state carries no vertical-mean divergence)
-    om = _integral_to_p1(g, _divergence_hat(g, V1, V2))
+    om = _integral_to_p1(g, _divergence_hat(g, V1[..., :n], V2[..., :n]), work=buf[0])
     # temperature -> hydrostatic geopotential
     it = _integrand(g, params, co, th)
-    phi = _phi(g, params, co, it)
+    phi = _phi(g, params, co, it, work=buf[0])
     Phat = rfftn_norm(g, phi)
 
     # vertical viscous fluxes; theta's acts on s = (p0/p)^kappa theta
-    dps = irfftn_norm(g, iKP * _conjugated_hat(g, co, mask, th))
-    Wth, Wv1, Wv2, Wq = _viscous_flux_hat(g, co, mask, np.stack([dps, dpv1, dpv2, dpq]))
+    s_hat = _conjugated_hat(g, co, ws.mask, th, nk, work=tmp)
+    np.multiply(iKP[..., :nk], s_hat[..., :nk], out=buf[1, ..., :nk])
+    dps = irfftn_norm(g, buf[1], nk)
+    Wth, Wv1, Wv2, Wq = _viscous_flux_hat(g, co, ws.mask, (dps, dpv1, dpv2, dpq),
+                                          nk, work=P)
 
-    dxphi, dyphi, inner_th = irfftn_norm(g, np.stack([
-        iKX * Phat, iKY * Phat, iKP * Wth,
-    ]))
+    np.multiply(iKX, Phat, out=buf[0])
+    np.multiply(iKY, Phat, out=buf[1])
+    dxphi, dyphi = irfftn_norm(g, buf[:2], g.np // 2 + 1)
+    np.multiply(iKP[..., :nk], Wth[..., :nk], out=buf[2, ..., :nk])
+    inner_th = irfftn_norm(g, buf[2], nk)
 
-    zeros = np.zeros_like(v1)
-    adv1 = (v1 * dxv1 + v2 * dyv1 + om * dpv1) if variant.advection else zeros
-    adv2 = (v1 * dxv2 + v2 * dyv2 + om * dpv2) if variant.advection else zeros
-    advt = (v1 * dxth + v2 * dyth + om * dpth) if variant.advection else zeros
-    advq = (v1 * dxq + v2 * dyq + om * dpq) if variant.advection else zeros
-
-    cor1, cor2 = coriolis_term(v1, v2, params, variant)
-
+    # physical products, assembled in P (free again once W is transformed)
+    for Pi, (dx, dy, dp) in zip(P, ((dxv1, dyv1, dpv1), (dxv2, dyv2, dpv2),
+                                    (dxth, dyth, dpth), (dxq, dyq, dpq))):
+        if variant.advection:
+            np.multiply(v1, dx, out=Pi)
+            Pi += np.multiply(v2, dy, out=tmp)
+            Pi += np.multiply(om, dp, out=tmp)
+        else:
+            Pi.fill(0.0)
     if variant.pressure:
-        pr1, pr2 = dxphi, dyphi
-    else:
-        pr1 = pr2 = zeros
-
+        P[0] += dxphi
+        P[1] += dyphi
+    cor1, cor2 = coriolis_term(v1, v2, params, variant)
+    P[0] += cor1
+    P[1] += cor2
     if variant.viscosity:
-        visc_t_vert = params.nu_theta * (co.pk * inner_th)
-    else:
-        visc_t_vert = zeros
+        np.multiply(co.pk, inner_th, out=tmp)
+        tmp *= params.nu_theta
+        P[2] -= tmp
 
-    P1 = adv1 + pr1 + cor1
-    P2 = adv2 + pr2 + cor2
-    Pt = advt - visc_t_vert
-    Pq = advq
-    H1, H2, Ht, Hq = rfftn_norm(g, np.stack([P1, P2, Pt, Pq]))
-
-    if variant.viscosity:
-        F1 = -H1 - params.mu_v * g.kh2 * V1 + params.nu_v * iKP * Wv1
-        F2 = -H2 - params.mu_v * g.kh2 * V2 + params.nu_v * iKP * Wv2
-        Ft = -Ht - params.mu_theta * g.kh2 * TH
-        Fq = -Hq - params.mu_q * g.kh2 * Q + params.nu_q * iKP * Wq
-    else:
-        F1, F2, Ft, Fq = -H1, -H2, -Ht, -Hq
-
-    F1 = F1 * mask
-    F2 = F2 * mask
-    Ft = Ft * mask
-    Fq = Fq * mask
-
+    # -H - mu |k_h|^2 X + nu i kp W on the kept planes, masked; H's other
+    # planes are zero and its array becomes the result
+    H = rfftn_norm(g, P, nk)
+    part = buf[3, ..., :nk]
+    for Hi, u, which, W in zip(H, U, _VARIABLES, (Wv1, Wv2, None, Wq)):
+        h = Hi[..., :nk]
+        np.negative(h, out=h)
+        if variant.viscosity:
+            h -= np.multiply(ws.mu_kh2[which][..., :nk], u[..., :nk], out=part)
+            if W is not None:
+                h += np.multiply(ws.nu_iKP[which][..., :nk], W[..., :nk], out=part)
+        h *= ws.mask
     if forcing is not None:
-        fv1, fv2, fth, fq = forcing(state.t)
-        F1 = F1 + fv1
-        F2 = F2 + fv2
-        Ft = Ft + fth
-        Fq = Fq + fq
+        for Hi, f in zip(H, forcing(state.t)):
+            Hi += f
 
-    out = Tendency(
-        Field3D.spectral(g, F1),
-        Field3D.spectral(g, F2),
-        Field3D.spectral(g, Ft),
-        Field3D.spectral(g, Fq),
-    )
+    out = Tendency(*(Field3D.spectral(g, Hi) for Hi in H))
     if return_diagnostics:
         diag = Diagnostics(
             Field3D.physical(g, om),

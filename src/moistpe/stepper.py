@@ -31,10 +31,10 @@ from .fields import Field3D
 from .grid import Grid
 from .model import (
     FAITHFUL,
-    Coefficients,
     ForcingFn,
     ModelVariant,
     PhysParams,
+    Workspace,
     project_state,
     tendency,
 )
@@ -81,29 +81,6 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
-class Workspace:
-    """Precomputed implicit multipliers for one (grid, params, variant) triple."""
-
-    def __init__(self, grid: Grid, params: PhysParams, variant: ModelVariant = FAITHFUL):
-        co = Coefficients(grid, params)
-        kp2 = grid.KP**2
-        if variant.viscosity:
-            cbar = co.c_mean
-            self.lam_v = params.mu_v * grid.kh2 + params.nu_v * cbar * kp2
-            self.lam_theta = params.mu_theta * grid.kh2 + params.nu_theta * cbar * kp2
-            self.lam_q = params.mu_q * grid.kh2 + params.nu_q * cbar * kp2
-        else:
-            zero = np.zeros(grid.spectral_shape)
-            self.lam_v = self.lam_theta = self.lam_q = zero
-        self.lam_max = float(max(self.lam_v.max(), self.lam_theta.max(), self.lam_q.max()))
-        self.grid = grid
-        self.params = params
-        self.variant = variant
-
-    def multipliers(self):
-        return (self.lam_v, self.lam_v, self.lam_theta, self.lam_q)
-
-
 def _spectral_arrays(state: State):
     return tuple(f.as_spectral().data for f in state.fields)
 
@@ -113,8 +90,8 @@ def _make_state(grid: Grid, arrays, t: float) -> State:
     return State(v1, v2, th, q, t=t)
 
 
-def _rhs(state: State, params, forcing, variant):
-    tend = tendency(state, params, forcing=forcing, variant=variant)
+def _rhs(state: State, ws: Workspace, forcing):
+    tend = tendency(state, ws.params, forcing=forcing, variant=ws.variant, ws=ws)
     return tuple(f.data for f in (tend.v1, tend.v2, tend.theta, tend.q))
 
 
@@ -126,7 +103,7 @@ def imex_euler_step(state: State, dt: float, ws: Workspace,
     g = state.grid
     lam = ws.multipliers()
     u = _spectral_arrays(state)
-    F = _rhs(state, ws.params, forcing, ws.variant)
+    F = _rhs(state, ws, forcing)
     new = tuple(
         (ui + dt * (Fi + li * ui)) / (1.0 + dt * li)
         for ui, li, Fi in zip(u, lam, F)
@@ -149,11 +126,11 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
         for _ in range(10):
             sub = imex_euler_step(sub, dt / 10.0, ws, forcing)
         u_new = _spectral_arrays(sub)
-        F = _rhs(sub, ws.params, forcing, ws.variant)
+        F = _rhs(sub, ws, forcing)
         n_cur = tuple(Fi + li * ui for Fi, li, ui in zip(F, lam, u_new))
         return sub, n_cur
     u = _spectral_arrays(state)
-    F = _rhs(state, ws.params, forcing, ws.variant)
+    F = _rhs(state, ws, forcing)
     n_cur = tuple(Fi + li * ui for Fi, li, ui in zip(F, lam, u))
     new = tuple(
         ((1.0 - 0.5 * dt * li) * ui + dt * (1.5 * ni - 0.5 * pi)) / (1.0 + 0.5 * dt * li)
@@ -167,26 +144,30 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
 
 def erk4_step(state: State, dt: float, params: PhysParams,
               forcing: ForcingFn | None = None,
-              variant: ModelVariant = FAITHFUL) -> State:
+              variant: ModelVariant = FAITHFUL,
+              ws: Workspace | None = None) -> State:
     """Classical four-stage Runge-Kutta step.
 
     Stage states are projected as well as the result, so the scheme is
     exactly the classical one applied to the projected vector field; energy
-    accounting then sees no spurious projection losses.
+    accounting then sees no spurious projection losses.  ws is the Workspace
+    of (grid, params, variant); a temporary one is built when none is given.
     """
     g = state.grid
+    if ws is None:
+        ws = Workspace(g, params, variant)
     t = state.t
     u = _spectral_arrays(state)
-    k1 = _rhs(state, params, forcing, variant)
+    k1 = _rhs(state, ws, forcing)
     s2 = project_state(_make_state(
         g, tuple(ui + 0.5 * dt * ki for ui, ki in zip(u, k1)), t + 0.5 * dt))
-    k2 = _rhs(s2, params, forcing, variant)
+    k2 = _rhs(s2, ws, forcing)
     s3 = project_state(_make_state(
         g, tuple(ui + 0.5 * dt * ki for ui, ki in zip(u, k2)), t + 0.5 * dt))
-    k3 = _rhs(s3, params, forcing, variant)
+    k3 = _rhs(s3, ws, forcing)
     s4 = project_state(_make_state(
         g, tuple(ui + dt * ki for ui, ki in zip(u, k3)), t + dt))
-    k4 = _rhs(s4, params, forcing, variant)
+    k4 = _rhs(s4, ws, forcing)
     new = tuple(
         ui + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
@@ -306,7 +287,7 @@ def run(
         if config.scheme == "imex_cnab2":
             st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
         else:
-            st = erk4_step(st, config.dt, params, forcing, variant)
+            st = erk4_step(st, config.dt, params, forcing, variant, ws)
         st = _make_state(g, tuple(f.data for f in st.fields), t0 + k * config.dt)
         if blown(st):
             traj.completed = False

@@ -218,6 +218,26 @@ def test_run_phi_s_archive_instead_of_array(tmp_path, capsys):
     _assert_configuration_error(capsys, "physics.phi_s")
 
 
+@pytest.mark.parametrize("key", ["output.norms_path", "output.checkpoint_path"])
+def test_run_output_directory_missing(tmp_path, capsys, monkeypatch, key):
+    target = tmp_path / "missing" / "out.dat"
+    cfg = _write_config(tmp_path, **{key: target})
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr("moistpe.cli.run_trajectory", must_not_step)
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, key, str(tmp_path / "missing"))
+
+
+def test_run_out_flag_directory_missing(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    target = tmp_path / "missing" / "n.ndjson"
+    assert main(["run", "--config", cfg, "--quiet", "--out", str(target)]) == 1
+    _assert_configuration_error(capsys, "output.norms_path")
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

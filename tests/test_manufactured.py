@@ -20,7 +20,7 @@ from moistpe.manufactured import CASES, ManufacturedSolution, get_case
 from moistpe.model import divergence_residual, tendency
 from moistpe.norms import sobolev_norm
 from moistpe.params import PhysParams
-from moistpe.stepper import StepConfig, run
+from moistpe.stepper import StepConfig, erk4_step, run
 
 
 @pytest.fixture()
@@ -167,3 +167,37 @@ def test_suite_grades_injected_studies():
     assert not report3.passed
     bad = {r.name for r in report3.rows if r.passed is False}
     assert bad == {"imex_cnab2_halving_ratio"}
+
+
+def test_stored_arrays_are_band_exact(grid24, params):
+    # exact states are zero outside the profiles' band and the forcing
+    # outside the dealiased ball, exactly, so forced steps stay in the ball
+    ms = ManufacturedSolution(get_case("brisk"), grid24, params)
+    outside_band = ~grid24.band_mask(ms.case.band)
+    for f in ms.exact_state(0.3).fields:
+        assert not np.any(f.data[outside_band])
+    outside_ball = ~grid24.dealias_mask
+    for f in ms.forcing(0.3):
+        assert not np.any(f[outside_ball])
+    state = ms.initial_state()
+    for _ in range(2):
+        state = erk4_step(state, 1e-3, params, forcing=ms.forcing)
+    for f in state.fields:
+        assert not np.any(f.data[..., grid24.np // 3 + 1:])
+
+
+def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
+    ms = ManufacturedSolution(get_case("brisk"), grid16, params)
+    first = ms.forcing(0.01)
+    copies = [f.copy() for f in first]
+    assert ms.forcing(0.01) is first
+    assert all(not f.flags.writeable for f in first)
+    with pytest.raises(ValueError):
+        first[0] += 1.0
+    state = ms.exact_state(0.01)
+    tendency(state, params, forcing=ms.forcing)
+    erk4_step(state, 1e-3, params, forcing=ms.forcing)
+    again = ms.forcing(0.01)
+    for f, c in zip(again, copies):
+        assert np.array_equal(f, c)
+    assert not np.array_equal(ms.forcing(0.02)[0], copies[0])

@@ -12,14 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from moistpe.errors import ConstraintError, ParameterError
+from moistpe.errors import ConstraintError, DataError, ParameterError
 from moistpe.fd_oracle import OP_NAMES, FdOracle, reference_apply
-from moistpe.fields import Field3D, derivative
+from moistpe.fields import Field3D, derivative, rfftn_norm
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import (FAITHFUL, ModelVariant, apply_viscosity_q,
                            apply_viscosity_theta, apply_viscosity_v,
-                           barotropic_project, diagnose,
+                           Workspace, barotropic_project, diagnose,
                            diagnose_omega, diagnose_phi, divergence_residual,
                            hydrostatic_gradient_residual,
                            hydrostatic_residual, omega_top_residual,
@@ -363,6 +363,84 @@ def test_tendency_returns_diagnostics_consistent_with_direct_calls(grid16, param
     assert np.abs(diag.omega.data - ref.omega.data).max() <= 1e-12
     assert np.abs(diag.phi.data - ref.phi.data).max() <= 1e-12
     assert np.abs(diag.temperature.data - ref.temperature.data).max() <= 1e-12
+
+
+def _off_ball_state(grid):
+    """A projected state with content on the p-planes above np//3."""
+    state = project_state(random_smooth(grid, 6, amplitude=1.0, band=7)).as_spectral()
+    assert all(np.any(f.data[..., grid.np // 3 + 1:]) for f in state.fields)
+    return state
+
+
+def _ball_state(grid, seed=2):
+    state = project_state(random_smooth(grid, seed, amplitude=1.0)).as_spectral()
+    assert not any(np.any(f.data[..., grid.np // 3 + 1:]) for f in state.fields)
+    return state
+
+
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no-dealias"])
+def test_tendency_off_the_ball_transforms_every_plane(grid16, params, dealias):
+    # a state and a file-style forcing with content above np//3 in p, on a
+    # workspace that has just served an in-ball call: the viscous tendency
+    # plus forcing must equal the standalone operators, and omega and Phi
+    # the standalone diagnostics, which never skip a plane
+    g = grid16
+    state = _off_ball_state(g)
+    rng = np.random.default_rng(9)
+    forced = tuple(rfftn_norm(g, rng.standard_normal(g.shape)) for _ in range(4))
+    viscous = ModelVariant(advection=False, coriolis=False, pressure=False, dealias=dealias)
+    ws = Workspace(g, params, viscous)
+    tendency(_ball_state(g), params, variant=viscous, ws=ws)
+    tend = tendency(state, params, forcing=lambda t: forced, variant=viscous, ws=ws)
+    mask = g.dealias_mask if dealias else 1.0
+    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
+    for got, field, op, f in zip((tend.v1, tend.v2, tend.theta, tend.q), state.fields, ops, forced):
+        want = -op(field, params, viscous).data * mask + f
+        diff = sobolev_norm(Field3D.spectral(g, got.data - want), 0)
+        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(g, want), 0)
+
+    _, diag = tendency(state, params, variant=FAITHFUL.with_(dealias=dealias),
+                       return_diagnostics=True)
+    omega = diagnose_omega(state.v1, state.v2, check=False).data
+    phi = diagnose_phi(state.theta.as_physical(), params).data
+    np.testing.assert_allclose(diag.omega.data, omega, rtol=0, atol=1e-14 * np.abs(omega).max())
+    np.testing.assert_allclose(diag.phi.data, phi, rtol=0, atol=1e-14 * np.abs(phi).max())
+
+
+def test_workspace_after_an_off_ball_call_gives_the_fresh_result(grid16, params):
+    # the off-ball call fills every plane of the shared buffers; a pruned call
+    # after it must not read what that call left beyond the kept planes
+    ws = Workspace(grid16, params)
+    ball = _ball_state(grid16)
+    tendency(_off_ball_state(grid16), params, ws=ws)
+    reused = tendency(ball, params, ws=ws)
+    fresh = tendency(ball, params)
+    for a, b in zip((reused.v1, reused.v2, reused.theta, reused.q),
+                    (fresh.v1, fresh.v2, fresh.theta, fresh.q)):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_tendency_results_do_not_alias_the_workspace(grid16, params):
+    # a Runge-Kutta step holds four tendencies of one workspace at once
+    ws = Workspace(grid16, params)
+    first, diag = tendency(_ball_state(grid16), params, return_diagnostics=True, ws=ws)
+    kept = [f.data.copy() for f in (first.v1, first.v2, first.theta, first.q,
+                                    diag.omega, diag.phi, diag.temperature)]
+    tendency(_ball_state(grid16, seed=3), params, ws=ws)
+    tendency(_off_ball_state(grid16), params, ws=ws)
+    for f, k in zip((first.v1, first.v2, first.theta, first.q,
+                     diag.omega, diag.phi, diag.temperature), kept):
+        assert np.array_equal(f.data, k)
+        for scratch in (ws.spec, ws.phys, ws.tmp):
+            assert not np.shares_memory(f.data, scratch)
+
+
+def test_tendency_rejects_a_workspace_of_other_params(grid16, params):
+    ws = Workspace(grid16, params)
+    with pytest.raises(DataError):
+        tendency(_ball_state(grid16), params.with_(mu_v=0.5), ws=ws)
+    with pytest.raises(DataError):
+        tendency(_ball_state(grid16), params, variant=FAITHFUL.with_(dealias=False), ws=ws)
 
 
 # --- projection -------------------------------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
 from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
-                            parity_project, parity_violation)
+                            irfftn_norm, parity_project, parity_violation,
+                            rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -76,6 +77,28 @@ def test_parseval(grid16):
     direct = grid16.volume * np.mean(f.data**2)
     spectral = sobolev_norm(f, 0) ** 2
     assert abs(direct - spectral) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_pruned_transforms_are_the_full_ones_in_the_ball(n):
+    # a stack of spectra inside the 2/3 ball: the transforms restricted to
+    # the p-planes up to n//3 must give bit for bit what the full ones give,
+    # and so must the split transforms over every plane
+    g = _grid(n)
+    keep, every = n // 3 + 1, n // 2 + 1
+    data = np.random.default_rng(n).standard_normal((3,) + g.shape)
+    full = rfftn_norm(g, data)
+    pruned = rfftn_norm(g, data, keep)
+    assert np.array_equal(pruned[..., :keep], full[..., :keep])
+    assert not np.any(pruned[..., keep:])
+    assert np.array_equal(rfftn_norm(g, data, every), full)
+
+    coeff = full * g.dealias_mask
+    samples = irfftn_norm(g, coeff)
+    work = coeff.copy()
+    work[..., keep:] = 7.0  # whatever the work array holds beyond the planes
+    assert np.array_equal(irfftn_norm(g, work, keep), samples)
+    assert np.array_equal(irfftn_norm(g, full.copy(), every), irfftn_norm(g, full))
 
 
 # --- derivatives ------------------------------------------------------------
