@@ -11,17 +11,20 @@ Layout (all integers little-endian):
                   C order (ix, iy, ip) with ip fastest
 
 The embedded configuration carries the resume time in time.t0, so a restart
-rebuilds the exact state: the float64 payload round-trips bit-exactly.
+rebuilds the exact state: the float64 payload round-trips bit-exactly.  A
+checkpoint is written to PATH.tmp, synced and moved over PATH, so a failed
+or interrupted write leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .errors import DataError
-from .fields import Field3D
+from .fields import PHYSICAL
 from .state import State
 
 MAGIC = b"MPES"
@@ -33,19 +36,26 @@ def write_checkpoint(path: str, state: State, cfg) -> None:
     """Write state plus its run configuration (resume time patched in)."""
     from . import config as config_mod
 
-    phys = state.as_physical()
+    payload = np.ascontiguousarray(state.as_physical().data, dtype="<f8")
     cfg_text = config_mod.serialize(cfg.with_(t0=float(state.t)))
     blob = cfg_text.encode("utf-8")
     g = state.grid
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<III", g.nx, g.ny, g.np))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for f in phys.fields:
-            data = np.ascontiguousarray(f.data, dtype="<f8")
-            fh.write(data.tobytes())
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<III", g.nx, g.ny, g.np))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path: str):
@@ -81,11 +91,6 @@ def read_checkpoint(path: str):
     need = blob_end + 4 * count * 8
     if len(raw) != need:
         raise DataError(f"checkpoint payload is {len(raw) - blob_end} bytes, expected {4 * count * 8}")
-    fields = []
-    offset = blob_end
-    for _ in range(4):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        fields.append(Field3D.physical(grid, arr.reshape(nx, ny, npp).copy()))
-        offset += count * 8
-    v1, v2, theta, q = fields
-    return cfg, State(v1, v2, theta, q, t=cfg.t0)
+    data = np.frombuffer(raw, dtype="<f8", count=4 * count, offset=blob_end)
+    return cfg, State.of(grid, data.reshape(4, nx, ny, npp).astype(np.float64),
+                         PHYSICAL, cfg.t0)

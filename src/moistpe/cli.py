@@ -102,15 +102,13 @@ def _build_forcing(cfg, grid, params):
     missing = [k for k in needed if k not in data]
     if missing:
         raise ConfigError(f"forcing.kind: file {arg!r} lacks arrays {missing}")
-    from .fields import Field3D, rfftn_norm
-    hats = []
-    for k in needed:
-        arr = np.asarray(data[k], dtype=np.float64)
+    from .fields import rfftn_norm
+    arrays = [np.asarray(data[k], dtype=np.float64) for k in needed]
+    for k, arr in zip(needed, arrays):
         if arr.shape != grid.shape:
             raise ConfigError(
                 f"forcing.kind: array {k} has shape {arr.shape}, expected {grid.shape}")
-        hats.append(rfftn_norm(grid, arr))
-    static = tuple(hats)
+    static = rfftn_norm(grid, np.stack(arrays))
 
     def forcing(t):
         return static
@@ -170,7 +168,8 @@ def cmd_run(args) -> int:
         output.write_norms(cfg.norms_path, traj.samples)
         _say(args.quiet, f"norms: {cfg.norms_path} "
              f"(+ {output.csv_mirror_path(cfg.norms_path)})")
-    if cfg.checkpoint_path != "none" and traj.final_state is not None:
+    # a diverged state is never written: the last rolling checkpoint stays
+    if cfg.checkpoint_path != "none" and traj.completed:
         checkpoint_mod.write_checkpoint(cfg.checkpoint_path, traj.final_state, cfg)
         _say(args.quiet, f"checkpoint: {cfg.checkpoint_path}")
 

@@ -122,22 +122,20 @@ def contrast_profile_decay(resolutions=SPATIAL_RESOLUTIONS) -> dict:
     return out
 
 
-def suite(quick: bool = False, spatial: dict | None = None,
+def suite(spatial: dict | None = None,
           temporal: dict | None = None) -> ConvergenceReport:
     """Run the full convergence battery and grade it.
 
-    quick=True trims the spatial ladder to its endpoints (same thresholds);
-    used by callers that only need the pass/fail signal.  Precomputed study
-    results can be injected through spatial/temporal (each in the shape the
-    matching study function returns, with the 16 and 32 resolutions present)
-    so the grading can be driven without redoing the integrations.
+    Precomputed study results can be injected through spatial/temporal (each
+    in the shape the matching study function returns, with the 16 and 32
+    resolutions present) so the grading can be driven without redoing the
+    integrations.
     """
     t_start = time.perf_counter()
     rows: list[SuiteRow] = []
 
     if spatial is None:
-        resolutions = (16, 32) if quick else SPATIAL_RESOLUTIONS
-        spatial = spatial_study(resolutions=resolutions)
+        spatial = spatial_study()
     errs = spatial["errors"]
     for n in sorted(errs):
         rows.append(SuiteRow("spatial", f"error_n{n}", errs[n], "", None))

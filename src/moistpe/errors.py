@@ -33,7 +33,8 @@ class ConfigError(SimulationError):
 class BlowupError(SimulationError):
     """Raised when the solution leaves the finite / bounded regime.
 
-    Carries the last time at which the state was still acceptable.
+    Carries the time at which the divergence was detected, that of the
+    first state that failed the check.
     """
 
     def __init__(self, message: str, t_last: float):

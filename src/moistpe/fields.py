@@ -89,10 +89,14 @@ class Field3D:
     # --- conversions ------------------------------------------------------
 
     def as_physical(self) -> "Field3D":
-        return self if self.rep == PHYSICAL else backward(self)
+        if self.rep == PHYSICAL:
+            return self
+        return Field3D.physical(self.grid, checked_backward(self.grid, self.data))
 
     def as_spectral(self) -> "Field3D":
-        return self if self.rep == SPECTRAL else forward(self)
+        if self.rep == SPECTRAL:
+            return self
+        return Field3D.spectral(self.grid, checked_forward(self.grid, self.data))
 
     def require(self, rep: str, op: str) -> "Field3D":
         if self.rep != rep:
@@ -147,24 +151,19 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, planes: int | None = None) -> np.
     return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 
-def forward(field: Field3D) -> Field3D:
-    """Physical samples -> normalized spectral coefficients.
-
-    Non-finite input is rejected: NaN/Inf would silently poison every
-    subsequent spectral operation.
-    """
-    field.require(PHYSICAL, "forward")
-    if not np.all(np.isfinite(field.data)):
+def checked_forward(grid: Grid, data: np.ndarray) -> np.ndarray:
+    """rfftn_norm of one field or a stack.  Non-finite input is rejected:
+    NaN/Inf would silently poison every subsequent spectral operation."""
+    if not np.all(np.isfinite(data)):
         raise DataError("forward: non-finite values in physical data")
-    return Field3D.spectral(field.grid, rfftn_norm(field.grid, field.data))
+    return rfftn_norm(grid, data)
 
 
-def backward(field: Field3D) -> Field3D:
-    """Normalized spectral coefficients -> physical samples."""
-    field.require(SPECTRAL, "backward")
-    if not np.all(np.isfinite(field.data)):
+def checked_backward(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """irfftn_norm of one field or a stack, finite input only."""
+    if not np.all(np.isfinite(coeff)):
         raise DataError("backward: non-finite values in spectral data")
-    return Field3D.physical(field.grid, irfftn_norm(field.grid, field.data))
+    return irfftn_norm(grid, coeff)
 
 
 _AXES = {"x": 0, "y": 1, "p": 2}
@@ -183,7 +182,7 @@ def derivative(field: Field3D, axis: str) -> Field3D:
     spec = field.as_spectral()
     k = (g.KX, g.KY, g.KP)[_AXES[axis]]
     out = Field3D.spectral(g, spec.data * (1j * k))
-    return out if field.rep == SPECTRAL else backward(out)
+    return out if field.rep == SPECTRAL else out.as_physical()
 
 
 def dealias(field: Field3D) -> Field3D:
@@ -211,7 +210,7 @@ def parity_project(field: Field3D, parity: ParityClass) -> Field3D:
         out = Field3D.physical(field.grid, 0.5 * (phys.data + flipped))
     else:
         out = Field3D.physical(field.grid, 0.5 * (phys.data - flipped))
-    return out if field.rep == PHYSICAL else forward(out)
+    return out if field.rep == PHYSICAL else out.as_spectral()
 
 
 def parity_violation(field: Field3D, parity: ParityClass) -> float:

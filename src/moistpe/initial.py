@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import Field3D, ParityClass, parity_project, rfftn_norm
+from .fields import SPECTRAL, Field3D, ParityClass, parity_project, rfftn_norm
 from .grid import Grid
-from .model import barotropic_project
+from .model import project_state
 from .state import State
 
 SYMMETRY_CHOICES = ("none", "mirror")
 
 # field -> reflection class about the mid-pressure level under the "mirror"
-# option (velocity and humidity even, potential temperature odd)
+# option (velocity and humidity even, potential temperature odd), in the
+# order the fields are drawn
 _MIRROR = {
     "v1": ParityClass.EVEN,
     "v2": ParityClass.EVEN,
@@ -58,16 +59,10 @@ def random_smooth(
             F = parity_project(F.as_physical(), _MIRROR[name]).as_spectral()
         return F
 
-    v1 = draw("v1")
-    v2 = draw("v2")
-    theta = draw("theta")
-    q = draw("q")
-    v1, v2 = barotropic_project(v1, v2)
+    st = project_state(State(*(draw(name) for name in _MIRROR)))
 
     from .norms import sobolev_norm
-    total = np.sqrt(sum(sobolev_norm(f, 2) ** 2 for f in (v1, v2, theta, q)))
+    total = np.sqrt(sum(sobolev_norm(f, 2) ** 2 for f in st.fields))
     if total == 0.0:
         raise ConfigError("degenerate random draw; change the seed")
-    scale = amplitude / total
-    fields = tuple(Field3D.spectral(grid, f.data * scale) for f in (v1, v2, theta, q))
-    return State(*fields, t=0.0)
+    return State.of(grid, st.data * (amplitude / total), SPECTRAL)

@@ -70,8 +70,8 @@ def get_case(name: str) -> ManufacturedCase:
         ) from None
 
 
-def _profiles(case: ManufacturedCase, grid: Grid):
-    """Spatial factors U = (v1, v2, theta, q), per-axis mode index <= 4.
+def _profiles(case: ManufacturedCase, grid: Grid) -> State:
+    """Spatial factors U = (v1, v2, theta, q) as one state, mode index <= 4.
 
     The horizontal velocity is a divergence-free barotropic part (from a
     streamfunction) plus baroclinic parts of zero vertical mean, so the
@@ -109,8 +109,8 @@ def _profiles(case: ManufacturedCase, grid: Grid):
                     + 0.4 * np.sin(2 * tau * x) * np.sin(2 * P(p))
                     + 0.3 * np.sin(tau * y) * np.cos(3 * P(p)))
 
-    return tuple(Field3D.from_function(grid, fn).as_spectral()
-                 for fn in (v1, v2, theta, q))
+    return State(*(Field3D.from_function(grid, fn).as_spectral()
+                   for fn in (v1, v2, theta, q)))
 
 
 class ManufacturedSolution:
@@ -124,26 +124,21 @@ class ManufacturedSolution:
         self.case = case
         self.grid = grid
         self.params = params
-        self.U = _profiles(case, grid)
-        ustate = State(*self.U, t=0.0)
+        ustate = _profiles(case, grid)
 
-        zero = State.zeros(grid, SPECTRAL)
-        static = tendency(zero, params, variant=FAITHFUL)
-        lin_full = tendency(ustate, params, variant=FAITHFUL.with_(advection=False))
+        # stacked like a state: the static response S, the linear response L
+        # and the quadratic response Q of the profiles
+        self._S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data
+        self._L = tendency(ustate, params,
+                           variant=FAITHFUL.with_(advection=False)).data - self._S
         quad = tendency(ustate, params, variant=ModelVariant(
             advection=True, coriolis=False, pressure=False,
             viscosity=False, dealias=False))
-
-        self._S = tuple(f.data for f in
-                        (static.v1, static.v2, static.theta, static.q))
-        self._L = tuple(lf.data - sf for lf, sf in zip(
-            (lin_full.v1, lin_full.v2, lin_full.theta, lin_full.q), self._S))
         # band-exact (see the module docstring): the transforms leave
         # roundoff outside the band; a product of the profiles has twice it
-        self._Q = tuple(np.where(grid.band_mask(2 * case.band), f.data, 0.0)
-                        for f in (quad.v1, quad.v2, quad.theta, quad.q))
-        self._Uhat = tuple(np.where(grid.band_mask(case.band), f.data, 0.0) for f in self.U)
-        self._last = None  # (t, forcing arrays) of the latest forcing call
+        self._Q = np.where(grid.band_mask(2 * case.band), quad.data, 0.0)
+        self._Uhat = np.where(grid.band_mask(case.band), ustate.data, 0.0)
+        self._last = None  # (t, forcing stack) of the latest forcing call
 
     def modulation(self, t: float) -> tuple[float, float]:
         c, s = math.cos(self.case.sigma * t), math.sin(self.case.sigma * t)
@@ -152,39 +147,29 @@ class ManufacturedSolution:
         mdot = self.case.alpha * c - self.case.sigma * env * s
         return m, mdot
 
-    def forcing(self, t: float):
-        """The forcing arrays at time t, read-only.
+    def forcing(self, t: float) -> np.ndarray:
+        """The forcing at time t, stacked like a state's array, read-only.
 
-        The latest (t, arrays) pair is kept: a Runge-Kutta step asks twice for
-        its midpoint, and the next step starts where this one ended.
+        The latest (t, forcing) pair is kept: a Runge-Kutta step asks twice
+        for its midpoint, and the next step starts where this one ended.
         """
         if self._last is not None and self._last[0] == t:
             return self._last[1]
         m, mdot = self.modulation(t)
-        arrays = tuple(
-            mdot * u - m * l - (m * m) * qq - s
-            for u, l, qq, s in zip(self._Uhat, self._L, self._Q, self._S)
-        )
-        for a in arrays:
-            a.flags.writeable = False
-        self._last = (t, arrays)
-        return arrays
+        f = mdot * self._Uhat - m * self._L - (m * m) * self._Q - self._S
+        f.flags.writeable = False
+        self._last = (t, f)
+        return f
 
     def exact_state(self, t: float) -> State:
         m, _ = self.modulation(t)
-        fields = tuple(Field3D.spectral(self.grid, m * u) for u in self._Uhat)
-        return State(*fields, t=t)
+        return State.of(self.grid, m * self._Uhat, SPECTRAL, t)
 
     def initial_state(self) -> State:
         return self.exact_state(0.0)
 
     def error(self, state: State) -> float:
         """Largest per-field L2 distance to the exact state at state.t."""
-        from .norms import sobolev_norm
-        exact = self.exact_state(state.t)
-        st = state.as_spectral()
-        worst = 0.0
-        for num, ref in zip(st.fields, exact.fields):
-            diff = Field3D.spectral(self.grid, num.data - ref.data)
-            worst = max(worst, sobolev_norm(diff, 0))
-        return worst
+        from .norms import parseval_sum
+        diff = state.as_spectral().data - self.exact_state(state.t).data
+        return float(np.sqrt(self.grid.volume * parseval_sum(self.grid, diff)).max())

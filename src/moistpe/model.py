@@ -75,14 +75,8 @@ class Diagnostics:
     temperature: Field3D
 
 
-@dataclass(frozen=True)
-class Tendency:
-    """Spectral time derivatives of the prognostic fields."""
-
-    v1: Field3D
-    v2: Field3D
-    theta: Field3D
-    q: Field3D
+class Tendency(State):
+    """Spectral time derivatives of the prognostic fields, stacked as in State."""
 
 
 class Coefficients:
@@ -196,8 +190,13 @@ def diagnose_omega(v1: Field3D, v2: Field3D, check: bool = True) -> Field3D:
 
 
 def omega_top_residual(v1: Field3D, v2: Field3D) -> float:
-    """|omega(p1)| = Lp * (max modulus of the vertically-averaged divergence)."""
-    return v1.grid.Lp * divergence_residual(v1, v2)
+    """max |omega(p1)| = Lp * (max over the horizontal grid of |div vbar|),
+    vbar the vertical average of v; omega(p0) = 0 holds by construction."""
+    g = v1.grid
+    dbar_hat = _divergence_hat(g, v1.as_spectral().data[..., :1],
+                               v2.as_spectral().data[..., :1])[:, :, 0]
+    dbar = np.real(np.fft.ifft2(dbar_hat)) * g.nx * g.ny
+    return g.Lp * float(np.max(np.abs(dbar)))
 
 
 # --- geopotential ---------------------------------------------------------
@@ -400,6 +399,21 @@ def apply_viscosity_theta(field: Field3D, params: PhysParams, variant: ModelVari
 # --- barotropic projection ------------------------------------------------
 
 
+def _project_in_place(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> None:
+    """The projection of barotropic_project, written into the spectral
+    velocity arrays V1 and V2 (their kp = 0 planes)."""
+    kx = grid.kx[:, None]
+    ky = grid.ky[None, :]
+    kh2 = kx**2 + ky**2
+    kh2[0, 0] = 1.0  # mean mode has no gradient part
+    u = V1[:, :, 0]
+    w = V2[:, :, 0]
+    proj = (kx * u + ky * w) / kh2
+    proj[0, 0] = 0.0
+    V1[:, :, 0] = u - kx * proj
+    V2[:, :, 0] = w - ky * proj
+
+
 def barotropic_project(v1: Field3D, v2: Field3D) -> tuple[Field3D, Field3D]:
     """Remove the gradient part of the vertical average of v.
 
@@ -411,17 +425,7 @@ def barotropic_project(v1: Field3D, v2: Field3D) -> tuple[Field3D, Field3D]:
     g = v1.grid
     V1 = v1.as_spectral().data.copy()
     V2 = v2.as_spectral().data.copy()
-    kx = g.kx[:, None]
-    ky = g.ky[None, :]
-    kh2 = kx**2 + ky**2
-    kh2_safe = kh2.copy()
-    kh2_safe[0, 0] = 1.0  # mean mode has no gradient part
-    u = V1[:, :, 0]
-    w = V2[:, :, 0]
-    proj = (kx * u + ky * w) / kh2_safe
-    proj[0, 0] = 0.0
-    V1[:, :, 0] = u - kx * proj
-    V2[:, :, 0] = w - ky * proj
+    _project_in_place(g, V1, V2)
     out1 = Field3D.spectral(g, V1)
     out2 = Field3D.spectral(g, V2)
     if v1.rep == PHYSICAL:
@@ -430,8 +434,11 @@ def barotropic_project(v1: Field3D, v2: Field3D) -> tuple[Field3D, Field3D]:
 
 
 def project_state(state: State) -> State:
-    pv1, pv2 = barotropic_project(state.v1, state.v2)
-    return State(pv1, pv2, state.theta, state.q, t=state.t)
+    """A new spectral state: state with its velocity projected (see
+    barotropic_project)."""
+    out = State.of(state.grid, state.as_spectral().data.copy(), SPECTRAL, state.t)
+    _project_in_place(out.grid, out.data[0], out.data[1])
+    return out
 
 
 # --- advection and rotation -----------------------------------------------
@@ -470,7 +477,8 @@ def coriolis_term(v1: np.ndarray, v2: np.ndarray, params: PhysParams,
 
 # --- full tendency --------------------------------------------------------
 
-ForcingFn = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+# t -> the spectral forcing of v1, v2, theta and q, stacked like a state
+ForcingFn = Callable[[float], np.ndarray]
 
 _VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
 
@@ -478,12 +486,13 @@ _VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
 class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
     variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 and
-    nu*i*kp of each variable, the dealias mask, the implicit multipliers of
-    the IMEX split, and scratch buffers sized by the grid.
+    nu*i*kp of each variable, the dealias mask, the implicit multipliers lam
+    of the IMEX split (stacked like a state), and scratch buffers sized by
+    the grid.
 
-    The scratch holds intermediate values of one tendency call; nothing a
-    call returns refers to it.  A run builds one workspace and passes it to
-    every step.
+    The scratch holds intermediate values of one tendency call or one step;
+    nothing a call returns refers to it.  A run builds one workspace and
+    passes it to every step.
     """
 
     def __init__(self, grid: Grid, params: PhysParams, variant: ModelVariant = FAITHFUL):
@@ -505,16 +514,17 @@ class Workspace:
             self.nu_iKP[which] = nu * self.iK[2]
             lam[which] = (self.mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
                           else np.zeros(grid.spectral_shape))
-        self.lam_v, self.lam_theta, self.lam_q = lam["v"], lam["theta"], lam["q"]
-        self.lam_max = float(max(a.max() for a in lam.values()))
-        # scratch: the spectral input of the stacked inverse transforms, the
-        # physical input of the stacked forward ones and one physical temporary
+        self.lam = np.stack([lam[which] for which in _VARIABLES])
+        self.lam_max = float(self.lam.max())
+        # scratch of tendency: the spectral input of the stacked inverse
+        # transforms, the physical input of the forward ones, a temporary
         self.spec = np.zeros((16,) + grid.spectral_shape, dtype=np.complex128)
         self.phys = np.empty((4,) + grid.shape)
         self.tmp = np.empty(grid.shape)
-
-    def multipliers(self):
-        return (self.lam_v, self.lam_v, self.lam_theta, self.lam_q)
+        # scratch of the steps: a stage state or spectral temporary, and a
+        # real temporary, each stacked like a state
+        self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
+        self.real = np.empty((4,) + grid.spectral_shape)
 
 
 def tendency(
@@ -531,8 +541,8 @@ def tendency(
     supplied forcing is added untruncated, so evolved states stay inside the
     dealiased ball only when the forcing does: manufactured forcing does on
     grids with n >= 24, forcing read from a file in general does not.
-    Returns a Tendency of spectral fields, optionally with the freshly
-    diagnosed omega and Phi.
+    Returns a Tendency whose stacked array is a fresh one (nothing else
+    refers to it), optionally with the freshly diagnosed omega and Phi.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
     when none is given.  Transforms skip the p-planes above np//3 where their
@@ -548,11 +558,11 @@ def tendency(
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
     co, buf, P, tmp = ws.co, ws.spec, ws.phys, ws.tmp
     iKX, iKY, iKP = ws.iK
-    U = tuple(f.data for f in state.as_spectral().fields)
-    V1, V2, TH, Q = U
+    U = state.as_spectral().data
+    V1, V2 = U[0], U[1]
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
-    n = g.np // 2 + 1 if any(np.any(u[..., nk:]) for u in U) else nk
+    n = g.np // 2 + 1 if np.any(U[..., nk:]) else nk
 
     for i, u in enumerate(U):
         u = u[..., :n]
@@ -619,10 +629,9 @@ def tendency(
                 h += np.multiply(ws.nu_iKP[which][..., :nk], W[..., :nk], out=part)
         h *= ws.mask
     if forcing is not None:
-        for Hi, f in zip(H, forcing(state.t)):
-            Hi += f
+        H += forcing(state.t)
 
-    out = Tendency(*(Field3D.spectral(g, Hi) for Hi in H))
+    out = Tendency.of(g, H, SPECTRAL, state.t)
     if return_diagnostics:
         diag = Diagnostics(
             Field3D.physical(g, om),

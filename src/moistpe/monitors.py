@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import SamplingError
-from .fields import Field3D, ParityClass, derivative, irfftn_norm, parity_violation, rfftn_norm
+from .fields import (SPECTRAL, Field3D, ParityClass, derivative, irfftn_norm,
+                     parity_violation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
@@ -38,6 +39,7 @@ from .model import (
     coriolis_term,
     diagnose_omega,
     divergence_residual,
+    omega_top_residual,
     vertical_dissipation,
 )
 from .norms import (
@@ -100,8 +102,7 @@ def _w_vec_norm(components, params: PhysParams) -> float:
 
 def norm_report(state: State, params: PhysParams) -> NormReport:
     g = state.grid
-    st = state.as_spectral()
-    v1, v2, th, q = st.v1, st.v2, st.theta, st.q
+    v1, v2, th, q = state.as_spectral().fields
     dpv1, dpv2, dpth, dpq = (derivative(f, "p") for f in (v1, v2, th, q))
 
     w_dp_v = _w_vec_norm((dpv1, dpv2), params)
@@ -115,10 +116,6 @@ def norm_report(state: State, params: PhysParams) -> NormReport:
     it = _integrand(g, params, co, phys.theta.data)
     hydro = _hydrostatic_residual(g, params, _phi(g, params, co, it), it)
     l2_T = sobolev_norm(Field3D.physical(g, it.T), 0)
-
-    dbar_hat = _divergence_hat(g, v1.data[..., :1], v2.data[..., :1])[:, :, 0]
-    dbar = np.real(np.fft.ifft2(dbar_hat)) * g.nx * g.ny
-    omega_p1 = g.Lp * float(np.max(np.abs(dbar)))
 
     return NormReport(
         t=state.t,
@@ -143,7 +140,7 @@ def norm_report(state: State, params: PhysParams) -> NormReport:
         div_residual=D0,
         hydro_residual=hydro,
         l2_T=l2_T,
-        omega_p1=omega_p1,
+        omega_p1=omega_top_residual(v1, v2),
         parity_dev_v=max(parity_violation(phys.v1, ParityClass.EVEN),
                          parity_violation(phys.v2, ParityClass.EVEN)),
         parity_dev_theta=parity_violation(phys.theta, ParityClass.ODD),
@@ -186,7 +183,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
     g = state.grid
     co = Coefficients(g, params)
     st = state.as_spectral()
-    V1, V2, TH, Q = (f.data for f in st.fields)
+    V1, V2, TH, Q = st.data
     phys = state.as_physical()
 
     diss = {
@@ -221,12 +218,10 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
     else:
         w_f_v = w_f_th = w_f_q = 0.0
 
-    def energy(*arrays):
-        return 0.5 * g.volume * float(sum(parseval_sum(g, a) for a in arrays))
-
+    l2s = parseval_sum(g, st.data)  # the squared L2 norm of each field / volume
     return {
         "v": {
-            "E": energy(V1, V2),
+            "E": 0.5 * g.volume * float(l2s[0] + l2s[1]),
             "diss_h": diss["v"]["h"],
             "diss_v": diss["v"]["p"],
             "coupling": coupling,
@@ -235,7 +230,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
             "forcing_work": w_f_v,
         },
         "theta": {
-            "E": energy(TH),
+            "E": 0.5 * g.volume * float(l2s[2]),
             "diss_h": diss["theta"]["h"],
             "diss_v": diss["theta"]["p"],
             "coupling": 0.0,
@@ -244,7 +239,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
             "forcing_work": w_f_th,
         },
         "q": {
-            "E": energy(Q),
+            "E": 0.5 * g.volume * float(l2s[3]),
             "diss_h": diss["q"]["h"],
             "diss_v": diss["q"]["p"],
             "coupling": 0.0,
@@ -368,8 +363,7 @@ def _sq(x: float) -> float:
 
 def gronwall_record(state: State, params: PhysParams, forcing=None) -> GronwallRecord:
     g = state.grid
-    st = state.as_spectral()
-    v1, v2, th = st.v1, st.v2, st.theta
+    v1, v2, th, _ = state.as_spectral().fields
     dpv1, dpv2, dpth = (derivative(f, "p") for f in (v1, v2, th))
 
     def vecs(fields, order):
@@ -408,10 +402,7 @@ def gronwall_record(state: State, params: PhysParams, forcing=None) -> GronwallR
     }
 
     if forcing is not None:
-        fv1, fv2, fth, _ = forcing(state.t)
-        Fv1 = Field3D.spectral(g, fv1)
-        Fv2 = Field3D.spectral(g, fv2)
-        Fth = Field3D.spectral(g, fth)
+        Fv1, Fv2, Fth, _ = State.of(g, np.asarray(forcing(state.t)), SPECTRAL).fields
         scal["fv_h1s"] = _sq(sobolev_norm(Fv1, 1)) + _sq(sobolev_norm(Fv2, 1))
         scal["dpfv_s"] = (_sq(sobolev_norm(derivative(Fv1, "p"), 0))
                           + _sq(sobolev_norm(derivative(Fv2, "p"), 0)))

@@ -24,10 +24,11 @@ def parseval_sum(grid: Grid, coeff: np.ndarray, multiplier=None):
     """sum_k w_k |c_k|^2 (times multiplier_k) over the half spectrum.
 
     w_k counts each stored mode with its conjugate (grid.parseval_weights);
-    times the volume this is the L^2 integral of the weighted field.
+    times the volume this is the L^2 integral of the weighted field.  Given a
+    stack of fields, it returns one sum per field.
     """
     mag2 = (coeff.real**2 + coeff.imag**2) * grid.parseval_weights
-    return (mag2 if multiplier is None else mag2 * multiplier).sum()
+    return (mag2 if multiplier is None else mag2 * multiplier).sum(axis=(-3, -2, -1))
 
 
 def sobolev_norm(field: Field3D, order: int) -> float:

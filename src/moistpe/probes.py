@@ -44,7 +44,6 @@ from .monitors import (
 )
 from .norms import sobolev_norm, vector_sobolev_norm
 from .params import PhysParams
-from .state import State
 from .stepper import StepConfig, run
 
 

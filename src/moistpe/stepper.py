@@ -14,7 +14,11 @@ cbar the vertical mean of the coefficient profile c(p), the update reads
 N is evaluated as the full tendency plus L u, so the splitting is exact: the
 scheme integrates the true right-hand side regardless of how well cbar
 approximates the profile.  The first step has no history and is taken as ten
-explicit Euler substeps of length dt/10.
+IMEX Euler substeps of length dt/10.
+
+Each step works on the whole stacked state array, keeps its stage states and
+temporaries in the Workspace and projects in place; the state it returns,
+and the IMEX history, each own their array.
 
 The explicit alternative is the classical four-stage Runge-Kutta scheme with
 an a-priori stability check on the stiffest diffusive eigenvalue.
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BlowupError, ConfigError
-from .fields import Field3D
+from .fields import SPECTRAL
 from .grid import Grid
 from .model import (
     FAITHFUL,
@@ -35,10 +39,11 @@ from .model import (
     ModelVariant,
     PhysParams,
     Workspace,
+    _project_in_place,
     project_state,
     tendency,
 )
-from .norms import sobolev_norm
+from .norms import parseval_sum
 from .state import State
 
 SCHEMES = ("imex_cnab2", "erk4_fully_explicit")
@@ -81,18 +86,20 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
-def _spectral_arrays(state: State):
-    return tuple(f.as_spectral().data for f in state.fields)
+def _tendency(state: State, ws: Workspace, forcing) -> np.ndarray:
+    """The stacked tendency at state, in a fresh array the caller may overwrite."""
+    return tendency(state, ws.params, forcing=forcing, variant=ws.variant, ws=ws).data
 
 
-def _make_state(grid: Grid, arrays, t: float) -> State:
-    v1, v2, th, q = (Field3D.spectral(grid, a) for a in arrays)
-    return State(v1, v2, th, q, t=t)
+def _projected(grid: Grid, data: np.ndarray, t: float) -> State:
+    """The spectral state of data, its velocity projected in place."""
+    _project_in_place(grid, data[0], data[1])
+    return State.of(grid, data, SPECTRAL, t)
 
 
-def _rhs(state: State, ws: Workspace, forcing):
-    tend = tendency(state, ws.params, forcing=forcing, variant=ws.variant, ws=ws)
-    return tuple(f.data for f in (tend.v1, tend.v2, tend.theta, tend.q))
+def _explicit_part(F: np.ndarray, u: np.ndarray, ws: Workspace) -> np.ndarray:
+    """N = F + lam u, written into F."""
+    return np.add(F, np.multiply(ws.lam, u, out=ws.stage), out=F)
 
 
 def imex_euler_step(state: State, dt: float, ws: Workspace,
@@ -100,15 +107,13 @@ def imex_euler_step(state: State, dt: float, ws: Workspace,
     """One projected first-order IMEX Euler step: backward Euler on the
     constant-coefficient split, forward Euler on the remainder.  Keeps the
     implicit part unconditionally dissipative, which the bootstrap relies on."""
-    g = state.grid
-    lam = ws.multipliers()
-    u = _spectral_arrays(state)
-    F = _rhs(state, ws, forcing)
-    new = tuple(
-        (ui + dt * (Fi + li * ui)) / (1.0 + dt * li)
-        for ui, li, Fi in zip(u, lam, F)
-    )
-    return project_state(_make_state(g, new, state.t + dt))
+    u = state.as_spectral().data
+    # (u + dt (F + lam u)) / (1 + dt lam), built in the array of F
+    new = _explicit_part(_tendency(state, ws, forcing), u, ws)
+    np.multiply(dt, new, out=new)
+    np.add(u, new, out=new)
+    np.divide(new, np.add(1.0, np.multiply(dt, ws.lam, out=ws.real), out=ws.real), out=new)
+    return _projected(state.grid, new, state.t + dt)
 
 
 def imex_step(state: State, n_prev, dt: float, ws: Workspace,
@@ -116,8 +121,6 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
     """One CNAB2 step.  n_prev is the previous explicit part (or None on the
     first call, which triggers the bootstrap).  Returns (state, n_cur).
     """
-    g = state.grid
-    lam = ws.multipliers()
     if n_prev is None:
         # bootstrap: ten IMEX Euler substeps (explicit only on the explicit
         # part), then report N at the resulting state so the next step can
@@ -125,21 +128,20 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
         sub = state
         for _ in range(10):
             sub = imex_euler_step(sub, dt / 10.0, ws, forcing)
-        u_new = _spectral_arrays(sub)
-        F = _rhs(sub, ws, forcing)
-        n_cur = tuple(Fi + li * ui for Fi, li, ui in zip(F, lam, u_new))
-        return sub, n_cur
-    u = _spectral_arrays(state)
-    F = _rhs(state, ws, forcing)
-    n_cur = tuple(Fi + li * ui for Fi, li, ui in zip(F, lam, u))
-    new = tuple(
-        ((1.0 - 0.5 * dt * li) * ui + dt * (1.5 * ni - 0.5 * pi)) / (1.0 + 0.5 * dt * li)
-        for ui, li, ni, pi in zip(u, lam, n_cur, n_prev)
-    )
-    out = project_state(_make_state(g, new, state.t + dt))
+        return sub, _explicit_part(_tendency(sub, ws, forcing), sub.data, ws)
+    u = state.as_spectral().data
+    n_cur = _explicit_part(_tendency(state, ws, forcing), u, ws)
+    # ((1 - dt/2 lam) u + dt (3/2 n_cur - 1/2 n_prev)) / (1 + dt/2 lam)
+    half, tmp, fac = 0.5 * dt, ws.stage, ws.real
+    new = np.multiply(1.5, n_cur)
+    new -= np.multiply(0.5, n_prev, out=tmp)
+    np.multiply(dt, new, out=new)
+    np.subtract(1.0, np.multiply(half, ws.lam, out=fac), out=fac)
+    np.add(np.multiply(fac, u, out=tmp), new, out=new)
+    np.divide(new, np.add(1.0, np.multiply(half, ws.lam, out=fac), out=fac), out=new)
     # the projection commutes with the diagonal implicit solve, so n_cur is
     # consistent history for the next step
-    return out, n_cur
+    return _projected(state.grid, new, state.t + dt), n_cur
 
 
 def erk4_step(state: State, dt: float, params: PhysParams,
@@ -152,27 +154,29 @@ def erk4_step(state: State, dt: float, params: PhysParams,
     exactly the classical one applied to the projected vector field; energy
     accounting then sees no spurious projection losses.  ws is the Workspace
     of (grid, params, variant); a temporary one is built when none is given.
+    The stage states live in the workspace; the result has its own array.
     """
     g = state.grid
     if ws is None:
         ws = Workspace(g, params, variant)
     t = state.t
-    u = _spectral_arrays(state)
-    k1 = _rhs(state, ws, forcing)
-    s2 = project_state(_make_state(
-        g, tuple(ui + 0.5 * dt * ki for ui, ki in zip(u, k1)), t + 0.5 * dt))
-    k2 = _rhs(s2, ws, forcing)
-    s3 = project_state(_make_state(
-        g, tuple(ui + 0.5 * dt * ki for ui, ki in zip(u, k2)), t + 0.5 * dt))
-    k3 = _rhs(s3, ws, forcing)
-    s4 = project_state(_make_state(
-        g, tuple(ui + dt * ki for ui, ki in zip(u, k3)), t + dt))
-    k4 = _rhs(s4, ws, forcing)
-    new = tuple(
-        ui + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for ui, a, b, c, d in zip(u, k1, k2, k3, k4)
-    )
-    return project_state(_make_state(g, new, t + dt))
+    u = state.as_spectral().data
+
+    def stage(c: float, k: np.ndarray, t_stage: float) -> State:
+        # u + c dt k, in the workspace
+        np.multiply(c * dt, k, out=ws.stage)
+        return _projected(g, np.add(u, ws.stage, out=ws.stage), t_stage)
+
+    k1 = _tendency(state, ws, forcing)
+    k2 = _tendency(stage(0.5, k1, t + 0.5 * dt), ws, forcing)
+    k3 = _tendency(stage(0.5, k2, t + 0.5 * dt), ws, forcing)
+    k4 = _tendency(stage(1.0, k3, t + dt), ws, forcing)
+    # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4), built in the array of k4
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
+    np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
+    np.add(k3, k4, out=k4)
+    np.multiply(dt / 6.0, k4, out=k4)
+    return _projected(g, np.add(u, k4, out=k4), t + dt)
 
 
 def check_erk4_stability(ws: Workspace, dt: float):
@@ -252,17 +256,17 @@ def run(
 
     st = state.as_spectral()
     if variant.dealias:
-        arrays = tuple(f.data * g.dealias_mask for f in st.fields)
-        st = _make_state(g, arrays, st.t)
-    st = project_state(st)
+        st = State.of(g, st.data * g.dealias_mask, SPECTRAL, st.t)
+    st = project_state(st)  # a copy: the run never writes into the caller's arrays
 
-    ref = [sobolev_norm(f, 0) for f in st.fields]
-    ref_total = max(max(ref), 1.0)
-    limits = [BLOWUP_FACTOR * (r if r > 0.0 else ref_total) for r in ref]
+    def l2_norms(s: State) -> np.ndarray:
+        return np.sqrt(g.volume * parseval_sum(g, s.data))
 
-    traj = Trajectory()
-    gron = [] if collect_gronwall else None
-    traj.gronwall = gron
+    ref = l2_norms(st)
+    limits = BLOWUP_FACTOR * np.where(ref > 0.0, ref, max(ref.max(), 1.0))
+
+    traj = Trajectory(gronwall=[] if collect_gronwall else None)
+    gron = traj.gronwall
 
     def record(s: State):
         budget = monitors.budget_terms(s, params, forcing) if collect_budget else None
@@ -274,11 +278,6 @@ def run(
         if on_sample is not None:
             on_sample(s, sample)
 
-    def blown(s: State) -> bool:
-        if not all(np.all(np.isfinite(f.data)) for f in s.fields):
-            return True
-        return any(sobolev_norm(f, 0) > lim for f, lim in zip(s.fields, limits))
-
     record(st)
 
     t0 = st.t
@@ -288,9 +287,9 @@ def run(
             st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
         else:
             st = erk4_step(st, config.dt, params, forcing, variant, ws)
-        st = _make_state(g, tuple(f.data for f in st.fields), t0 + k * config.dt)
-        if blown(st):
-            traj.completed = False
+        st = st.with_time(t0 + k * config.dt)
+        # a non-finite value makes its norm NaN or infinite, which fails too
+        if not np.all(l2_norms(st) <= limits):
             traj.blowup_time = st.t
             traj.final_state = st
             if raise_on_blowup:

@@ -247,6 +247,25 @@ def test_run_blowup_exit_code(tmp_path, capsys):
     assert "blowup at t =" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", ["1e3", "1e5"])
+def test_run_blowup_keeps_the_last_good_checkpoint(tmp_path, capsys, amplitude):
+    # a final checkpoint of the diverged state would overwrite the rolling
+    # one (1e3) or fail on its non-finite values and exit 1 (1e5)
+    ck = tmp_path / "ck.bin"
+    cfg = _write_config(
+        tmp_path,
+        **{"initial.kind": f"random_smooth:3,{amplitude}", "time.dt": "0.05",
+           "time.t_end": "1.0", "output.checkpoint_path": ck,
+           "output.checkpoint_every": 1})
+    assert main(["run", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    t_blowup = float(err.split("blowup at t = ")[1].split()[0])
+    _, state = read_checkpoint(str(ck))
+    assert state.t == pytest.approx(t_blowup - 0.05)
+    assert np.all(np.isfinite(state.data))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin", "run.cfg"]
+
+
 # --- verify -----------------------------------------------------------------
 
 

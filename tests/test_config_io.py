@@ -285,6 +285,51 @@ def test_checkpoint_rejects_corruption(tmp_path, params):
         read_checkpoint(str(truncated))
 
 
+class _FailingFile:
+    """A binary file whose writes fail once `allowed` bytes are written."""
+
+    def __init__(self, fh, allowed):
+        self.fh, self.allowed = fh, allowed
+
+    def write(self, data):
+        self.allowed -= memoryview(data).nbytes
+        if self.allowed < 0:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_checkpoint_write_failure_keeps_the_previous_file(tmp_path, params, monkeypatch):
+    from moistpe import checkpoint
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    cfg = RunConfig(nx=8, ny=8, np=8)
+    path = tmp_path / "ck.mpes"
+    write_checkpoint(str(path), random_smooth(g, 1, amplitude=1.0), cfg)
+    before = path.read_bytes()
+
+    def failing_open(name, mode):
+        return _FailingFile(open(name, mode), allowed=100)
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_checkpoint(str(path), random_smooth(g, 2, amplitude=1.0), cfg)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.mpes"]
+    monkeypatch.undo()
+    write_checkpoint(str(path), random_smooth(g, 2, amplitude=1.0), cfg)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.mpes"]
+
+
 @pytest.mark.parametrize("size", [20, 22, 23])
 def test_checkpoint_rejects_truncated_header(tmp_path, params, size):
     # the header is 24 bytes; a file cut inside the config-length field must

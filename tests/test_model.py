@@ -490,6 +490,18 @@ def test_rotational_barotropic_flow_is_projection_invariant(grid16):
     assert np.abs(p2.data - v2.data).max() <= 1e-12
 
 
+def test_project_state_leaves_its_input_unchanged(grid16):
+    v1, v2 = seeded_velocity(grid16, 23, band=5)
+    v1 = Field3D.spectral(grid16, v1.data + 0.5 * grid16.band_mask(1))  # divergent part
+    st = State(v1, v2, seeded_scalar(grid16, 5), seeded_scalar(grid16, 6), t=0.25)
+    before = st.data.copy()
+    out = project_state(st)
+    assert np.array_equal(st.data, before)
+    assert not np.shares_memory(out.data, st.data)
+    assert out.t == 0.25 and divergence_residual(out.v1, out.v2) <= 1e-14
+    assert divergence_residual(st.v1, st.v2) > 1e-3
+    assert np.array_equal(out.data[2:], st.data[2:])
+
 
 def test_diagnose_transforms_each_velocity_forward_once(grid16, params, fft_fields):
     # v1 and v2 forward once (divergence and H1 scale), omega back, the

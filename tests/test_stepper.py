@@ -251,3 +251,46 @@ def test_step_count_takes_whole_spans_only():
             step_count(t0, t_end, dt)
     with pytest.raises(ConfigError, match="precedes"):
         step_count(1.0, 0.5, 1e-3)
+
+
+# --- ownership of the stacked state ----------------------------------------
+
+@pytest.mark.parametrize("scheme", ["imex_cnab2", "erk4_fully_explicit"])
+def test_sampled_states_keep_their_values(scheme):
+    # the steps work in place on workspace buffers; no state handed out may
+    # change after the callback that received it
+    seen = []
+    st = random_smooth(_grid(8), 4, amplitude=1.0, band=2)
+    traj = run(st, PhysParams(), StepConfig(dt=1e-3, t_end=0.01, scheme=scheme),
+               on_sample=lambda s, sample: seen.append((s, s.checksum(), sample.checksum)))
+    assert len(seen) == 11
+    for s, at_callback, recorded in seen:
+        assert s.checksum() == at_callback == recorded
+    assert traj.final_state.checksum() == seen[-1][1]
+
+
+def test_run_leaves_a_spectral_input_unchanged():
+    # without dealiasing the run starts from the caller's spectral arrays
+    g = _grid(8)
+    st = random_smooth(g, 4, amplitude=1.0, band=2)
+    v1 = st.v1.data.copy()
+    v1[1, 0, 0] += 0.5   # a divergent barotropic part for the projection
+    v1[-1, 0, 0] += 0.5
+    st = State(Field3D.spectral(g, v1), st.v2, st.theta, st.q)
+    before = [f.data.copy() for f in st.fields]
+    run(st, PhysParams(), StepConfig(dt=1e-3, t_end=0.003),
+        variant=FAITHFUL.with_(dealias=False))
+    assert all(np.array_equal(f.data, b) for f, b in zip(st.fields, before))
+
+
+def test_state_stacks_its_fields():
+    g = _grid(8)
+    st = random_smooth(g, 4, amplitude=1.0, band=2)
+    assert st.data.shape == (4,) + g.spectral_shape
+    assert all(np.shares_memory(f.data, st.data) for f in st.fields)
+    phys = st.as_physical()
+    assert phys.data.shape == (4,) + g.shape
+    mixed = State(phys.v1, st.v2, phys.theta, st.q, t=0.5)
+    assert mixed.rep == "spectral" and mixed.t == 0.5
+    assert np.array_equal(mixed.data[1], st.data[1])
+    assert np.allclose(mixed.data, st.data, rtol=0, atol=1e-15)
