@@ -174,7 +174,7 @@ def cmd_run(args) -> int:
         _say(args.quiet, f"checkpoint: {cfg.checkpoint_path}")
 
     if not traj.completed:
-        print(f"blowup at t = {traj.blowup_time:.6g}", file=sys.stderr)
+        print(f"blowup at t = {traj.blowup_time:.6g} {traj.blowup_detail}", file=sys.stderr)
         return 2
     last = traj.samples[-1].report
     _say(args.quiet,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         return cmd_probe(args)
     except BlowupError as exc:
-        print(f"blowup at t = {exc.t_last:.6g}", file=sys.stderr)
+        print(f"blowup at t = {exc.t_last:.6g} {exc.detail}".rstrip(), file=sys.stderr)
         return 2
     except ConfigError as exc:
         # e.g. an end time that is not a whole number of steps from a

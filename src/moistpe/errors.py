@@ -34,12 +34,14 @@ class BlowupError(SimulationError):
     """Raised when the solution leaves the finite / bounded regime.
 
     Carries the time at which the divergence was detected, that of the
-    first state that failed the check.
+    first state that failed the check, and what failed it: the step, the
+    field, its norm and its limit.
     """
 
-    def __init__(self, message: str, t_last: float):
+    def __init__(self, message: str, t_last: float, detail: str = ""):
         super().__init__(message)
         self.t_last = float(t_last)
+        self.detail = detail
 
 
 class SamplingError(SimulationError):

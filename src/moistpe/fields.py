@@ -151,6 +151,35 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, planes: int | None = None) -> np.
     return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 
+def horizontal_spectra(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """The horizontal Fourier coefficients of one field or a stack at every
+    p-level: F with
+
+        f(x, y, p_m) = sum over (kx, ky) of F[kx, ky, m] exp(i (kx x + ky y)),
+
+    f the samples irfftn_norm(grid, coeff) gives.  f is real, so F(-kx, -ky)
+    = conj F(kx, ky), and like a real FFT the result keeps the rows ky = 0 ..
+    ny//2 only: its shape is (..., nx, ny//2 + 1, np).
+
+    It is the inverse transform along p alone, which needs both halves of
+    the kp axis: the stored one, and for kp < 0 the conjugates of the
+    mirrored modes c(-kx, -ky, -kp).  The kp = 0 and Nyquist planes enter
+    with their Hermitian part, the part irfftn_norm reads.
+    """
+    n, h = grid.np, grid.np // 2
+    nx, ny = coeff.shape[-3:-1]
+    rows = ny // 2 + 1
+    mirror = coeff[..., (-np.arange(nx) % nx)[:, None], -np.arange(rows) % ny, :]
+    np.conjugate(mirror, out=mirror)
+    full = np.empty(coeff.shape[:-2] + (rows, n), dtype=np.complex128)
+    full[..., :h + 1] = coeff[..., :rows, :]
+    full[..., h + 1:] = mirror[..., h - 1:0:-1]
+    for j in (0, h):
+        full[..., j] += mirror[..., j]
+        full[..., j] *= 0.5
+    return _fft.ifft(full, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+
+
 def checked_forward(grid: Grid, data: np.ndarray) -> np.ndarray:
     """rfftn_norm of one field or a stack.  Non-finite input is rejected:
     NaN/Inf would silently poison every subsequent spectral operation."""
@@ -196,6 +225,19 @@ def _flip_p(data: np.ndarray) -> np.ndarray:
     return np.roll(data[..., ::-1], 1, axis=-1)
 
 
+_SIGN = {ParityClass.EVEN: 1.0, ParityClass.ODD: -1.0}
+
+
+def _parity_part(data: np.ndarray, sign) -> np.ndarray:
+    """0.5 (f + sign * reflected f): the even part for sign 1, the odd part
+    for sign -1; sign may broadcast over a stack."""
+    part = _flip_p(data)
+    part *= sign
+    part += data
+    part *= 0.5
+    return part
+
+
 def parity_project(field: Field3D, parity: ParityClass) -> Field3D:
     """Project onto the even or odd class about p_tilde = 0.
 
@@ -204,19 +246,21 @@ def parity_project(field: Field3D, parity: ParityClass) -> Field3D:
     """
     if parity is ParityClass.NONE:
         return field
-    phys = field.as_physical()
-    flipped = _flip_p(phys.data)
-    if parity is ParityClass.EVEN:
-        out = Field3D.physical(field.grid, 0.5 * (phys.data + flipped))
-    else:
-        out = Field3D.physical(field.grid, 0.5 * (phys.data - flipped))
+    out = Field3D.physical(field.grid, _parity_part(field.as_physical().data, _SIGN[parity]))
     return out if field.rep == PHYSICAL else out.as_spectral()
+
+
+def parity_deviation(data: np.ndarray, sign) -> np.ndarray:
+    """max |f - P f| over the trailing three axes of physical samples (one
+    field or a stack), P the projection onto the class of sign (1 even,
+    -1 odd; it may broadcast over a stack)."""
+    dev = _parity_part(data, sign)
+    np.subtract(data, dev, out=dev)
+    return np.abs(dev, out=dev).max(axis=(-3, -2, -1))
 
 
 def parity_violation(field: Field3D, parity: ParityClass) -> float:
     """Max-modulus deviation of the field from its parity class."""
     if parity is ParityClass.NONE:
         return 0.0
-    phys = field.as_physical()
-    proj = parity_project(phys, parity)
-    return float(np.max(np.abs(phys.data - proj.data)))
+    return float(parity_deviation(field.as_physical().data, _SIGN[parity]))

@@ -139,6 +139,7 @@ class ManufacturedSolution:
         self._Q = np.where(grid.band_mask(2 * case.band), quad.data, 0.0)
         self._Uhat = np.where(grid.band_mask(case.band), ustate.data, 0.0)
         self._last = None  # (t, forcing stack) of the latest forcing call
+        self._scratch = None  # the products of forcing; never handed out
 
     def modulation(self, t: float) -> tuple[float, float]:
         c, s = math.cos(self.case.sigma * t), math.sin(self.case.sigma * t)
@@ -152,11 +153,19 @@ class ManufacturedSolution:
 
         The latest (t, forcing) pair is kept: a Runge-Kutta step asks twice
         for its midpoint, and the next step starts where this one ended.
+        Each new time gets a new array, so one returned earlier never
+        changes.
         """
         if self._last is not None and self._last[0] == t:
             return self._last[1]
         m, mdot = self.modulation(t)
-        f = mdot * self._Uhat - m * self._L - (m * m) * self._Q - self._S
+        if self._scratch is None:
+            self._scratch = np.empty_like(self._L)
+        # mdot U - m L - m^2 Q - S in one new array, operations in that order
+        f = np.multiply(mdot, self._Uhat)
+        f -= np.multiply(m, self._L, out=self._scratch)
+        f -= np.multiply(m * m, self._Q, out=self._scratch)
+        f -= self._S
         f.flags.writeable = False
         self._last = (t, f)
         return f

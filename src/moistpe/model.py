@@ -251,13 +251,12 @@ def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
     return Field3D.physical(g, _phi(g, params, co, _integrand(g, params, co, theta.data)))
 
 
-def _hydrostatic_residual(grid: Grid, params: PhysParams, phi: np.ndarray,
-                          it: _Integrand) -> float:
-    """hydrostatic_residual for physical phi samples and the integrand of theta."""
-    periodic = phi - _ramp(grid, params, it.gbar)
-    Phat = rfftn_norm(grid, periodic)
-    dphi = irfftn_norm(grid, 1j * grid.KP * Phat) - it.gbar[:, :, None]
-    g_used = it.gbar[:, :, None] + irfftn_norm(grid, it.fluct_hat)
+def _hydrostatic_residual(grid: Grid, Pper: np.ndarray, it: _Integrand) -> float:
+    """hydrostatic_residual for the spectrum Pper of phi minus its ramp and
+    the integrand of theta."""
+    dphi, g_fluct = irfftn_norm(grid, np.stack([1j * grid.KP * Pper, it.fluct_hat]))
+    dphi -= it.gbar[:, :, None]
+    g_used = it.gbar[:, :, None] + g_fluct
     res = dphi + g_used
     return float(np.sqrt(grid.volume * np.mean(res**2)))
 
@@ -276,7 +275,8 @@ def hydrostatic_residual(phi: Field3D, theta: Field3D, params: PhysParams) -> fl
     theta.require(PHYSICAL, "hydrostatic_residual")
     g = phi.grid
     co = Coefficients(g, params)
-    return _hydrostatic_residual(g, params, phi.data, _integrand(g, params, co, theta.data))
+    it = _integrand(g, params, co, theta.data)
+    return _hydrostatic_residual(g, rfftn_norm(g, phi.data - _ramp(g, params, it.gbar)), it)
 
 
 def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
@@ -652,23 +652,6 @@ def diagnose(state: State, params: PhysParams) -> Diagnostics:
 
 
 # --- energy pairings used by the budget monitor ---------------------------
-
-
-def vertical_dissipation(field: Field3D, params: PhysParams, which: str,
-                         variant: ModelVariant = FAITHFUL) -> float:
-    """The discrete pairing -<u, vertical part of (-A u)> for one variable.
-
-    For v and q this equals nu * || du/dp ||_w^2 exactly (no conjugation, the
-    field lives inside the dealiased ball).  For theta the conjugated form
-    nu * <dps, dealias(c dps)> with s = (p0/p)^kappa theta is the quantity the
-    discrete dynamics actually dissipates.
-    """
-    g = field.grid
-    co = Coefficients(g, params)
-    _, nu = _viscosities(params, which)
-    mask = _mask_of(g, variant)
-    dpf = _dp_viscous(g, co, mask, field.as_spectral().data, which)
-    return nu * _pair(g, rfftn_norm(g, dpf), _viscous_flux_hat(g, co, mask, dpf))
 
 
 def _pair(grid: Grid, Ahat: np.ndarray, Bhat: np.ndarray) -> float:

@@ -16,44 +16,243 @@ Three families live here:
     Minkowski-type integral inequality for the diagnosed vertical velocity,
     and four differential-inequality collectors whose left and right sides
     are emitted as time series for offline comparison.
+
+The per-sample monitors (norm panel, budget, Gronwall record, and the
+state's checksum) can share one SampleContext: the sample converted once,
+with the faithful constants of the run (MonitorConstants).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dc_fields
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
-from .errors import SamplingError
-from .fields import (SPECTRAL, Field3D, ParityClass, derivative, irfftn_norm,
-                     parity_violation, rfftn_norm)
+from .errors import DataError, SamplingError
+from .fields import (SPECTRAL, Field3D, horizontal_spectra, irfftn_norm,
+                     parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
     ModelVariant,
     _divergence_hat,
     _hydrostatic_residual,
+    _integral_to_p1,
+    _Integrand,
     _integrand,
     _pair,
     _phi,
+    _ramp,
+    _viscosities,
     coriolis_term,
     diagnose_omega,
     divergence_residual,
     omega_top_residual,
-    vertical_dissipation,
 )
-from .norms import (
-    parseval_sum,
-    sobolev_norm,
-    spectral_weighted_sum,
-    vector_sobolev_norm,
-    weighted_norm_w,
-)
+from .norms import parseval_sum, sobolev_norm, spectral_weighted_sum
+from .grid import Grid
 from .params import PhysParams
 from .state import State
 
 
+# --- one sample, converted once --------------------------------------------
+
+
+def _expansion(s: int, i0: int, j0: int) -> np.ndarray:
+    """Coefficients T[i, j] of kh2^i kp2^j in kh2^i0 kp2^j0 (1 + kh2 + kp2)^s."""
+    T = np.zeros((4, 4))
+    for i in range(s + 1):
+        for j in range(s + 1 - i):
+            T[i0 + i, j0 + j] = (math.factorial(s) / math.factorial(i)
+                                 / math.factorial(j) / math.factorial(s - i - j))
+    return T
+
+
+# The quadratic forms the monitors read, as (s, i0, j0) of the multiplier
+# kh2^i0 kp2^j0 (1 + |k|^2)^s: the Sobolev norms, those of the p-derivative
+# and the horizontal seminorms of the budget and the Gronwall forms.
+_FORMS = {
+    "l2": (0, 0, 0), "h1": (1, 0, 0), "h2": (2, 0, 0), "h3": (3, 0, 0),
+    "dp": (0, 0, 1), "dp_h1": (1, 0, 1), "dp_h2": (2, 0, 1),
+    "kh2": (0, 1, 0), "kh4": (0, 2, 0), "kh6": (0, 3, 0),
+    "kh2_kp2": (0, 1, 1), "kh4_kp2": (0, 2, 1),
+}
+_FORM_TABLE = np.stack([_expansion(*spec).ravel() for spec in _FORMS.values()], axis=1)
+
+
+def _half_rows(kh2: np.ndarray) -> np.ndarray:
+    """kh2^r, r = 0, 1, 2, on the rows ky = 0 .. ny//2 of a (kx, ky) plane,
+    doubled on the rows that stand for their mirror row -ky as well."""
+    ny = kh2.shape[1]
+    rows = np.arange(ny // 2 + 1)
+    pairs = np.where(2 * rows % ny == 0, 1.0, 2.0)
+    return (pairs * kh2[:, :ny // 2 + 1] ** np.arange(3)[:, None, None]).reshape(3, -1)
+
+
+class MonitorConstants:
+    """The faithful constants the monitors use on one (grid, params): the
+    pressure profiles, the weight c(p) = w(p)^2 of the weighted norms, the
+    powers of |k_h|^2 and kp^2 the quadratic forms are taken against, and
+    the 2/3 mask.  A run builds them once.  They never depend on the
+    ModelVariant being run: the monitors check every run against the
+    faithful definitions.
+    """
+
+    def __init__(self, grid: Grid, params: PhysParams):
+        self.grid = grid
+        self.params = params
+        self.co = Coefficients(grid, params)
+        kh2 = (grid.KX**2 + grid.KY**2)[:, :, 0]
+        self.kh2_pow = kh2.ravel() ** np.arange(4)[:, None]   # (4, nx*ny)
+        # Parseval weight times kp2^j, for the interleaved real and
+        # imaginary parts of a complex row: (2 * (np//2+1), 4)
+        kp2_pow = (grid.kp**2)[:, None] ** np.arange(4)
+        self.w_kp2_pow = np.repeat(grid.parseval_weights[0, 0, :, None] * kp2_pow, 2, axis=0)
+        self.iKP = 1j * grid.KP
+        self.mask = grid.dealias_mask
+        # the horizontal rows of the 2/3 ball in FFT order: cut to them, a
+        # stack inside the ball keeps each mode with its mirror mode
+        jx, jy, _ = grid.mode_index
+        self.rows = (np.flatnonzero(jx <= grid.nx // 3)[:, None],
+                     np.flatnonzero(jy <= grid.ny // 3))
+        # kh2^r on the rows horizontal_spectra keeps, each counted with its
+        # conjugate: over all rows, and over those of the ball
+        self.kh2_half = _half_rows(kh2)
+        self.kh2_half_ball = _half_rows(kh2[self.rows])
+        # volume / np * c(p), a mean over p times the volume, for the
+        # interleaved real and imaginary parts of a complex row
+        self.c_mean2 = np.repeat(grid.volume / grid.np * self.co.c, 2)
+        # the spectra of phi_s (horizontal) and of p1 - p (vertical),
+        # normalized like rfftn_norm's
+        self.phi_s_hat = scipy.fft.fft2(self.co.phi_s) / (grid.nx * grid.ny)
+        self.ramp_hat = scipy.fft.rfft(params.p1 - grid.p) / grid.np
+
+    def in_ball(self, A: np.ndarray) -> bool:
+        """Whether the spectral stack A is zero outside the 2/3 ball: on the
+        p-planes above np//3 and on the x and y rows beyond n//3."""
+        g = self.grid
+        bx, by, bp = g.nx // 3, g.ny // 3, g.np // 3
+        return not (np.any(A[..., bp + 1:]) or np.any(A[..., bx + 1:g.nx - bx, :, :])
+                    or np.any(A[..., by + 1:g.ny - by, :]))
+
+
+def _quadratic_forms(k: MonitorConstants, A: np.ndarray) -> dict:
+    """{form: per-field value} of |M| sum_k w_k |c_k|^2 m_k for the fields of
+    the spectral stack A and each multiplier m of _FORMS.
+
+    One pass forms |c_k|^2 w_k and reduces it to the moments
+    sum_k w_k |c_k|^2 kh2^i kp2^j (i, j < 4); every form is a fixed
+    combination of them.
+    """
+    g = k.grid
+    sq = np.square(np.ascontiguousarray(A).view(np.float64))
+    moments = k.kh2_pow @ (sq.reshape(len(A), g.nx * g.ny, -1) @ k.w_kp2_pow)
+    values = g.volume * (moments.reshape(len(A), 16) @ _FORM_TABLE)
+    return dict(zip(_FORMS, values.T))
+
+
+_CHUNK_BYTES = 1 << 22  # the mixed representation of a stack goes in chunks of this size
+
+
+def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None,
+            cut: bool = False) -> np.ndarray:
+    """|M| * mean over p of c(p) sum_kh kh2^r Re(conj(b_kh) a_kh), r = 0, 1, 2,
+    for the fields a of the spectral stack A and b of B (default a).
+
+    The fields go to the mixed representation (horizontal modes at each
+    p-level, see horizontal_spectra), where Parseval in x and y turns the
+    weighted collocation integral into a sum over the modes and horizontal
+    derivatives into multipliers.  For r = 0 and b = a this is ||f||_w^2.
+    The multipliers treat the horizontal Nyquist rows like the others; a
+    field inside the 2/3 ball has nothing there.  With cut, A (and B) hold
+    only the horizontal rows of the ball (k.rows) of fields inside it.
+    """
+    g = k.grid
+    kh2_pow = k.kh2_half_ball if cut else k.kh2_half
+    m, nx, ny, _ = A.shape
+    out = np.empty((m, 3))
+    per = max(1, _CHUNK_BYTES // (16 * nx * ny * g.np))
+    for i in range(0, m, per):
+        # Re(conj(b) a) summed against c(p) on the real and imaginary parts
+        a = horizontal_spectra(g, A[i:i + per]).view(np.float64)
+        b = a if B is None else horizontal_spectra(g, B[i:i + per]).view(np.float64)
+        prod = np.multiply(a, b, out=a).reshape(len(a), -1, 2 * g.np)
+        out[i:i + per] = (kh2_pow @ prod) @ k.c_mean2
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SampleContext:
+    """One state converted once, for every monitor of one record point.
+
+    spec and phys are the spectral and physical stacks (the state's own
+    array in its representation; phys of a spectral state is
+    checked_backward of its stack, so a checksum hashes the same bits), sq
+    the quadratic forms of the fields (_quadratic_forms), in_ball whether
+    the state lies inside the 2/3 ball, it and phi the hydrostatic integrand
+    and Phi of the faithful model and hats the spectra of Phi minus its ramp
+    and of T.  Nothing here writes into the state's array.
+    """
+
+    state: State
+    constants: MonitorConstants
+    spec: np.ndarray
+    phys: np.ndarray
+    sq: dict
+    in_ball: bool
+    it: _Integrand
+    phi: np.ndarray
+    hats: np.ndarray
+
+    @cached_property
+    def vertical(self) -> np.ndarray:
+        """_w_sums of dp v1, dp v2, dp q, dp^2 v1 and dp^2 v2, in that order."""
+        k = self.constants
+        U = self.spec[:, k.rows[0], k.rows[1]] if self.in_ball else self.spec
+        A = np.empty((5,) + U.shape[1:], dtype=np.complex128)
+        np.multiply(k.iKP, U[[0, 1, 3]], out=A[:3])
+        np.multiply(k.iKP, A[:2], out=A[3:])
+        return _w_sums(k, A, cut=self.in_ball)
+
+
+def sample_context(state: State, params: PhysParams,
+                   constants: MonitorConstants | None = None) -> SampleContext:
+    """The SampleContext of state; constants are those of (state.grid,
+    params), built here when not given."""
+    g = state.grid
+    if constants is None:
+        constants = MonitorConstants(g, params)
+    elif constants.grid != g or constants.params is not params:
+        raise DataError("sample_context: the constants belong to another grid or params")
+    co = constants.co
+    spec = state.as_spectral().data
+    phys = state.as_physical().data
+    it = _integrand(g, params, co, phys[2])
+    phi = _phi(g, params, co, it)
+    periodic_and_T = np.empty((2,) + g.shape)
+    np.subtract(phi, _ramp(g, params, it.gbar), out=periodic_and_T[0])
+    periodic_and_T[1] = it.T
+    hats = rfftn_norm(g, periodic_and_T)
+    return SampleContext(state, constants, spec, phys, _quadratic_forms(constants, spec),
+                         constants.in_ball(spec), it, phi, hats)
+
+
+def _context(state: State, params: PhysParams, ctx: SampleContext | None) -> SampleContext:
+    if ctx is None:
+        return sample_context(state, params)
+    if ctx.state is not state or ctx.constants.params is not params:
+        raise DataError("the sample context belongs to another state or params")
+    return ctx
+
+
 # --- norm panel -----------------------------------------------------------
+
+# the classes of v1, v2, theta and q about the mid-pressure level (1 even,
+# -1 odd), those of the mirror-symmetric data of the initial module
+_PARITY_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])[:, None, None, None]
 
 
 @dataclass(frozen=True)
@@ -94,57 +293,49 @@ class NormReport:
         return [f.name for f in dc_fields(cls)]
 
 
-def _w_vec_norm(components, params: PhysParams) -> float:
-    """sqrt of the summed ||f||_w^2 over the components."""
-    return float(np.sqrt(sum(weighted_norm_w(f.as_physical(), params) ** 2
-                             for f in components)))
-
-
-def norm_report(state: State, params: PhysParams) -> NormReport:
+def norm_report(state: State, params: PhysParams,
+                ctx: SampleContext | None = None) -> NormReport:
+    """The norm panel of state; ctx is its SampleContext when the caller
+    has one (see sample_context)."""
+    ctx = _context(state, params, ctx)
     g = state.grid
-    v1, v2, th, q = state.as_spectral().fields
-    dpv1, dpv2, dpth, dpq = (derivative(f, "p") for f in (v1, v2, th, q))
+    sq, W = ctx.sq, ctx.vertical
+    v1, v2 = (Field3D(g, ctx.spec[i], SPECTRAL) for i in (0, 1))
+    parity = parity_deviation(ctx.phys, _PARITY_SIGNS)
 
-    w_dp_v = _w_vec_norm((dpv1, dpv2), params)
-    w_dp2_v = _w_vec_norm((derivative(f, "p") for f in (dpv1, dpv2)), params)
-    w_grad_dp_v = _w_vec_norm(
-        (derivative(f, axis) for f in (dpv1, dpv2) for axis in ("x", "y")), params)
+    def v(form):
+        return math.sqrt(sq[form][0] + sq[form][1])
 
-    D0 = divergence_residual(v1, v2)
-    phys = state.as_physical()
-    co = Coefficients(g, params)
-    it = _integrand(g, params, co, phys.theta.data)
-    hydro = _hydrostatic_residual(g, params, _phi(g, params, co, it), it)
-    l2_T = sobolev_norm(Field3D.physical(g, it.T), 0)
+    def scalar(form, i):
+        return math.sqrt(sq[form][i])
 
     return NormReport(
         t=state.t,
-        l2_v=vector_sobolev_norm((v1, v2), 0),
-        h1_v=vector_sobolev_norm((v1, v2), 1),
-        h2_v=vector_sobolev_norm((v1, v2), 2),
-        l2_theta=sobolev_norm(th, 0),
-        h1_theta=sobolev_norm(th, 1),
-        h2_theta=sobolev_norm(th, 2),
-        l2_q=sobolev_norm(q, 0),
-        h1_q=sobolev_norm(q, 1),
-        h2_q=sobolev_norm(q, 2),
-        l2_dp_v=vector_sobolev_norm((dpv1, dpv2), 0),
-        h1_dp_v=vector_sobolev_norm((dpv1, dpv2), 1),
-        l2_dp_theta=sobolev_norm(dpth, 0),
-        h1_dp_theta=sobolev_norm(dpth, 1),
-        l2_dp_q=sobolev_norm(dpq, 0),
-        h1_dp_q=sobolev_norm(dpq, 1),
-        w_dp_v=w_dp_v,
-        w_dp2_v=w_dp2_v,
-        w_grad_dp_v=w_grad_dp_v,
-        div_residual=D0,
-        hydro_residual=hydro,
-        l2_T=l2_T,
+        l2_v=v("l2"),
+        h1_v=v("h1"),
+        h2_v=v("h2"),
+        l2_theta=scalar("l2", 2),
+        h1_theta=scalar("h1", 2),
+        h2_theta=scalar("h2", 2),
+        l2_q=scalar("l2", 3),
+        h1_q=scalar("h1", 3),
+        h2_q=scalar("h2", 3),
+        l2_dp_v=v("dp"),
+        h1_dp_v=v("dp_h1"),
+        l2_dp_theta=scalar("dp", 2),
+        h1_dp_theta=scalar("dp_h1", 2),
+        l2_dp_q=scalar("dp", 3),
+        h1_dp_q=scalar("dp_h1", 3),
+        w_dp_v=math.sqrt(W[0, 0] + W[1, 0]),
+        w_dp2_v=math.sqrt(W[3, 0] + W[4, 0]),
+        w_grad_dp_v=math.sqrt(W[0, 1] + W[1, 1]),
+        div_residual=divergence_residual(v1, v2),
+        hydro_residual=_hydrostatic_residual(g, ctx.hats[0], ctx.it),
+        l2_T=float(np.sqrt(g.volume * parseval_sum(g, ctx.hats[1]))),
         omega_p1=omega_top_residual(v1, v2),
-        parity_dev_v=max(parity_violation(phys.v1, ParityClass.EVEN),
-                         parity_violation(phys.v2, ParityClass.EVEN)),
-        parity_dev_theta=parity_violation(phys.theta, ParityClass.ODD),
-        parity_dev_q=parity_violation(phys.q, ParityClass.EVEN),
+        parity_dev_v=float(max(parity[0], parity[1])),
+        parity_dev_theta=float(parity[2]),
+        parity_dev_q=float(parity[3]),
     )
 
 
@@ -166,7 +357,8 @@ class BudgetSample:
     max_term: float
 
 
-def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
+def budget_terms(state: State, params: PhysParams, forcing=None,
+                 ctx: SampleContext | None = None) -> dict:
     """Instantaneous energy pairings for each prognostic variable.
 
     Every entry is a contribution to d/dt (1/2)||u||_L2^2 with its sign, except
@@ -179,36 +371,41 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
     redundancy).  The advective transfer is deliberately not a term: for the
     faithful dealiased dynamics it vanishes to roundoff, and any violation
     belongs in the residual.
+
+    diss_v is the pairing nu <dps, dealias(c dps)> of the faithful vertical
+    viscosity, s = f for v and q and s = (p0/p)^kappa theta (dealiased) for
+    theta; inside the 2/3 ball it is nu ||ds/dp||_w^2.  ctx is the state's
+    SampleContext when the caller has one (see sample_context).
     """
-    g = state.grid
-    co = Coefficients(g, params)
-    st = state.as_spectral()
-    V1, V2, TH, Q = st.data
-    phys = state.as_physical()
+    ctx = _context(state, params, ctx)
+    g, k = state.grid, ctx.constants
+    V1, V2, TH, Q = U = ctx.spec
+    sq = ctx.sq
+    nu = {which: _viscosities(params, which)[1] for which in ("v", "theta", "q")}
 
-    diss = {
-        "v": {
-            "h": params.mu_v * (spectral_weighted_sum(st.v1, g.kh2)
-                                + spectral_weighted_sum(st.v2, g.kh2)),
-            "p": vertical_dissipation(st.v1, params, "v")
-                 + vertical_dissipation(st.v2, params, "v"),
-        },
-        "theta": {
-            "h": params.mu_theta * spectral_weighted_sum(st.theta, g.kh2),
-            "p": vertical_dissipation(st.theta, params, "theta"),
-        },
-        "q": {
-            "h": params.mu_q * spectral_weighted_sum(st.q, g.kh2),
-            "p": vertical_dissipation(st.q, params, "q"),
-        },
-    }
+    # dp v1, dp v2, dp q paired with their truncation: the weighted norms of
+    # ctx.vertical when the state lies inside the ball
+    if ctx.in_ball:
+        pairs = ctx.vertical[:3, 0]
+    else:
+        dp = k.iKP * U[[0, 1, 3]]
+        pairs = _w_sums(k, dp, dp * k.mask)[:, 0]
+    # dealias(rfft((p0/p)^kappa theta))
+    s_hat = rfftn_norm(g, k.co.pk * ctx.phys[2])
+    s_hat *= k.mask
+    pair_theta = _w_sums(k, k.iKP * s_hat[None, k.rows[0], k.rows[1]], cut=True)[0, 0]
 
-    it = _integrand(g, params, co, phys.theta.data)
-    Phat = rfftn_norm(g, _phi(g, params, co, it))
-    coupling = -(_pair(g, V1, 1j * g.KX * Phat) + _pair(g, V2, 1j * g.KY * Phat))
+    # -<v, grad Phi> = <div v, Phi>.  The spectrum of Phi is that of Phi
+    # minus its ramp plus that of phi_s + gbar (p1 - p), a product of a
+    # horizontal and a vertical spectrum.
+    D = _divergence_hat(g, V1, V2)
+    gbar_hat = scipy.fft.fft2(ctx.it.gbar) / (g.nx * g.ny)
+    Phat = ctx.hats[0] + gbar_hat[:, :, None] * k.ramp_hat
+    Phat[..., 0] += k.phi_s_hat
+    coupling = _pair(g, D, Phat)
 
-    om = diagnose_omega(st.v1, st.v2, check=False).data
-    heat_flux = -float(g.volume * np.mean(it.gfield * om))
+    om = _integral_to_p1(g, D)
+    heat_flux = -float(g.volume * np.mean(ctx.it.gfield * om))
 
     if forcing is not None:
         fv1, fv2, fth, fq = forcing(state.t)
@@ -218,30 +415,30 @@ def budget_terms(state: State, params: PhysParams, forcing=None) -> dict:
     else:
         w_f_v = w_f_th = w_f_q = 0.0
 
-    l2s = parseval_sum(g, st.data)  # the squared L2 norm of each field / volume
+    E, kh2 = 0.5 * sq["l2"], sq["kh2"]
     return {
         "v": {
-            "E": 0.5 * g.volume * float(l2s[0] + l2s[1]),
-            "diss_h": diss["v"]["h"],
-            "diss_v": diss["v"]["p"],
+            "E": float(E[0] + E[1]),
+            "diss_h": params.mu_v * float(kh2[0] + kh2[1]),
+            "diss_v": nu["v"] * float(pairs[0] + pairs[1]),
             "coupling": coupling,
             "coupling_heat_flux": heat_flux,
-            "coriolis_work": coriolis_work(phys, params),
+            "coriolis_work": coriolis_work(state, params, ctx=ctx),
             "forcing_work": w_f_v,
         },
         "theta": {
-            "E": 0.5 * g.volume * float(l2s[2]),
-            "diss_h": diss["theta"]["h"],
-            "diss_v": diss["theta"]["p"],
+            "E": float(E[2]),
+            "diss_h": params.mu_theta * float(kh2[2]),
+            "diss_v": nu["theta"] * float(pair_theta),
             "coupling": 0.0,
             "coupling_heat_flux": 0.0,
             "coriolis_work": 0.0,
             "forcing_work": w_f_th,
         },
         "q": {
-            "E": 0.5 * g.volume * float(l2s[3]),
-            "diss_h": diss["q"]["h"],
-            "diss_v": diss["q"]["p"],
+            "E": float(E[3]),
+            "diss_h": params.mu_q * float(kh2[3]),
+            "diss_v": nu["q"] * float(pairs[2]),
             "coupling": 0.0,
             "coupling_heat_flux": 0.0,
             "coriolis_work": 0.0,
@@ -357,57 +554,46 @@ class GronwallRecord:
     scalars: dict
 
 
-def _sq(x: float) -> float:
-    return x * x
+def gronwall_record(state: State, params: PhysParams, forcing=None,
+                    ctx: SampleContext | None = None) -> GronwallRecord:
+    """The squared norms the a-priori forms are made of; ctx is the state's
+    SampleContext when the caller has one (see sample_context)."""
+    ctx = _context(state, params, ctx)
+    sq, W = ctx.sq, ctx.vertical
 
+    def v(form):
+        return float(sq[form][0] + sq[form][1])
 
-def gronwall_record(state: State, params: PhysParams, forcing=None) -> GronwallRecord:
-    g = state.grid
-    v1, v2, th, _ = state.as_spectral().fields
-    dpv1, dpv2, dpth = (derivative(f, "p") for f in (v1, v2, th))
-
-    def vecs(fields, order):
-        return sum(_sq(sobolev_norm(f, order)) for f in fields)
-
-    def wsum(field, mult):
-        return spectral_weighted_sum(field, mult)
-
-    kh2 = g.kh2
-    kp2 = g.KP**2
-
-    lap_dpv_w = 0.0
-    for f in (dpv1, dpv2):
-        lap = Field3D.spectral(g, -kh2 * f.data).as_physical()
-        lap_dpv_w += _sq(weighted_norm_w(lap, params))
+    def th(form):
+        return float(sq[form][2])
 
     scal = {
-        "v_h1s": vecs((v1, v2), 1),
-        "v_h2s": vecs((v1, v2), 2),
-        "v_h3s": vecs((v1, v2), 3),
-        "th_h1s": _sq(sobolev_norm(th, 1)),
-        "th_h2s": _sq(sobolev_norm(th, 2)),
-        "th_h3s": _sq(sobolev_norm(th, 3)),
-        "vp_h1s": vecs((dpv1, dpv2), 1),
-        "vp_h2s": vecs((dpv1, dpv2), 2),
-        "thp_h1s": _sq(sobolev_norm(dpth, 1)),
-        "thp_h2s": _sq(sobolev_norm(dpth, 2)),
-        "lapv_s": wsum(v1, kh2**2) + wsum(v2, kh2**2),
-        "grad_lapv_s": wsum(v1, kh2**3) + wsum(v2, kh2**3),
-        "lap_dpv_w_s": lap_dpv_w,
-        "lapth_s": wsum(th, kh2**2),
-        "grad_lapth_s": wsum(th, kh2**3),
-        "lap_dpth_s": wsum(th, kh2**2 * kp2),
-        "gradth_s": wsum(th, kh2),
-        "grad_dpth_s": wsum(dpth, kh2),
+        "v_h1s": v("h1"),
+        "v_h2s": v("h2"),
+        "v_h3s": v("h3"),
+        "th_h1s": th("h1"),
+        "th_h2s": th("h2"),
+        "th_h3s": th("h3"),
+        "vp_h1s": v("dp_h1"),
+        "vp_h2s": v("dp_h2"),
+        "thp_h1s": th("dp_h1"),
+        "thp_h2s": th("dp_h2"),
+        "lapv_s": v("kh4"),
+        "grad_lapv_s": v("kh6"),
+        "lap_dpv_w_s": float(W[0, 2] + W[1, 2]),
+        "lapth_s": th("kh4"),
+        "grad_lapth_s": th("kh6"),
+        "lap_dpth_s": th("kh4_kp2"),
+        "gradth_s": th("kh2"),
+        "grad_dpth_s": th("kh2_kp2"),
     }
 
     if forcing is not None:
-        Fv1, Fv2, Fth, _ = State.of(g, np.asarray(forcing(state.t)), SPECTRAL).fields
-        scal["fv_h1s"] = _sq(sobolev_norm(Fv1, 1)) + _sq(sobolev_norm(Fv2, 1))
-        scal["dpfv_s"] = (_sq(sobolev_norm(derivative(Fv1, "p"), 0))
-                          + _sq(sobolev_norm(derivative(Fv2, "p"), 0)))
-        scal["fth_h1s"] = _sq(sobolev_norm(Fth, 1))
-        scal["dpfth_s"] = _sq(sobolev_norm(derivative(Fth, "p"), 0))
+        fq = _quadratic_forms(ctx.constants, np.asarray(forcing(state.t))[:3])
+        scal["fv_h1s"] = float(fq["h1"][0] + fq["h1"][1])
+        scal["dpfv_s"] = float(fq["dp"][0] + fq["dp"][1])
+        scal["fth_h1s"] = float(fq["h1"][2])
+        scal["dpfth_s"] = float(fq["dp"][2])
     else:
         scal["fv_h1s"] = scal["dpfv_s"] = scal["fth_h1s"] = scal["dpfth_s"] = 0.0
 
@@ -471,7 +657,8 @@ def gronwall_series(records, params: PhysParams) -> dict:
 
 
 def coriolis_work(state: State, params: PhysParams,
-                  variant: ModelVariant = FAITHFUL) -> float:
+                  variant: ModelVariant = FAITHFUL,
+                  ctx: SampleContext | None = None) -> float:
     """Energy input of the rotation term exactly as the tendency applies it.
 
     The faithful term is f(-v2, v1) entering the velocity equation with a
@@ -479,7 +666,6 @@ def coriolis_work(state: State, params: PhysParams,
     implementation whose sign or component pairing differs does measurable
     work, which is what this check is for.
     """
-    phys = state.as_physical()
-    v1, v2 = phys.v1.data, phys.v2.data
+    v1, v2 = (state.as_physical().data if ctx is None else _context(state, params, ctx).phys)[:2]
     cor1, cor2 = coriolis_term(v1, v2, params, variant)
     return float(state.grid.volume * np.mean(v1 * -cor1 + v2 * -cor2))

@@ -207,6 +207,7 @@ class Trajectory:
     final_state: State | None = None
     completed: bool = False
     blowup_time: float | None = None
+    blowup_detail: str | None = None  # the step, field, norm and limit that tripped
     gronwall: list | None = None
 
     @property
@@ -218,6 +219,8 @@ class Trajectory:
 
 
 BLOWUP_FACTOR = 1e8
+
+FIELD_NAMES = ("v1", "v2", "theta", "q")
 
 
 def run(
@@ -244,6 +247,12 @@ def run(
     sample.  Divergence of the solution (a non-finite value, or any field's L2
     norm exceeding 1e8 times its initial size) stops the run; the partial
     trajectory is returned with completed=False unless raise_on_blowup is set.
+    Either way the report names the step, the field whose norm tripped, that
+    norm and its limit.  The floating-point warnings of a diverging step are
+    silenced; the norm check reports the divergence instead.
+
+    Each record point converts the state once (monitors.sample_context), and
+    every monitor and the checksum read that one conversion.
     """
     from . import monitors  # local import: monitors imports model, not stepper
 
@@ -267,14 +276,17 @@ def run(
 
     traj = Trajectory(gronwall=[] if collect_gronwall else None)
     gron = traj.gronwall
+    constants = monitors.MonitorConstants(g, params)
 
     def record(s: State):
-        budget = monitors.budget_terms(s, params, forcing) if collect_budget else None
-        rep = monitors.norm_report(s, params)
-        sample = TrajectorySample(s.t, s.checksum(), rep, budget)
+        ctx = monitors.sample_context(s, params, constants)
+        budget = monitors.budget_terms(s, params, forcing, ctx=ctx) if collect_budget else None
+        rep = monitors.norm_report(s, params, ctx=ctx)
+        sample = TrajectorySample(s.t, s.checksum(ctx), rep, budget)
         traj.samples.append(sample)
         if gron is not None:
-            gron.append(monitors.gronwall_record(s, params, forcing))
+            gron.append(monitors.gronwall_record(s, params, forcing, ctx=ctx))
+        del ctx  # its arrays are not kept through the callback
         if on_sample is not None:
             on_sample(s, sample)
 
@@ -283,17 +295,24 @@ def run(
     t0 = st.t
     n_prev = None
     for k in range(1, n_steps + 1):
-        if config.scheme == "imex_cnab2":
-            st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
-        else:
-            st = erk4_step(st, config.dt, params, forcing, variant, ws)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.scheme == "imex_cnab2":
+                st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
+            else:
+                st = erk4_step(st, config.dt, params, forcing, variant, ws)
+            norms = l2_norms(st)
         st = st.with_time(t0 + k * config.dt)
         # a non-finite value makes its norm NaN or infinite, which fails too
-        if not np.all(l2_norms(st) <= limits):
+        if not np.all(norms <= limits):
+            # name the field furthest past its limit, a non-finite one first
+            i = int(np.argmax(np.where(np.isfinite(norms), norms / limits, np.inf)))
             traj.blowup_time = st.t
+            traj.blowup_detail = (f"(step {k}): ||{FIELD_NAMES[i]}||_L2 = {norms[i]:.6g}, "
+                                  f"limit {limits[i]:.6g}")
             traj.final_state = st
             if raise_on_blowup:
-                raise BlowupError(f"solution diverged at t = {st.t:.6g}", st.t)
+                raise BlowupError(f"solution diverged at t = {st.t:.6g} {traj.blowup_detail}",
+                                  st.t, traj.blowup_detail)
             return traj
         if k % record_every == 0 or k == n_steps:
             record(st)

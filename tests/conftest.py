@@ -48,3 +48,27 @@ def fft_fields(monkeypatch):
     for name in ("rfftn", "irfftn"):
         monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name)))
     return moved
+
+
+# every entry point of scipy.fft the package can call
+FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                    "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A two-item list [calls, fields]: the calls of every scipy.fft entry
+    point and the 3-D fields they move, a stack counting each of its fields
+    (whatever axes the call transforms)."""
+    counts = [0, 0]
+
+    def counting(fn):
+        def wrapped(x, *args, **kwargs):
+            counts[0] += 1
+            counts[1] += int(np.prod(np.shape(x)[:-3]))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name)))
+    return counts

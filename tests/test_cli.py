@@ -1,10 +1,14 @@
 """Exit codes and file outputs of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import moistpe
 from moistpe import probes
 from moistpe.checkpoint import read_checkpoint, write_checkpoint
 from moistpe.cli import MUTATIONS, PROBE_KINDS, main
@@ -245,6 +249,29 @@ def test_run_blowup_exit_code(tmp_path, capsys):
            "time.t_end": "2.0"})
     assert main(["run", "--config", cfg, "--quiet"]) == 2
     assert "blowup at t =" in capsys.readouterr().err
+
+
+def test_run_blowup_is_quiet_and_names_what_tripped(tmp_path):
+    # the diverging step overflows inside the tendency; only the blowup line
+    # may reach stderr
+    cfg = _write_config(
+        tmp_path,
+        **{"initial.kind": "random_smooth:3,1e5", "time.dt": "0.05", "time.t_end": "1.0"})
+    src = os.path.dirname(os.path.dirname(moistpe.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from moistpe.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "run", "--config", cfg, "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    t = float(line.split("blowup at t = ")[1].split()[0])
+    step = round(t / 0.05)
+    assert line.startswith(f"blowup at t = {t:.6g} (step {step}): ||")
+    name = line.split("||")[1]
+    assert name in ("v1", "v2", "theta", "q")
+    assert "_L2 = " in line and ", limit " in line
 
 
 @pytest.mark.parametrize("amplitude", ["1e3", "1e5"])

@@ -201,3 +201,18 @@ def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
     for f, c in zip(again, copies):
         assert np.array_equal(f, c)
     assert not np.array_equal(ms.forcing(0.02)[0], copies[0])
+
+
+def test_forcing_of_an_earlier_time_is_left_unchanged(grid16, params):
+    ms = ManufacturedSolution(get_case("gentle"), grid16, params)
+    t1, t2 = 0.125, 0.25
+    first = ms.forcing(t1)
+    kept = first.copy()
+    second = ms.forcing(t2)
+    assert second is not first
+    assert np.array_equal(first, kept)
+    assert not first.flags.writeable and not second.flags.writeable
+    # the operations of mdot U - m L - m^2 Q - S, in that order
+    for t, f in ((t1, first), (t2, second)):
+        m, mdot = ms.modulation(t)
+        assert np.array_equal(f, mdot * ms._Uhat - m * ms._L - (m * m) * ms._Q - ms._S)

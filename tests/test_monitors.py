@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from moistpe.fields import SPECTRAL, Field3D, derivative
-from moistpe.errors import SamplingError
+from moistpe import monitors
+from moistpe.fields import SPECTRAL, Field3D, derivative, rfftn_norm
+from moistpe.errors import DataError, SamplingError
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.manufactured import ManufacturedSolution, get_case
-from moistpe.model import (ModelVariant, diagnose_phi, hydrostatic_residual,
+from moistpe.model import (Coefficients, ModelVariant, _dp_viscous, _pair,
+                           _viscous_flux_hat, diagnose_phi, hydrostatic_residual,
                            temperature_from_theta)
 from moistpe.monitors import (
+    MonitorConstants,
     NormReport,
     budget_terms,
     coriolis_work,
@@ -21,10 +24,11 @@ from moistpe.monitors import (
     gronwall_series,
     minkowski_probe,
     norm_report,
+    sample_context,
     trilinear_bound,
     trilinear_form,
 )
-from moistpe.norms import sobolev_norm, weighted_norm_w
+from moistpe.norms import sobolev_norm, spectral_weighted_sum, weighted_norm_w
 from moistpe.params import PhysParams, Profile
 from moistpe.probes import seeded_scalar, seeded_velocity
 from moistpe.state import State
@@ -137,10 +141,198 @@ def test_norm_report_builds_the_integrand_once(grid16, params, fft_fields):
     theta = st.as_physical().theta
     fft_fields[0] = 0
     rep = norm_report(st, params)
-    assert fft_fields[0] == 18
+    assert fft_fields[0] == 10
     # the shared integrand gives what the public functions give, bit for bit
     assert rep.hydro_residual == hydrostatic_residual(diagnose_phi(theta, params), theta, params)
     assert rep.l2_T == sobolev_norm(temperature_from_theta(theta, params), 0)
+
+
+# --- one sample context ---------------------------------------------------
+
+
+def test_one_record_from_one_context_is_cheap(grid16, params, fft_calls, monkeypatch):
+    # a record point: the context, the norm panel, the checksum and the budget
+    st = random_smooth(grid16, 5, amplitude=1.0)
+    constants = MonitorConstants(grid16, params)
+    builds = [0]
+    init = Coefficients.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coefficients, "__init__", counting_init)
+    fft_calls[:] = [0, 0]
+    ctx = sample_context(st, params, constants)
+    norm_report(st, params, ctx=ctx)
+    st.checksum(ctx)
+    budget_terms(st, params, ctx=ctx)
+    # [calls, fields]: [35, 44] when every monitor converted the state itself
+    assert fft_calls == [10, 19]
+    assert builds[0] == 0
+
+
+def _monitors(st, params, forcing=None, ctx=None):
+    """Every number the monitors record for st, and its checksum."""
+    numbers = dict(norm_report(st, params, ctx=ctx).to_dict())
+    numbers.pop("budget_residual")
+    for var, terms in budget_terms(st, params, forcing, ctx=ctx).items():
+        numbers.update({f"{var}.{key}": value for key, value in terms.items()})
+    numbers.update(gronwall_record(st, params, forcing, ctx=ctx).scalars)
+    numbers["coriolis_work"] = coriolis_work(st, params, ctx=ctx)
+    return numbers, st.checksum(ctx)
+
+
+def _assert_close(got: dict, want: dict, rel: float, scale: float = 0.0):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=rel, abs=rel * scale), key
+
+
+def _sample_states(params):
+    g16 = Grid(16, 16, 16, params.p0, params.p1)
+    g24 = Grid(24, 24, 24, params.p0, params.p1)
+    ms = ManufacturedSolution(get_case("gentle"), g16, params)
+    return {
+        "smooth16": (random_smooth(g16, 21, amplitude=1.5), None),
+        "smooth24": (random_smooth(g24, 22, amplitude=1.5), None),
+        "physical": (random_smooth(g16, 23, amplitude=1.5).as_physical(), None),
+        "forced": (ms.exact_state(0.3), ms.forcing),
+    }
+
+
+@pytest.mark.parametrize("case", ["smooth16", "smooth24", "physical", "forced"])
+def test_context_gives_what_the_standalone_calls_give(params, case):
+    st, forcing = _sample_states(params)[case]
+    with_ctx, checksum = _monitors(st, params, forcing, sample_context(st, params))
+    alone, checksum_alone = _monitors(st, params, forcing)
+    assert checksum == checksum_alone
+    _assert_close(with_ctx, alone, rel=1e-13)
+    assert st.checksum(sample_context(st, params)) == st.checksum()
+
+
+def test_context_belongs_to_its_state(grid16, params):
+    st = random_smooth(grid16, 5, amplitude=1.0)
+    other = random_smooth(grid16, 6, amplitude=1.0)
+    ctx = sample_context(st, params)
+    with pytest.raises(DataError):
+        norm_report(other, params, ctx=ctx)
+    with pytest.raises(DataError):
+        other.checksum(ctx)
+    with pytest.raises(DataError):
+        sample_context(st, params, MonitorConstants(Grid(8, 8, 8, params.p0, params.p1), params))
+
+
+def test_context_leaves_the_state_as_it_was(grid16, params):
+    st = random_smooth(grid16, 5, amplitude=1.0)
+    before = st.data.copy()
+    ctx = sample_context(st, params)
+    _monitors(st, params, ctx=ctx)
+    assert np.array_equal(st.data, before)
+
+
+@pytest.mark.parametrize("band", [5, 8])
+def test_weighted_sums_do_not_depend_on_the_chunk_size(grid16, params, monkeypatch, band):
+    # band 5 lies inside the 2/3 ball (cut rows), band 8 does not
+    st = random_smooth(grid16, 12, amplitude=1.0, band=band)
+    want, _ = _monitors(st, params)
+    monkeypatch.setattr(monitors, "_CHUNK_BYTES", 1)
+    got, _ = _monitors(st, params)
+    _assert_close(got, want, rel=1e-14)
+
+
+def _vertical_dissipation_3d(field, params, which):
+    """nu <dps, dealias(c dps)> through full 3-D transforms."""
+    g = field.grid
+    co = Coefficients(g, params)
+    nu = getattr(params, f"nu_{which}")
+    dpf = _dp_viscous(g, co, g.dealias_mask, field.as_spectral().data, which)
+    return nu * _pair(g, rfftn_norm(g, dpf), _viscous_flux_hat(g, co, g.dealias_mask, dpf))
+
+
+@pytest.mark.parametrize("band", [5, 8])
+def test_budget_terms_match_their_3d_definitions(grid16, params, band):
+    # band 8 leaves the 2/3 ball, down to the Nyquist rows
+    st = random_smooth(grid16, 31, amplitude=1.0, band=band)
+    bt = budget_terms(st, params)
+    for var, rows in (("v", (st.v1, st.v2)), ("theta", (st.theta,)), ("q", (st.q,))):
+        which = "v" if var == "v" else var
+        diss_v = sum(_vertical_dissipation_3d(f, params, which) for f in rows)
+        diss_h = getattr(params, f"mu_{which}") * sum(
+            spectral_weighted_sum(f, grid16.kh2) for f in rows)
+        energy = 0.5 * sum(sobolev_norm(f, 0) ** 2 for f in rows)
+        assert bt[var]["diss_v"] == pytest.approx(diss_v, rel=1e-12), var
+        assert bt[var]["diss_h"] == pytest.approx(diss_h, rel=1e-12), var
+        assert bt[var]["E"] == pytest.approx(energy, rel=1e-12), var
+    # -<v, grad Phi>, Phi transformed as a whole
+    phys = st.as_physical()
+    Phat = rfftn_norm(grid16, diagnose_phi(phys.theta, params).data)
+    V = st.as_spectral().data
+    coupling = -(_pair(grid16, V[0], 1j * grid16.KX * Phat)
+                 + _pair(grid16, V[1], 1j * grid16.KY * Phat))
+    scale = sobolev_norm(st.v1, 0) * sobolev_norm(Field3D.spectral(grid16, Phat), 1)
+    assert bt["v"]["coupling"] == pytest.approx(coupling, rel=1e-12, abs=1e-13 * scale)
+
+
+def _gronwall_3d(st, params, forcing=None):
+    """The Gronwall scalars through Sobolev norms of derivative fields and
+    weighted norms of physical samples."""
+    g = st.grid
+    v1, v2, th, _ = st.as_spectral().fields
+    dpv1, dpv2, dpth = (derivative(f, "p") for f in (v1, v2, th))
+    kh2, kp2 = g.kh2, g.KP**2
+
+    def sq(fields, order):
+        return sum(sobolev_norm(f, order) ** 2 for f in fields)
+
+    def wsum(fields, mult):
+        return sum(spectral_weighted_sum(f, mult) for f in fields)
+
+    lap_dpv_w = sum(
+        weighted_norm_w(Field3D.spectral(g, -kh2 * f.data).as_physical(), params) ** 2
+        for f in (dpv1, dpv2))
+    out = {
+        "v_h1s": sq((v1, v2), 1), "v_h2s": sq((v1, v2), 2), "v_h3s": sq((v1, v2), 3),
+        "th_h1s": sq((th,), 1), "th_h2s": sq((th,), 2), "th_h3s": sq((th,), 3),
+        "vp_h1s": sq((dpv1, dpv2), 1), "vp_h2s": sq((dpv1, dpv2), 2),
+        "thp_h1s": sq((dpth,), 1), "thp_h2s": sq((dpth,), 2),
+        "lapv_s": wsum((v1, v2), kh2**2), "grad_lapv_s": wsum((v1, v2), kh2**3),
+        "lap_dpv_w_s": lap_dpv_w,
+        "lapth_s": wsum((th,), kh2**2), "grad_lapth_s": wsum((th,), kh2**3),
+        "lap_dpth_s": wsum((th,), kh2**2 * kp2), "gradth_s": wsum((th,), kh2),
+        "grad_dpth_s": wsum((dpth,), kh2),
+        "fv_h1s": 0.0, "dpfv_s": 0.0, "fth_h1s": 0.0, "dpfth_s": 0.0,
+    }
+    if forcing is not None:
+        f1, f2, fth, _ = State.of(g, forcing(st.t), SPECTRAL).fields
+        out["fv_h1s"] = sq((f1, f2), 1)
+        out["dpfv_s"] = sq((derivative(f1, "p"), derivative(f2, "p")), 0)
+        out["fth_h1s"] = sq((fth,), 1)
+        out["dpfth_s"] = sq((derivative(fth, "p"),), 0)
+    return out
+
+
+@pytest.mark.parametrize("case", ["smooth16", "smooth24", "forced"])
+def test_gronwall_scalars_match_their_3d_definitions(params, case):
+    st, forcing = _sample_states(params)[case]
+    _assert_close(gronwall_record(st, params, forcing).scalars,
+                  _gronwall_3d(st, params, forcing), rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant(dealias=False),
+                                     ModelVariant(coriolis_bug=True)])
+def test_defective_runs_record_the_faithful_monitors(grid16, params, variant):
+    st = random_smooth(grid16, 5, amplitude=0.5)
+    seen = []
+    traj = run(st, params, StepConfig(dt=1e-3, t_end=3e-3), variant=variant,
+               collect_budget=True, collect_gronwall=True,
+               on_sample=lambda s, sample: seen.append((s, sample)))
+    assert len(seen) == len(traj.gronwall) == 4
+    for (s, sample), gron in zip(seen, traj.gronwall):
+        assert sample.report == norm_report(s, params)
+        assert sample.budget == budget_terms(s, params)
+        assert gron.scalars == gronwall_record(s, params).scalars
+        assert sample.checksum == s.checksum()
 
 
 # --- energy budgets -------------------------------------------------------

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
 from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
-                            irfftn_norm, parity_project, parity_violation,
-                            rfftn_norm)
+                            horizontal_spectra, irfftn_norm, parity_project,
+                            parity_violation, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -360,3 +360,23 @@ def test_derivative_linearity_property(seed, a, b):
     rhs = a * derivative(f1, "x").data + b * derivative(f2, "x").data
     scale = max(1.0, np.abs(rhs).max())
     assert np.abs(lhs - rhs).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (16, 12, 10), (10, 16, 12)])
+def test_horizontal_spectra_synthesise_the_samples(shape, params):
+    # arbitrary coefficients, the kp = 0 and Nyquist planes not Hermitian
+    g = Grid(*shape, params.p0, params.p1)
+    rng = np.random.default_rng(sum(shape))
+    C = (rng.standard_normal((3,) + g.spectral_shape)
+         + 1j * rng.standard_normal((3,) + g.spectral_shape))
+    F = horizontal_spectra(g, C)
+    assert F.shape == (3, g.nx, g.ny // 2 + 1, g.np)
+    # the rows left out are the conjugates of the mirrored ones
+    full = np.empty((3, g.nx, g.ny, g.np), dtype=complex)
+    full[:, :, :g.ny // 2 + 1] = F
+    ky = np.arange(g.ny // 2 + 1, g.ny)
+    full[:, :, ky] = np.conj(F[:, (-np.arange(g.nx)) % g.nx][:, :, g.ny - ky])
+    samples = np.fft.ifft2(full, axes=(1, 2), norm="forward")
+    f = irfftn_norm(g, C)
+    assert np.max(np.abs(samples.imag)) <= 1e-13 * np.max(np.abs(f))
+    assert np.max(np.abs(samples.real - f)) <= 1e-13 * np.max(np.abs(f))

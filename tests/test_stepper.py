@@ -15,7 +15,7 @@ from moistpe.fields import Field3D
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import FAITHFUL
-from moistpe.norms import sobolev_norm
+from moistpe.norms import parseval_sum
 from moistpe.params import PhysParams, Profile
 from moistpe.state import State
 from moistpe import stepper
@@ -194,6 +194,30 @@ def test_divergent_run_raises_when_asked():
     with pytest.raises(BlowupError) as exc:
         run(st, pr, cfg, raise_on_blowup=True)
     assert exc.value.t_last > 0.0
+    traj = run(st, pr, cfg)
+    assert exc.value.detail == traj.blowup_detail
+    assert traj.blowup_detail in str(exc.value)
+
+
+def test_blowup_names_the_step_field_norm_and_limit():
+    g = _grid(8)
+    pr = PhysParams()
+    st = random_smooth(g, 3, amplitude=1e5)
+    traj = run(st, pr, StepConfig(dt=0.05, t_end=1.0))
+    assert not traj.completed
+    step = round(traj.blowup_time / 0.05)
+    start = run(st, pr, StepConfig(dt=0.05, t_end=0.0)).final_state
+    ref = np.sqrt(g.volume * parseval_sum(g, start.data))
+    # "(step k): ||name||_L2 = norm, limit L"
+    head, norm_part = traj.blowup_detail.split(": ")
+    assert head == f"(step {step})"
+    name = norm_part.split("||")[1]
+    assert name in stepper.FIELD_NAMES
+    norm = float(norm_part.split(" = ")[1].split(",")[0])
+    limit = float(norm_part.split("limit ")[1])
+    i = stepper.FIELD_NAMES.index(name)
+    assert limit == pytest.approx(stepper.BLOWUP_FACTOR * ref[i], rel=1e-5)
+    assert not (norm <= limit)
 
 
 def test_record_every_thins_samples_but_keeps_the_endpoint():
