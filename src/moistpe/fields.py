@@ -151,6 +151,17 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, planes: int | None = None) -> np.
     return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 
+def fft2_norm(data: np.ndarray) -> np.ndarray:
+    """Normalized Fourier coefficients of a horizontal (nx, ny) array, the
+    two-dimensional counterpart of rfftn_norm (full, complex layout)."""
+    return _fft.fft2(data, norm="forward", workers=_workers())
+
+
+def ifft2_norm(coeff: np.ndarray) -> np.ndarray:
+    """Inverse of fft2_norm; complex samples, real for a Hermitian coeff."""
+    return _fft.ifft2(coeff, norm="forward", workers=_workers())
+
+
 def horizontal_spectra(grid: Grid, coeff: np.ndarray) -> np.ndarray:
     """The horizontal Fourier coefficients of one field or a stack at every
     p-level: F with

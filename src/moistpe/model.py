@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConstraintError, DataError
-from .fields import PHYSICAL, SPECTRAL, Field3D, irfftn_norm, rfftn_norm
+from .fields import PHYSICAL, SPECTRAL, Field3D, ifft2_norm, irfftn_norm, rfftn_norm
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -195,7 +195,7 @@ def omega_top_residual(v1: Field3D, v2: Field3D) -> float:
     g = v1.grid
     dbar_hat = _divergence_hat(g, v1.as_spectral().data[..., :1],
                                v2.as_spectral().data[..., :1])[:, :, 0]
-    dbar = np.real(np.fft.ifft2(dbar_hat)) * g.nx * g.ny
+    dbar = ifft2_norm(dbar_hat).real
     return g.Lp * float(np.max(np.abs(dbar)))
 
 

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import DataError, SamplingError
-from .fields import (SPECTRAL, Field3D, horizontal_spectra, irfftn_norm,
-                     parity_deviation, rfftn_norm)
+from .fields import (SPECTRAL, Field3D, _workers, fft2_norm, horizontal_spectra,
+                     irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
@@ -113,22 +113,14 @@ class MonitorConstants:
         self.w_kp2_pow = np.repeat(grid.parseval_weights[0, 0, :, None] * kp2_pow, 2, axis=0)
         self.iKP = 1j * grid.KP
         self.mask = grid.dealias_mask
-        # the horizontal rows of the 2/3 ball in FFT order: cut to them, a
-        # stack inside the ball keeps each mode with its mirror mode
-        jx, jy, _ = grid.mode_index
-        self.rows = (np.flatnonzero(jx <= grid.nx // 3)[:, None],
-                     np.flatnonzero(jy <= grid.ny // 3))
         # kh2^r on the rows horizontal_spectra keeps, each counted with its
-        # conjugate: over all rows, and over those of the ball
+        # conjugate
         self.kh2_half = _half_rows(kh2)
-        self.kh2_half_ball = _half_rows(kh2[self.rows])
         # volume / np * c(p), a mean over p times the volume, for the
         # interleaved real and imaginary parts of a complex row
         self.c_mean2 = np.repeat(grid.volume / grid.np * self.co.c, 2)
-        # the spectra of phi_s (horizontal) and of p1 - p (vertical),
-        # normalized like rfftn_norm's
-        self.phi_s_hat = scipy.fft.fft2(self.co.phi_s) / (grid.nx * grid.ny)
-        self.ramp_hat = scipy.fft.rfft(params.p1 - grid.p) / grid.np
+        # the spectrum of p1 - p, normalized like rfftn_norm's
+        self.ramp_hat = scipy.fft.rfft(params.p1 - grid.p, norm="forward", workers=_workers())
 
     def in_ball(self, A: np.ndarray) -> bool:
         """Whether the spectral stack A is zero outside the 2/3 ball: on the
@@ -154,11 +146,7 @@ def _quadratic_forms(k: MonitorConstants, A: np.ndarray) -> dict:
     return dict(zip(_FORMS, values.T))
 
 
-_CHUNK_BYTES = 1 << 22  # the mixed representation of a stack goes in chunks of this size
-
-
-def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None,
-            cut: bool = False) -> np.ndarray:
+def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """|M| * mean over p of c(p) sum_kh kh2^r Re(conj(b_kh) a_kh), r = 0, 1, 2,
     for the fields a of the spectral stack A and b of B (default a).
 
@@ -167,21 +155,14 @@ def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None,
     weighted collocation integral into a sum over the modes and horizontal
     derivatives into multipliers.  For r = 0 and b = a this is ||f||_w^2.
     The multipliers treat the horizontal Nyquist rows like the others; a
-    field inside the 2/3 ball has nothing there.  With cut, A (and B) hold
-    only the horizontal rows of the ball (k.rows) of fields inside it.
+    field inside the 2/3 ball has nothing there.
     """
     g = k.grid
-    kh2_pow = k.kh2_half_ball if cut else k.kh2_half
-    m, nx, ny, _ = A.shape
-    out = np.empty((m, 3))
-    per = max(1, _CHUNK_BYTES // (16 * nx * ny * g.np))
-    for i in range(0, m, per):
-        # Re(conj(b) a) summed against c(p) on the real and imaginary parts
-        a = horizontal_spectra(g, A[i:i + per]).view(np.float64)
-        b = a if B is None else horizontal_spectra(g, B[i:i + per]).view(np.float64)
-        prod = np.multiply(a, b, out=a).reshape(len(a), -1, 2 * g.np)
-        out[i:i + per] = (kh2_pow @ prod) @ k.c_mean2
-    return out
+    # Re(conj(b) a) summed against c(p) on the real and imaginary parts
+    a = horizontal_spectra(g, A).view(np.float64)
+    b = a if B is None else horizontal_spectra(g, B).view(np.float64)
+    prod = np.multiply(a, b, out=a).reshape(len(A), -1, 2 * g.np)
+    return (k.kh2_half @ prod) @ k.c_mean2
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +192,10 @@ class SampleContext:
     def vertical(self) -> np.ndarray:
         """_w_sums of dp v1, dp v2, dp q, dp^2 v1 and dp^2 v2, in that order."""
         k = self.constants
-        U = self.spec[:, k.rows[0], k.rows[1]] if self.in_ball else self.spec
-        A = np.empty((5,) + U.shape[1:], dtype=np.complex128)
-        np.multiply(k.iKP, U[[0, 1, 3]], out=A[:3])
+        A = np.empty((5,) + self.spec.shape[1:], dtype=np.complex128)
+        np.multiply(k.iKP, self.spec[[0, 1, 3]], out=A[:3])
         np.multiply(k.iKP, A[:2], out=A[3:])
-        return _w_sums(k, A, cut=self.in_ball)
+        return _w_sums(k, A)
 
 
 def sample_context(state: State, params: PhysParams,
@@ -393,15 +373,13 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     # dealias(rfft((p0/p)^kappa theta))
     s_hat = rfftn_norm(g, k.co.pk * ctx.phys[2])
     s_hat *= k.mask
-    pair_theta = _w_sums(k, k.iKP * s_hat[None, k.rows[0], k.rows[1]], cut=True)[0, 0]
+    pair_theta = _w_sums(k, k.iKP * s_hat[None])[0, 0]
 
     # -<v, grad Phi> = <div v, Phi>.  The spectrum of Phi is that of Phi
-    # minus its ramp plus that of phi_s + gbar (p1 - p), a product of a
-    # horizontal and a vertical spectrum.
+    # minus its ramp (phi_s included) plus that of the ramp gbar (p1 - p),
+    # a product of a horizontal and a vertical spectrum.
     D = _divergence_hat(g, V1, V2)
-    gbar_hat = scipy.fft.fft2(ctx.it.gbar) / (g.nx * g.ny)
-    Phat = ctx.hats[0] + gbar_hat[:, :, None] * k.ramp_hat
-    Phat[..., 0] += k.phi_s_hat
+    Phat = ctx.hats[0] + fft2_norm(ctx.it.gbar)[:, :, None] * k.ramp_hat
     coupling = _pair(g, D, Phat)
 
     om = _integral_to_p1(g, D)
