@@ -56,6 +56,11 @@ def _load_numpy(key: str, path: str):
         raise ConfigError(f"{key}: cannot read {path!r} as a NumPy file: {exc}") from exc
 
 
+def _require_finite(key: str, what: str, arr) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key}: {what} holds non-finite values")
+
+
 def _load_phi_s(cfg, grid):
     if cfg.phi_s == "zero":
         return None
@@ -67,7 +72,9 @@ def _load_phi_s(cfg, grid):
         raise ConfigError(
             f"physics.phi_s: array at {path!r} has shape {arr.shape}, "
             f"expected {(grid.nx, grid.ny)}")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    _require_finite("physics.phi_s", f"array at {path!r}", arr)
+    return arr
 
 
 def _build_initial(cfg, grid, seed_override):
@@ -108,7 +115,9 @@ def _build_forcing(cfg, grid, params):
         if arr.shape != grid.shape:
             raise ConfigError(
                 f"forcing.kind: array {k} has shape {arr.shape}, expected {grid.shape}")
+        _require_finite("forcing.kind", f"array {k} of {arg!r}", arr)
     static = rfftn_norm(grid, np.stack(arrays))
+    static.flags.writeable = False
 
     def forcing(t):
         return static

@@ -50,41 +50,58 @@ from .stepper import StepConfig, run
 # --- resolution-independent random fields ----------------------------------
 
 
+def _seeded_table(seed: int, band: int, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mode table as an array C[jx + band, jy + band, jp], with the
+    number of times each entry occurs in the visiting order.
+
+    The modes are visited with jx, then jy, then jp ascending, and each
+    visit draws (re, im), so one (2b+1, 2b+1, b+1, 2) draw is the whole
+    stream.  On the jp = 0 plane a mode of the upper half (jx > 0, or
+    jx = 0 < jy) is followed at once by its conjugate mirror, the lower half
+    is placed only by those mirrors, and the origin is real: the counts are
+    2, 0 and 1 there, and 1 off the plane.
+    """
+    if band < 1:
+        raise ConfigError(f"band must be >= 1, got {band}")
+    shape = (2 * band + 1, 2 * band + 1, band + 1)
+    draws = np.random.default_rng(seed).standard_normal((*shape, 2))
+    j = np.arange(-band, band + 1)
+    jp = np.arange(band + 1)
+    # Python's float power is C pow; np.power can differ from it in the
+    # last bit, so the scale of each distinct |j|^2 is taken the same way
+    # the per-mode definition takes it
+    scale = np.array([(1.0 + m) ** (-decay) for m in range(3 * band * band + 1)])
+    scale = scale[j[:, None, None] ** 2 + j[None, :, None] ** 2 + jp ** 2]
+    C = np.empty(shape, dtype=np.complex128)
+    C.real = draws[..., 0] * scale
+    C.imag = draws[..., 1] * scale
+
+    upper = (j[:, None] > 0) | ((j[:, None] == 0) & (j > 0))
+    plane = C[:, :, 0]
+    plane[...] = np.where(upper, plane, np.conj(plane[::-1, ::-1]))
+    plane.imag[band, band] = 0.0
+    counts = np.ones(shape, dtype=np.intp)
+    counts[:, :, 0] = np.where(upper, 2, 0)
+    counts[band, band, 0] = 1
+    return C, counts
+
+
 def seeded_coefficients(seed: int, band: int, decay: float = 2.0) -> dict:
     """Complex mode table {(jx, jy, jp): c} for |jx|,|jy| <= band, 0 <= jp <= band.
 
     Modes are visited in a fixed order and every visit consumes the same
     number of draws, so the table depends only on (seed, band, decay).  The
     jp = 0 plane carries the conjugate symmetry of a real field explicitly.
+    The dict holds the modes in the visiting order of `_seeded_table`.
     """
-    if band < 1:
-        raise ConfigError(f"band must be >= 1, got {band}")
-    rng = np.random.default_rng(seed)
+    C, counts = _seeded_table(seed, band, decay)
     coeffs: dict[tuple[int, int, int], complex] = {}
-    for jx in range(-band, band + 1):
-        for jy in range(-band, band + 1):
-            for jp in range(band + 1):
-                re, im = rng.standard_normal(2)
-                scale = (1.0 + jx * jx + jy * jy + jp * jp) ** (-decay)
-                if jp == 0:
-                    if (jx, jy) == (0, 0):
-                        coeffs[(0, 0, 0)] = complex(re * scale, 0.0)
-                    elif jx > 0 or (jx == 0 and jy > 0):
-                        c = complex(re * scale, im * scale)
-                        coeffs[(jx, jy, 0)] = c
-                        coeffs[(-jx, -jy, 0)] = c.conjugate()
-                    # remaining half-plane entries were placed by their mirror
-                else:
-                    coeffs[(jx, jy, jp)] = complex(re * scale, im * scale)
+    for ix, iy, jp in zip(*np.nonzero(counts)):
+        jx, jy = int(ix) - band, int(iy) - band
+        coeffs[(jx, jy, int(jp))] = complex(C[ix, iy, jp])
+        if counts[ix, iy, jp] == 2:
+            coeffs[(-jx, -jy, 0)] = complex(C[2 * band - ix, 2 * band - iy, 0])
     return coeffs
-
-
-def _table_l2(coeffs: dict, Lp: float) -> float:
-    total = 0.0
-    for (jx, jy, jp), c in coeffs.items():
-        weight = 1.0 if jp == 0 else 2.0
-        total += weight * (c.real * c.real + c.imag * c.imag)
-    return float(np.sqrt(Lp * total))
 
 
 def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) -> Field3D:
@@ -94,11 +111,17 @@ def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) 
     if 3 * band > n_min:
         raise ConfigError(
             f"band {band} does not fit the dealiased ball of a {n_min}-point axis")
-    coeffs = seeded_coefficients(seed, band)
-    norm = _table_l2(coeffs, grid.Lp)
+    C, counts = _seeded_table(seed, band, 2.0)
+    terms = C.real * C.real + C.imag * C.imag
+    terms[:, :, 1:] *= 2.0
+    # one term at a time in the visiting order: a pairwise sum would move
+    # the norm, and with it every field, in the last bits
+    total = np.add.accumulate(np.repeat(terms.ravel(), counts.ravel()))[-1]
+    norm = float(np.sqrt(grid.Lp * total))
+    j = np.arange(-band, band + 1)
     A = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    for (jx, jy, jp), c in coeffs.items():
-        A[jx % grid.nx, jy % grid.ny, jp] = c * (amplitude / norm)
+    A[(j % grid.nx)[:, None, None], (j % grid.ny)[None, :, None], np.arange(band + 1)] = (
+        C * (amplitude / norm))
     return Field3D.spectral(grid, A)
 
 

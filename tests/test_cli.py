@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import moistpe
+from moistpe import config as config_mod
 from moistpe import probes
 from moistpe.checkpoint import read_checkpoint, write_checkpoint
-from moistpe.cli import MUTATIONS, PROBE_KINDS, main
+from moistpe.cli import MUTATIONS, PROBE_KINDS, _build_forcing, main
 from moistpe.config import RunConfig, build_params
 from moistpe.errors import ConfigError
 from moistpe.grid import Grid
@@ -222,6 +223,49 @@ def test_run_phi_s_archive_instead_of_array(tmp_path, capsys):
     _assert_configuration_error(capsys, "physics.phi_s")
 
 
+def _cli(*args, timeout=120):
+    """The CLI in a fresh interpreter, through `python -m moistpe`."""
+    src = os.path.dirname(os.path.dirname(moistpe.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "moistpe", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _phi_s_with_inf(tmp_path):
+    phi = np.zeros((8, 8))
+    phi[2, 5] = np.inf
+    np.save(tmp_path / "phi.npy", phi)
+    return tmp_path / "phi.npy", "phi.npy"
+
+
+def _forcing_with_nan(tmp_path):
+    fields = {k: np.zeros((8, 8, 8)) for k in ("fv1", "fv2", "ftheta", "fq")}
+    fields["ftheta"][1, 2, 3] = np.nan
+    np.savez(tmp_path / "forcing.npz", **fields)
+    return tmp_path / "forcing.npz", "ftheta"
+
+
+@pytest.mark.parametrize("key, make", [("physics.phi_s", _phi_s_with_inf),
+                                       ("forcing.kind", _forcing_with_nan)])
+def test_run_non_finite_input_file(tmp_path, key, make):
+    # both used to load and then stop as a blowup at the first step
+    path, array = make(tmp_path)
+    proc = _cli("run", "--config", _write_config(tmp_path, **{key: f"file:{path}"}), "--quiet")
+    assert proc.returncode == 1
+    line, = proc.stderr.splitlines()
+    assert line.startswith("configuration error: ") and "non-finite" in line
+    assert key in line and array in line
+
+
+def test_run_file_forcing_is_read_only(tmp_path):
+    fields = {k: np.full((8, 8, 8), 0.5) for k in ("fv1", "fv2", "ftheta", "fq")}
+    np.savez(tmp_path / "forcing.npz", **fields)
+    cfg = config_mod.load(
+        _write_config(tmp_path, **{"forcing.kind": f"file:{tmp_path / 'forcing.npz'}"}))
+    forcing = _build_forcing(cfg, config_mod.build_grid(cfg), build_params(cfg))
+    assert not forcing(0.0).flags.writeable
+
+
 @pytest.mark.parametrize("key", ["output.norms_path", "output.checkpoint_path"])
 def test_run_output_directory_missing(tmp_path, capsys, monkeypatch, key):
     target = tmp_path / "missing" / "out.dat"
@@ -257,12 +301,7 @@ def test_run_blowup_is_quiet_and_names_what_tripped(tmp_path):
     cfg = _write_config(
         tmp_path,
         **{"initial.kind": "random_smooth:3,1e5", "time.dt": "0.05", "time.t_end": "1.0"})
-    src = os.path.dirname(os.path.dirname(moistpe.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from moistpe.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "run", "--config", cfg, "--quiet"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _cli("run", "--config", cfg, "--quiet")
     assert proc.returncode == 2
     assert "Warning" not in proc.stderr
     line, = proc.stderr.splitlines()
@@ -294,6 +333,12 @@ def test_run_blowup_keeps_the_last_good_checkpoint(tmp_path, capsys, amplitude):
 
 
 # --- verify -----------------------------------------------------------------
+
+
+def test_module_entry_point_verifies():
+    proc = _cli("verify", "--suite", "invariants", "--quiet", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_verify_invariants_passes(tmp_path, capsys):

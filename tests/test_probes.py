@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from moistpe.errors import ConfigError
+from moistpe.fields import Field3D
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
-from moistpe.model import ModelVariant, divergence_residual
+from moistpe.model import ModelVariant, barotropic_project, divergence_residual
 from moistpe.norms import sobolev_norm
 from moistpe.monitors import coriolis_work as coriolis_work_applied
 from moistpe.params import PhysParams
@@ -41,6 +42,74 @@ EXPECTED_CHECKS = {
 # --- seeded fields --------------------------------------------------------
 
 
+def _loop_coefficients(seed, band, decay=2.0):
+    """The reference table: one rng.standard_normal(2) per visited mode."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for jx in range(-band, band + 1):
+        for jy in range(-band, band + 1):
+            for jp in range(band + 1):
+                re, im = rng.standard_normal(2)
+                scale = (1.0 + jx * jx + jy * jy + jp * jp) ** (-decay)
+                if jp == 0:
+                    if (jx, jy) == (0, 0):
+                        coeffs[(0, 0, 0)] = complex(re * scale, 0.0)
+                    elif jx > 0 or (jx == 0 and jy > 0):
+                        c = complex(re * scale, im * scale)
+                        coeffs[(jx, jy, 0)] = c
+                        coeffs[(-jx, -jy, 0)] = c.conjugate()
+                else:
+                    coeffs[(jx, jy, jp)] = complex(re * scale, im * scale)
+    return coeffs
+
+
+def _loop_scalar(grid, seed, band=5, amplitude=1.0):
+    """The reference field: the L2 norm summed in dict order, one store per mode."""
+    coeffs = _loop_coefficients(seed, band)
+    total = 0.0
+    for (jx, jy, jp), c in coeffs.items():
+        weight = 1.0 if jp == 0 else 2.0
+        total += weight * (c.real * c.real + c.imag * c.imag)
+    norm = float(np.sqrt(grid.Lp * total))
+    A = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for (jx, jy, jp), c in coeffs.items():
+        A[jx % grid.nx, jy % grid.ny, jp] = c * (amplitude / norm)
+    return A
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("decay", [2.0, 1.5])
+@pytest.mark.parametrize("band", range(1, 8))
+def test_seeded_coefficients_match_the_loop_bit_for_bit(band, decay):
+    for seed in range(50):
+        ref = _loop_coefficients(seed, band, decay)
+        got = seeded_coefficients(seed, band, decay)
+        assert list(got) == list(ref)
+        assert np.array_equal(_bits(list(got.values())), _bits(list(ref.values())))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (24, 24, 24), (32, 32, 32), (16, 24, 16)])
+def test_seeded_scalar_matches_the_loop_bit_for_bit(shape, params):
+    g = Grid(*shape, params.p0, params.p1)
+    for seed in range(10):
+        for amplitude in (1.0, 3.0):
+            got = seeded_scalar(g, seed, amplitude=amplitude).data
+            assert np.array_equal(_bits(got), _bits(_loop_scalar(g, seed, amplitude=amplitude)))
+
+
+def test_seeded_velocity_matches_the_loop_bit_for_bit(grid16):
+    for seed in (0, 4, 500):
+        v1, v2 = seeded_velocity(grid16, seed)
+        r1, r2 = barotropic_project(
+            Field3D.spectral(grid16, _loop_scalar(grid16, 2 * seed + 1)),
+            Field3D.spectral(grid16, _loop_scalar(grid16, 2 * seed + 2)))
+        assert np.array_equal(_bits(v1.data), _bits(r1.data))
+        assert np.array_equal(_bits(v2.data), _bits(r2.data))
+
+
 def test_seeded_coefficients_are_deterministic_and_hermitian():
     a = seeded_coefficients(3, 4)
     b = seeded_coefficients(3, 4)
@@ -71,6 +140,8 @@ def test_seeded_scalar_normalization(grid16):
 def test_seeded_scalar_band_guard(grid16):
     with pytest.raises(ConfigError):
         seeded_scalar(grid16, 1, band=6)
+    with pytest.raises(ConfigError):
+        seeded_scalar(grid16, 1, band=0)
 
 
 def test_seeded_velocity_satisfies_constraint(grid16):
