@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as _fft
@@ -162,33 +163,131 @@ def ifft2_norm(coeff: np.ndarray) -> np.ndarray:
     return _fft.ifft2(coeff, norm="forward", workers=_workers())
 
 
-def horizontal_spectra(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+class HorizontalRows:
+    """A set of horizontal rows (kx, ky) for the transforms along p alone,
+    and where the rows and their mirrors sit in the rfft layout.
+
+    The rows are those with |jx| <= nx//3 and 0 <= jy <= ny//3 (the 2/3
+    band) for band=True, and every row with 0 <= jy <= ny//2 otherwise;
+    planes is the number of leading p-planes the inverse writes, np//3 + 1
+    in the band and all of them otherwise.  A row stands for itself and its
+    mirror (-kx, -ky), whose coefficients are the conjugates of its own for
+    a real field; the rows jy = 0 (and jy = ny/2) hold their own mirrors.
+    indices and mirrors are their flat (kx, ky) indices in the rfft layout.
+    """
+
+    def __init__(self, grid: Grid, band: bool):
+        nx, ny = grid.nx, grid.ny
+        if band:
+            bx, by = nx // 3, ny // 3
+            jx = np.r_[0:bx + 1, nx - bx:nx]
+            self.planes = grid.np // 3 + 1
+        else:
+            jx, by = np.arange(nx), ny // 2
+            self.planes = grid.np // 2 + 1
+        jy = np.arange(by + 1)
+        self.grid = grid
+        self.shape = (len(jx), len(jy))
+        self.indices = (jx[:, None] * ny + jy).ravel()
+        self.mirrors = ((-jx % nx)[:, None] * ny + (-jy % ny)).ravel()
+        # the rows whose mirror lies outside the set
+        self.outside = np.broadcast_to(2 * jy % ny != 0, self.shape).ravel()
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        """Flat indices into one rfft-layout field of what the inverse writes:
+        the kept planes of every row, then those of the mirrors outside the
+        set."""
+        targets = np.concatenate([self.indices, self.mirrors[self.outside]])
+        return (targets[:, None] * (self.grid.np // 2 + 1) + np.arange(self.planes)).ravel()
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """Flat indices into the spectra along p of the rows, shape
+        (n_rows, np), of the values dst receives: kp itself on a row, -kp
+        (to be conjugated) on a mirror."""
+        n = self.grid.np
+        kp = np.arange(self.planes)
+        own = np.arange(len(self.indices))[:, None] * n
+        return np.concatenate([(own + kp).ravel(), (own[self.outside] + (-kp % n)).ravel()])
+
+    def targets(self, Fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The coefficients at dst of the fields whose spectra along p on the
+        rows Fhat holds (shape (..., *shape, np)), shape (..., len(dst))."""
+        lead = Fhat.shape[:-3]
+        out = np.take(Fhat.reshape(lead + (-1,)), self.src, axis=-1, out=out, mode="clip")
+        mirrored = out[..., len(self.indices) * self.planes:]
+        np.conjugate(mirrored, out=mirrored)
+        return out
+
+
+def fft_p(F: np.ndarray) -> np.ndarray:
+    """The spectra along p of the complex samples F, in place, normalized like
+    rfftn_norm's."""
+    return _fft.fft(F, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+
+
+def ifft_p(F: np.ndarray) -> np.ndarray:
+    """The inverse of fft_p, in place."""
+    return _fft.ifft(F, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+
+
+def horizontal_spectra(grid: Grid, coeff: np.ndarray, rows: HorizontalRows | None = None,
+                       factor=None, out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """The horizontal Fourier coefficients of one field or a stack at every
     p-level: F with
 
         f(x, y, p_m) = sum over (kx, ky) of F[kx, ky, m] exp(i (kx x + ky y)),
 
-    f the samples irfftn_norm(grid, coeff) gives.  f is real, so F(-kx, -ky)
-    = conj F(kx, ky), and like a real FFT the result keeps the rows ky = 0 ..
-    ny//2 only: its shape is (..., nx, ny//2 + 1, np).
+    f the samples irfftn_norm(grid, coeff) gives, on the rows of rows
+    (default: every row with ky = 0 .. ny//2).  f is real, so F(-kx, -ky) =
+    conj F(kx, ky) gives the other rows.  The result has shape
+    (..., *rows.shape, np).
 
     It is the inverse transform along p alone, which needs both halves of
     the kp axis: the stored one, and for kp < 0 the conjugates of the
     mirrored modes c(-kx, -ky, -kp).  The kp = 0 and Nyquist planes enter
-    with their Hermitian part, the part irfftn_norm reads.
+    with their Hermitian part, the part irfftn_norm reads.  factor, a
+    multiplier along the stored kp axis broadcasting against the rows of
+    coeff (i kp, say), multiplies coeff first: the samples are then those
+    of irfftn_norm(grid, factor * coeff).  Given out and work (two arrays
+    of shape (..., n_rows, np//2 + 1)), the result goes into out and
+    nothing is allocated.
     """
+    rows = HorizontalRows(grid, band=False) if rows is None else rows
     n, h = grid.np, grid.np // 2
-    nx, ny = coeff.shape[-3:-1]
-    rows = ny // 2 + 1
-    mirror = coeff[..., (-np.arange(nx) % nx)[:, None], -np.arange(rows) % ny, :]
+    lead = coeff.shape[:-3]
+    flat = coeff.reshape(lead + (-1, h + 1))
+    direct = np.take(flat, rows.indices, axis=-2, out=None if work is None else work[0], mode="clip")
+    mirror = np.take(flat, rows.mirrors, axis=-2, out=None if work is None else work[1],
+                     mode="clip")
+    if factor is not None:
+        direct *= factor
+        mirror *= factor
     np.conjugate(mirror, out=mirror)
-    full = np.empty(coeff.shape[:-2] + (rows, n), dtype=np.complex128)
-    full[..., :h + 1] = coeff[..., :rows, :]
+    if out is None:
+        out = np.empty(lead + rows.shape + (n,), dtype=np.complex128)
+    full = out.reshape(lead + (-1, n))
+    full[..., :h + 1] = direct
     full[..., h + 1:] = mirror[..., h - 1:0:-1]
     for j in (0, h):
         full[..., j] += mirror[..., j]
         full[..., j] *= 0.5
-    return _fft.ifft(full, axis=-1, norm="forward", overwrite_x=True, workers=_workers())
+    return ifft_p(out)
+
+
+def from_horizontal_spectra(grid: Grid, F: np.ndarray, rows: HorizontalRows,
+                            out: np.ndarray) -> np.ndarray:
+    """The inverse of horizontal_spectra on rows: the rfft-layout
+    coefficients of the real field whose horizontal spectra F holds,
+    written into out (C-contiguous, shape (..., *grid.spectral_shape)) on
+    the kept planes of the rows and their mirrors.  Every other entry of out
+    is left as it was, and F is overwritten.
+    """
+    lead = F.shape[:-3]
+    out.reshape(lead + (-1,))[..., rows.dst] = rows.targets(fft_p(F))
+    return out
 
 
 def checked_forward(grid: Grid, data: np.ndarray) -> np.ndarray:

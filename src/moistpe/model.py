@@ -19,10 +19,20 @@ integration of R T / p down from the top pressure p1.
 Both diagnostics need care on a periodic pressure grid.  omega is periodic
 because the projected velocity has pointwise-zero vertical-mean divergence.
 Phi is not: the vertical mean of R T / p contributes a piece linear in p.
-That ramp is carried analytically (its horizontal gradient is still exact),
-and only the fluctuating part goes through spectral antidifferentiation.
-Differentiating the raw Phi samples in p would differentiate a sawtooth, so
-consistency monitors use the same ramp/fluctuation split.
+That ramp is carried analytically, and only the fluctuating part goes
+through spectral antidifferentiation.  Differentiating the raw Phi samples
+in p would differentiate a sawtooth, so consistency monitors use the same
+ramp/fluctuation split.  A horizontal derivative does not see the p axis, so
+the gradient of Phi may take the spectrum of the ramp's samples: gbar times
+the DFT of p1 - p.
+
+The tendency takes the pressure gradient and the vertical viscosity along p
+alone.  Their coefficients depend on p only, so they commute with the x-y
+transforms and act on the horizontal spectra of the rows the 2/3 mask keeps
+(_VerticalBand): the spectrum of Phi is assembled from that of the integrand
+(its antiderivative, the ramp and phi_s) and its gradient is i k_h times
+it, and each viscous flux and theta's conjugated chain is a pair of
+transforms along p.  Only advection and rotation go through 3-D transforms.
 """
 
 from __future__ import annotations
@@ -31,9 +41,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConstraintError, DataError
-from .fields import PHYSICAL, SPECTRAL, Field3D, ifft2_norm, irfftn_norm, rfftn_norm
+from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
+                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p,
+                     irfftn_norm, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -231,16 +244,21 @@ def _integrand(grid: Grid, params: PhysParams, co: Coefficients,
     return _Integrand(T, gfield, gbar, fluct_hat)
 
 
+def _ramp_hat(grid: Grid, params: PhysParams) -> np.ndarray:
+    """The spectrum along p of the samples p1 - p, normalized like
+    rfftn_norm's (kp >= 0): the vertical factor of the ramp's spectrum."""
+    return scipy.fft.rfft(params.p1 - grid.p, norm="forward", workers=_workers())
+
+
 def _ramp(grid: Grid, params: PhysParams, gbar: np.ndarray) -> np.ndarray:
     """gbar*(p1 - p): the integral from p to p1 of the p-mean of g."""
     return gbar[:, :, None] * (params.p1 - grid.p)[None, None, :]
 
 
-def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand,
-         work=None) -> np.ndarray:
+def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand) -> np.ndarray:
     """phi = phi_s + gbar*(p1 - p) + integral from p to p1 of the fluctuation of g."""
     return _integral_to_p1(grid, it.fluct_hat,
-                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar), work)
+                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar))
 
 
 def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
@@ -310,11 +328,7 @@ def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
     return worst / scale
 
 
-# --- viscosity operators --------------------------------------------------
-
-
-def _mask_of(grid: Grid, variant: ModelVariant):
-    return grid.dealias_mask if variant.dealias else 1.0
+# --- operators along p on the horizontal rows ----------------------------
 
 
 def _viscosities(params: PhysParams, which: str) -> tuple[float, float]:
@@ -324,55 +338,113 @@ def _viscosities(params: PhysParams, which: str) -> tuple[float, float]:
     return getattr(params, f"mu_{which}"), getattr(params, f"nu_{which}")
 
 
-def _dealiased_hat(grid: Grid, mask, f: np.ndarray, planes: int | None = None) -> np.ndarray:
-    """dealias(rfft(f)).  With planes, only the leading p-planes are computed
-    (see rfftn_norm) and mask is the part of the mask on them."""
-    hat = rfftn_norm(grid, f, planes)
-    kept = hat[..., :planes]
-    kept *= mask
-    return hat
+_VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
 
 
-def _conjugated_hat(grid: Grid, co: Coefficients, mask, f: np.ndarray,
-                    planes: int | None = None, work=None) -> np.ndarray:
-    """dealias(rfft((p0/p)^kappa f)) for physical samples f; the product goes
-    into the physical array work when one is given."""
-    return _dealiased_hat(grid, mask, np.multiply(co.pk, f, out=work), planes)
+def _hermitian_planes(grid: Grid, M) -> np.ndarray:
+    """The multiplier M (rfft layout, broadcastable) with its Hermitian part
+    on the kp = 0 and Nyquist planes: what M becomes between an inverse and
+    a forward 3-D transform, acting on a Hermitian spectrum.  It differs
+    from M only where M(-k) != -M(k): for i kx and i ky, on the x and y
+    Nyquist rows, which only a variant without dealiasing keeps."""
+    M = np.array(np.broadcast_to(M, grid.spectral_shape), dtype=np.complex128)
+    ix, iy = -np.arange(grid.nx) % grid.nx, -np.arange(grid.ny) % grid.ny
+    for j in (0, -1):
+        plane = M[:, :, j]
+        plane += np.conj(plane[ix][:, iy])
+        plane *= 0.5
+    return M
 
 
-def _viscous_flux_hat(grid: Grid, co: Coefficients, mask, dpf,
-                      planes: int | None = None, work=None) -> np.ndarray:
-    """W = dealias(rfft(c * dpf)) for a physical p-derivative dpf or a stack of
-    them.  Given a physical stack work, dpf may be any sequence of fields and
-    the products go into work."""
-    if work is None:
-        return _dealiased_hat(grid, mask, co.c * dpf, planes)
-    for w, f in zip(work, dpf):
-        np.multiply(co.c, f, out=w)
-    return _dealiased_hat(grid, mask, work, planes)
+class _VerticalBand:
+    """The operators along p of one (grid, params, dealias), on the rows of
+    the 2/3 band when dealiasing and on every half row otherwise: products
+    with a profile of the samples along p, and multipliers on both halves
+    of the kp axis.
 
+    rows         the fields.HorizontalRows
+    factor       i kp, 1, i kp, i kp along the stored kp axis: the spectra
+                 whose samples the viscous fluxes take (dp f, and theta)
+    profiles     c, c, (p0/p)^kappa, c: the products that follow
+    integrand    R (p/p0)^kappa / p, of the hydrostatic integrand
+    dp           i kp on the full kp axis, zero on the mean and Nyquist
+                 planes (as irfftn_norm applies it) and, when dealiasing,
+                 beyond np//3
+    neg_inv_ikp  -1/(i kp), zero on the mean and Nyquist planes
+    ramp         the spectrum of p1 - p on the full kp axis
+    phi_s        fft2_norm(phi_s) on the rows
+    nu_mult      at the targets (rows.dst), per variable: nu i kp for v1,
+                 v2 and q, nu for theta
+    iKX, iKY     i kx and i ky at the targets, Hermitian on the kp = 0 and
+                 Nyquist planes (_hermitian_planes)
+    """
 
-def _dp_viscous(grid: Grid, co: Coefficients, mask, F: np.ndarray, which: str) -> np.ndarray:
-    """Physical d/dp of the field the vertical viscosity differentiates: f for
-    v and q, the dealiased s = (p0/p)^kappa f for theta."""
-    if which == "theta":
-        F = _conjugated_hat(grid, co, mask, irfftn_norm(grid, F))
-    return irfftn_norm(grid, 1j * grid.KP * F)
+    def __init__(self, grid: Grid, params: PhysParams, co: Coefficients, dealias: bool):
+        self.rows = rows = HorizontalRows(grid, dealias)
+        n = grid.np
+        ikp = 1j * grid.kp
+        self.factor = np.stack([ikp, ikp, np.ones_like(ikp), ikp])[:, None, :]
+        self.profiles = np.stack([co.c, co.c, co.pk, co.c])[:, None, None, :]
+        self.integrand = params.R * co.pk_inv * co.inv_p
+        self.c, self.pk = co.c, co.pk
+        kp = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.Lp / n)
+        jp = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        kp[n // 2] = 0.0
+        self.dp = 1j * kp * (jp <= (n // 3 if dealias else n))
+        self.neg_inv_ikp = np.zeros(n, dtype=np.complex128)
+        self.neg_inv_ikp[kp != 0.0] = -1.0 / (1j * kp[kp != 0.0])
+        half = _ramp_hat(grid, params)
+        self.ramp = np.concatenate([half, np.conj(half[-2:0:-1])])
+        self.phi_s = fft2_norm(co.phi_s).ravel()[rows.indices].reshape(rows.shape)
+        iKP = np.broadcast_to(ikp, grid.spectral_shape).ravel()[rows.dst]
+        self.nu_mult = np.empty((4, len(iKP)), dtype=np.complex128)
+        for i, which in enumerate(_VARIABLES):
+            nu = _viscosities(params, which)[1]
+            self.nu_mult[i] = nu if which == "theta" else nu * iKP
+        self.iKX, self.iKY = (_hermitian_planes(grid, 1j * K).ravel()[rows.dst]
+                              for K in (grid.KX, grid.KY))
+
+    def outer_theta(self, s: np.ndarray) -> None:
+        """theta's viscous chain on the rows, in place: from the spectra
+        along p of s = (p0/p)^kappa theta to the samples of
+        (p0/p)^kappa d/dp(c ds/dp), every product dealiased."""
+        s *= self.dp
+        ifft_p(s)
+        s *= self.c
+        fft_p(s)
+        s *= self.dp
+        ifft_p(s)
+        s *= self.pk
+
+    def phi_hat(self, ghat: np.ndarray, top: np.ndarray, tmp: np.ndarray) -> None:
+        """The spectra along p of Phi on the rows, in place of those of the
+        integrand R (p/p0)^kappa theta / p, assembled as _phi assembles Phi:
+        phi_s + gbar (p1 - p) + the integral from p to p1 of the
+        fluctuation, that is G(p0) - G with G its antiderivative.  theta_h
+        is left out: it moves only the horizontal mean, which has no
+        gradient.  top (one plane of the rows) and tmp (like ghat) are
+        scratch."""
+        np.multiply(ghat[..., :1], self.ramp, out=tmp)
+        ghat *= self.neg_inv_ikp
+        np.sum(ghat, axis=-1, out=top)
+        np.subtract(self.phi_s, top, out=ghat[..., 0])
+        ghat += tmp
 
 
 def _apply_viscosity(field: Field3D, params: PhysParams, which: str,
                      variant: ModelVariant) -> Field3D:
     g = field.grid
-    co = Coefficients(g, params)
+    vb = _VerticalBand(g, params, Coefficients(g, params), variant.dealias)
     mu, nu = _viscosities(params, which)
-    mask = _mask_of(g, variant)
+    k = _VARIABLES.index(which)
     F = field.as_spectral().data
-    W = _viscous_flux_hat(g, co, mask, _dp_viscous(g, co, mask, F, which))
+    # the samples of c df/dp on the rows, or of (p0/p)^kappa f for theta
+    X = horizontal_spectra(g, F[None], vb.rows, vb.factor[k])
+    X *= vb.profiles[k]
     if which == "theta":
-        outer = _conjugated_hat(g, co, mask, irfftn_norm(g, 1j * g.KP * W))
-        out = mu * g.kh2 * F - nu * outer
-    else:
-        out = mu * g.kh2 * F - nu * (1j * g.KP) * W
+        vb.outer_theta(fft_p(X[0]))
+    V = from_horizontal_spectra(g, X, vb.rows, np.zeros_like(F[None]))[0]
+    out = mu * g.kh2 * F - nu * (V if which == "theta" else 1j * g.KP * V)
     spec = Field3D.spectral(g, out)
     return spec if field.rep == SPECTRAL else spec.as_physical()
 
@@ -480,15 +552,13 @@ def coriolis_term(v1: np.ndarray, v2: np.ndarray, params: PhysParams,
 # t -> the spectral forcing of v1, v2, theta and q, stacked like a state
 ForcingFn = Callable[[float], np.ndarray]
 
-_VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
-
 
 class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
-    variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 and
-    nu*i*kp of each variable, the dealias mask, the implicit multipliers lam
-    of the IMEX split (stacked like a state), and scratch buffers sized by
-    the grid.
+    variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 of
+    each variable, the dealias mask, the operators along p on the rows
+    (band, a _VerticalBand), the implicit multipliers lam of the IMEX split
+    (stacked like a state), and scratch buffers sized by the grid.
 
     The scratch holds intermediate values of one tendency call or one step;
     nothing a call returns refers to it.  A run builds one workspace and
@@ -506,12 +576,12 @@ class Workspace:
         # the dealias mask on those planes
         self.mask = grid.dealias_mask[..., :self.planes] if variant.dealias else 1.0
         self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
+        self.band = _VerticalBand(grid, params, co, variant.dealias)
         kp2 = grid.KP**2
-        self.mu_kh2, self.nu_iKP, lam = {}, {}, {}
+        self.mu_kh2, lam = {}, {}
         for which in ("v", "theta", "q"):
             mu, nu = _viscosities(params, which)
             self.mu_kh2[which] = mu * grid.kh2
-            self.nu_iKP[which] = nu * self.iK[2]
             lam[which] = (self.mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
                           else np.zeros(grid.spectral_shape))
         self.lam = np.stack([lam[which] for which in _VARIABLES])
@@ -521,10 +591,38 @@ class Workspace:
         self.spec = np.zeros((16,) + grid.spectral_shape, dtype=np.complex128)
         self.phys = np.empty((4,) + grid.shape)
         self.tmp = np.empty(grid.shape)
+        # scratch of the operators on the rows: the rows gathered from the
+        # state and their mirrors, six fields on the rows (four fluxes, the
+        # integrand, a temporary), one plane of them, the values at the
+        # targets of five results and of the tendency, and a temporary
+        rows = self.band.rows
+        n_rows, n_dst = rows.indices.size, rows.dst.size
+        self.rows_in = np.empty((2, 4, n_rows, grid.np // 2 + 1), dtype=np.complex128)
+        self.rows_work = np.empty((6,) + rows.shape + (grid.np,), dtype=np.complex128)
+        self.rows_plane = np.empty(rows.shape, dtype=np.complex128)
+        self.dst_terms = np.empty((5, n_dst), dtype=np.complex128)
+        self.dst_tend = np.empty((4, n_dst), dtype=np.complex128)
+        self.dst_tmp = np.empty(n_dst, dtype=np.complex128)
         # scratch of the steps: a stage state or spectral temporary, and a
         # real temporary, each stacked like a state
         self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
         self.real = np.empty((4,) + grid.spectral_shape)
+
+
+def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
+    """The terms along p of the spectral state U at the targets of the rows
+    (fields.HorizontalRows.dst), stacked: the viscous fluxes
+    W = dealias(c df/dp) of v1 and v2, theta's outer viscous term
+    (_VerticalBand.outer_theta), W of q, and the spectrum of Phi."""
+    g, vb, X = ws.grid, ws.band, ws.rows_work
+    horizontal_spectra(g, U, vb.rows, vb.factor, out=X[:4], work=ws.rows_in)
+    np.multiply(X[2], vb.integrand, out=X[4])
+    X[:4] *= vb.profiles
+    fft_p(X[:5])
+    vb.outer_theta(X[2])
+    fft_p(X[2])
+    vb.phi_hat(X[4], ws.rows_plane, X[5])
+    return vb.rows.targets(X[:5], out=ws.dst_terms)
 
 
 def tendency(
@@ -542,14 +640,23 @@ def tendency(
     dealiased ball only when the forcing does: manufactured forcing does on
     grids with n >= 24, forcing read from a file in general does not.
     Returns a Tendency whose stacked array is a fresh one (nothing else
-    refers to it), optionally with the freshly diagnosed omega and Phi.
+    refers to it), optionally with the freshly diagnosed omega and Phi
+    (Phi and T through the faithful route of diagnose_phi).
+
+    Advection and rotation are products of physical samples, taken through
+    3-D transforms: 16 fields in (the state and its derivatives), omega,
+    and 4 fields out.  The pressure gradient and the vertical viscosity act
+    along p alone and are taken on the horizontal spectra of the rows the
+    mask keeps (_row_terms): Phi as a spectrum, from the hydrostatic
+    integral, and the gradient as i k times it; each viscous flux and
+    theta's conjugated chain by pairs of transforms along p.  They are
+    added to the forward transform of the products, masked.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
     when none is given.  Transforms skip the p-planes above np//3 where their
     data are zero: those of masked products whenever the variant dealiases,
     those of the state and its derivatives only when the state has no
-    content on those planes.  The result is bit for bit the one the full
-    transforms give.
+    content on those planes, bit for bit as the full transforms.
     """
     g = state.grid
     if ws is None:
@@ -557,7 +664,6 @@ def tendency(
     elif ws.grid != g or ws.params is not params or ws.variant != variant:
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
     co, buf, P, tmp = ws.co, ws.spec, ws.phys, ws.tmp
-    iKX, iKY, iKP = ws.iK
     U = state.as_spectral().data
     V1, V2 = U[0], U[1]
     # nk: planes kept by the masked transforms; n: planes the state occupies
@@ -578,25 +684,11 @@ def tendency(
     # vertical velocity from the divergence (fluctuating part only; the
     # projected state carries no vertical-mean divergence)
     om = _integral_to_p1(g, _divergence_hat(g, V1[..., :n], V2[..., :n]), work=buf[0])
-    # temperature -> hydrostatic geopotential
-    it = _integrand(g, params, co, th)
-    phi = _phi(g, params, co, it, work=buf[0])
-    Phat = rfftn_norm(g, phi)
+    along_p = variant.pressure or variant.viscosity
+    if along_p:
+        terms = _row_terms(ws, U)
 
-    # vertical viscous fluxes; theta's acts on s = (p0/p)^kappa theta
-    s_hat = _conjugated_hat(g, co, ws.mask, th, nk, work=tmp)
-    np.multiply(iKP[..., :nk], s_hat[..., :nk], out=buf[1, ..., :nk])
-    dps = irfftn_norm(g, buf[1], nk)
-    Wth, Wv1, Wv2, Wq = _viscous_flux_hat(g, co, ws.mask, (dps, dpv1, dpv2, dpq),
-                                          nk, work=P)
-
-    np.multiply(iKX, Phat, out=buf[0])
-    np.multiply(iKY, Phat, out=buf[1])
-    dxphi, dyphi = irfftn_norm(g, buf[:2], g.np // 2 + 1)
-    np.multiply(iKP[..., :nk], Wth[..., :nk], out=buf[2, ..., :nk])
-    inner_th = irfftn_norm(g, buf[2], nk)
-
-    # physical products, assembled in P (free again once W is transformed)
+    # advection and rotation, assembled in P
     for Pi, (dx, dy, dp) in zip(P, ((dxv1, dyv1, dpv1), (dxv2, dyv2, dpv2),
                                     (dxth, dyth, dpth), (dxq, dyq, dpq))):
         if variant.advection:
@@ -605,37 +697,40 @@ def tendency(
             Pi += np.multiply(om, dp, out=tmp)
         else:
             Pi.fill(0.0)
-    if variant.pressure:
-        P[0] += dxphi
-        P[1] += dyphi
     cor1, cor2 = coriolis_term(v1, v2, params, variant)
     P[0] += cor1
     P[1] += cor2
-    if variant.viscosity:
-        np.multiply(co.pk, inner_th, out=tmp)
-        tmp *= params.nu_theta
-        P[2] -= tmp
 
-    # -H - mu |k_h|^2 X + nu i kp W on the kept planes, masked; H's other
-    # planes are zero and its array becomes the result
+    # -H - mu |k_h|^2 X on the kept planes, masked; H's other planes are
+    # zero and its array becomes the result
     H = rfftn_norm(g, P, nk)
     part = buf[3, ..., :nk]
-    for Hi, u, which, W in zip(H, U, _VARIABLES, (Wv1, Wv2, None, Wq)):
+    for Hi, u, which in zip(H, U, _VARIABLES):
         h = Hi[..., :nk]
         np.negative(h, out=h)
         if variant.viscosity:
             h -= np.multiply(ws.mu_kh2[which][..., :nk], u[..., :nk], out=part)
-            if W is not None:
-                h += np.multiply(ws.nu_iKP[which][..., :nk], W[..., :nk], out=part)
         h *= ws.mask
+    # + nu d/dp(c dp f) (theta's conjugated) - grad Phi at the targets
+    if along_p:
+        vb, T, tmp_t = ws.band, ws.dst_tend, ws.dst_tmp
+        Hflat = H.reshape(4, -1)
+        np.take(Hflat, vb.rows.dst, axis=-1, out=T, mode="clip")
+        if variant.viscosity:
+            T += np.multiply(vb.nu_mult, terms[:4], out=terms[:4])
+        if variant.pressure:
+            T[0] -= np.multiply(vb.iKX, terms[4], out=tmp_t)
+            T[1] -= np.multiply(vb.iKY, terms[4], out=tmp_t)
+        Hflat[:, vb.rows.dst] = T
     if forcing is not None:
         H += forcing(state.t)
 
     out = Tendency.of(g, H, SPECTRAL, state.t)
     if return_diagnostics:
+        it = _integrand(g, params, co, th)
         diag = Diagnostics(
             Field3D.physical(g, om),
-            Field3D.physical(g, phi),
+            Field3D.physical(g, _phi(g, params, co, it)),
             Field3D.physical(g, it.T),
         )
         return out, diag

@@ -29,10 +29,9 @@ from dataclasses import dataclass, fields as dc_fields
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import DataError, SamplingError
-from .fields import (SPECTRAL, Field3D, _workers, fft2_norm, horizontal_spectra,
+from .fields import (SPECTRAL, Field3D, fft2_norm, horizontal_spectra,
                      irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
@@ -46,6 +45,7 @@ from .model import (
     _pair,
     _phi,
     _ramp,
+    _ramp_hat,
     _viscosities,
     coriolis_term,
     diagnose_omega,
@@ -120,7 +120,7 @@ class MonitorConstants:
         # interleaved real and imaginary parts of a complex row
         self.c_mean2 = np.repeat(grid.volume / grid.np * self.co.c, 2)
         # the spectrum of p1 - p, normalized like rfftn_norm's
-        self.ramp_hat = scipy.fft.rfft(params.p1 - grid.p, norm="forward", workers=_workers())
+        self.ramp_hat = _ramp_hat(grid, params)
 
     def in_ball(self, A: np.ndarray) -> bool:
         """Whether the spectral stack A is zero outside the 2/3 ball: on the

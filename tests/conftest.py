@@ -72,3 +72,19 @@ def fft_calls(monkeypatch):
     for name in FFT_ENTRY_POINTS:
         monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name)))
     return counts
+
+
+@pytest.fixture
+def fft_log(monkeypatch):
+    """A list of (entry point, shape of its input) for every scipy.fft call."""
+    log = []
+
+    def logging(name, fn):
+        def wrapped(x, *args, **kwargs):
+            log.append((name, np.shape(x)))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(fields._fft, name, logging(name, getattr(fields._fft, name)))
+    return log

@@ -29,6 +29,7 @@ from moistpe.norms import sobolev_norm
 from moistpe.params import PhysParams, Profile
 from moistpe.probes import seeded_scalar, seeded_velocity
 from moistpe.state import State
+from tendency_oracle import tendency_3d, viscosity_3d
 
 P0, P1 = 0.2, 1.0
 LP = P1 - P0
@@ -227,6 +228,104 @@ def test_viscous_tendency_matches_standalone_operators(grid16, params, distinct)
         want = -op(field, params).data * grid16.dealias_mask
         diff = sobolev_norm(Field3D.spectral(grid16, got.data - want), 0)
         assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(grid16, want), 0)
+
+
+# --- the operators along p against the 3-D assembly -------------------------
+
+def _surface_params(grid, params):
+    """params with a nonzero surface geopotential and a linear theta_bar."""
+    x, y = grid.x[:, None], grid.y[None, :]
+    phi_s = 3.0 * np.sin(2 * np.pi * x) + np.cos(2 * np.pi * (x + 2 * y))
+    return params.with_(phi_s=phi_s, theta_bar=Profile.linear(0.5, 1.5))
+
+
+def _oracle_state(grid, kind):
+    """A projected state inside the 2/3 ball, one with every mode up to the
+    Nyquist rows and planes, or raw coefficients whose kp = 0 and Nyquist
+    planes are not Hermitian."""
+    if kind == "raw":
+        rng = np.random.default_rng(17)
+        shape = (4,) + grid.spectral_shape
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data *= np.exp(-grid.k2 / (2 * np.pi) ** 2 / 10)
+        return State.of(grid, data, "spectral", 0.0)
+    band = None if kind == "ball" else max(grid.shape)
+    return project_state(random_smooth(grid, 8, amplitude=1.0, band=band)).as_spectral()
+
+
+def _relative_misfits(got, want):
+    return [np.linalg.norm(a - b) / np.linalg.norm(b) if np.any(b) else np.linalg.norm(a)
+            for a, b in zip(got, want)]
+
+
+_SHAPES = [(16, 16, 16), (16, 24, 20)]
+_ORACLE_VARIANTS = {
+    "faithful": FAITHFUL,
+    "no-dealias": FAITHFUL.with_(dealias=False),
+    "coriolis-bug": FAITHFUL.with_(coriolis_bug=True),
+    "no-advection": FAITHFUL.with_(advection=False),
+    "no-coriolis": FAITHFUL.with_(coriolis=False),
+    "no-pressure": FAITHFUL.with_(pressure=False),
+    "no-viscosity": FAITHFUL.with_(viscosity=False),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("kind", ["ball", "off-ball"])
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no-dealias"])
+def test_pressure_term_is_minus_the_dealiased_gradient_of_phi(shape, kind, dealias, params):
+    # only pressure on: the tendency of v is -dealias(grad Phi), Phi from
+    # diagnose_phi and its gradient through 3-D transforms
+    g = Grid(*shape, P0, P1)
+    params = _surface_params(g, params)
+    state = _oracle_state(g, kind)
+    variant = ModelVariant(advection=False, coriolis=False, viscosity=False, dealias=dealias)
+    tend = tendency(state, params, variant=variant).data
+    phi = diagnose_phi(state.theta.as_physical(), params)
+    mask = g.dealias_mask if dealias else 1.0
+    want = [-derivative(phi, axis).as_spectral().data * mask for axis in "xy"]
+    assert max(_relative_misfits(tend[:2], want)) <= 1e-13
+    assert not np.any(tend[2:])
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("kind", ["ball", "off-ball", "raw"])
+@pytest.mark.parametrize("name", list(_ORACLE_VARIANTS))
+def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
+    g = Grid(*shape, P0, P1)
+    params = _surface_params(g, params)
+    state = _oracle_state(g, kind)
+    variant = _ORACLE_VARIANTS[name]
+    got = tendency(state, params, variant=variant).data
+    assert max(_relative_misfits(got, tendency_3d(state, params, variant=variant))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["ball", "off-ball", "raw"])
+@pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no-dealias"])
+def test_viscosity_operators_match_the_3d_assembly(kind, dealias, params):
+    g = Grid(16, 24, 20, P0, P1)
+    params = _surface_params(g, params)
+    state = _oracle_state(g, kind)
+    variant = FAITHFUL.with_(dealias=dealias)
+    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
+    got = [op(field, params, variant).data for op, field in zip(ops, state.fields)]
+    want = [viscosity_3d(g, field.data, params, which, variant)
+            for field, which in zip(state.fields, ("v", "v", "theta", "q"))]
+    assert max(_relative_misfits(got, want)) <= 1e-13
+
+
+def test_one_tendency_moves_21_fields_and_works_the_band_along_p(grid16, params, fft_log):
+    # 3-D passes: the state and its 12 derivatives in, omega, the products
+    # out; the transforms along p alone act on the rows of the 2/3 band
+    state = _ball_state(grid16)
+    ws = Workspace(grid16, params)
+    fft_log.clear()
+    tendency(state, params, ws=ws)
+    three_d = sum(int(np.prod(shape[:-3])) for name, shape in fft_log
+                  if name in ("rfft", "irfft", "rfftn", "irfftn"))
+    along_p = [shape for name, shape in fft_log if name in ("fft", "ifft")]
+    assert three_d == 21
+    assert along_p and all(shape[-3:] == (11, 6, 16) for shape in along_p)
 
 
 # --- finite-difference reference agreement ----------------------------------
@@ -431,7 +530,8 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     for f, k in zip((first.v1, first.v2, first.theta, first.q,
                      diag.omega, diag.phi, diag.temperature), kept):
         assert np.array_equal(f.data, k)
-        for scratch in (ws.spec, ws.phys, ws.tmp):
+        for scratch in (ws.spec, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
+                        ws.rows_plane, ws.dst_terms, ws.dst_tend, ws.dst_tmp):
             assert not np.shares_memory(f.data, scratch)
 
 

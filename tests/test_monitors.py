@@ -11,9 +11,8 @@ from moistpe.errors import DataError, SamplingError
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.manufactured import ManufacturedSolution, get_case
-from moistpe.model import (Coefficients, ModelVariant, _dp_viscous, _pair,
-                           _viscous_flux_hat, diagnose_phi, hydrostatic_residual,
-                           temperature_from_theta)
+from moistpe.model import (Coefficients, ModelVariant, _pair, diagnose_phi,
+                           hydrostatic_residual, temperature_from_theta)
 from moistpe.monitors import (
     MonitorConstants,
     NormReport,
@@ -33,6 +32,7 @@ from moistpe.params import PhysParams, Profile
 from moistpe.probes import seeded_scalar, seeded_velocity
 from moistpe.state import State
 from moistpe.stepper import StepConfig, TrajectorySample, run
+from tendency_oracle import dp_viscous, viscous_flux_hat
 
 TAU = 2.0 * math.pi
 
@@ -237,8 +237,8 @@ def _vertical_dissipation_3d(field, params, which):
     g = field.grid
     co = Coefficients(g, params)
     nu = getattr(params, f"nu_{which}")
-    dpf = _dp_viscous(g, co, g.dealias_mask, field.as_spectral().data, which)
-    return nu * _pair(g, rfftn_norm(g, dpf), _viscous_flux_hat(g, co, g.dealias_mask, dpf))
+    dpf = dp_viscous(g, co, g.dealias_mask, field.as_spectral().data, which)
+    return nu * _pair(g, rfftn_norm(g, dpf), viscous_flux_hat(g, co, g.dealias_mask, dpf))
 
 
 def _unprojected_with_surface_geopotential(st, params):

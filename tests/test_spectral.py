@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
 from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
+                            HorizontalRows, from_horizontal_spectra,
                             horizontal_spectra, irfftn_norm, parity_project,
                             parity_violation, rfftn_norm)
 from moistpe.grid import Grid
@@ -380,3 +381,25 @@ def test_horizontal_spectra_synthesise_the_samples(shape, params):
     f = irfftn_norm(g, C)
     assert np.max(np.abs(samples.imag)) <= 1e-13 * np.max(np.abs(f))
     assert np.max(np.abs(samples.real - f)) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 20)])
+@pytest.mark.parametrize("band", [True, False], ids=["band", "half-rows"])
+def test_from_horizontal_spectra_inverts_them_on_the_rows(shape, band, params):
+    # the spectra of real fields: on the band rows they are those of every
+    # half row, and the inverse writes back the kept planes of the rows and
+    # their mirrors, nothing else
+    g = Grid(*shape, params.p0, params.p1)
+    rng = np.random.default_rng(sum(shape))
+    C = rfftn_norm(g, rng.standard_normal((2,) + g.shape))
+    rows = HorizontalRows(g, band)
+    F = horizontal_spectra(g, C, rows)
+    assert F.shape == (2,) + rows.shape + (g.np,)
+    if band:
+        bx, by = g.nx // 3, g.ny // 3
+        every = horizontal_spectra(g, C)[:, np.r_[0:bx + 1, g.nx - bx:g.nx], :by + 1]
+        np.testing.assert_allclose(F, every, rtol=0, atol=1e-15 * np.abs(every).max())
+    out = np.zeros_like(C)
+    from_horizontal_spectra(g, F, rows, out)
+    want = C * (g.dealias_mask if band else 1.0)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-15 * np.abs(C).max())
