@@ -107,28 +107,43 @@ class Field3D:
 
 # --- raw-array transforms used by the hot paths ---------------------------
 #
-# Both take an optional number of leading p-planes.  A spectrum inside the
-# 2/3-rule ball is zero on the p-planes above np//3, so its x-y transforms
-# need only run on the planes below.  The pruned transforms make the same
-# pocketfft passes in the same order as the full ones (forward: p, x, y;
-# inverse: x, y, p), so every coefficient and sample they return is
-# bit-identical to the full transform's when the dropped planes are zero.
-# The forward transform runs unscaled and is scaled by 1/N afterwards, a
-# step the pruned transform repeats exactly; the inverse needs no scaling.
+# Both take a ball flag.  A spectrum inside the 2/3-rule ball (in_ball) is
+# zero on the p-planes above np//3 and on the x and y rows beyond n//3, so
+# much of a 3-D transform works on zeros.  The forward transform with ball
+# computes only the planes up to np//3, which is all a masked product keeps:
+# its x-y stage runs on those planes alone.  The inverse with ball takes a
+# spectrum inside the ball: its x pass runs on the y rows |jy| <= ny//3 of
+# those planes alone (two slices), its y pass on those planes, and its p
+# pass on everything.  What is skipped is zero and stays zero, and the
+# passes are the full transform's in the same order (forward: p, x, y;
+# inverse: x, y, p), so every coefficient and sample the pruned transforms
+# return is bit-identical to the full transform's.  The forward transform
+# runs unscaled and is scaled by 1/N afterwards, a step the pruned
+# transform repeats exactly; the inverse needs no scaling.
 
 
-def rfftn_norm(grid: Grid, data: np.ndarray, planes: int | None = None) -> np.ndarray:
+def in_ball(grid: Grid, A: np.ndarray) -> bool:
+    """Whether the spectra A (one field or a stack, rfft layout) are zero
+    outside the 2/3 ball: on the p-planes above np//3 and on the x and y
+    rows beyond n//3."""
+    bx, by, bp = grid.nx // 3, grid.ny // 3, grid.np // 3
+    return not (np.any(A[..., bp + 1:]) or np.any(A[..., bx + 1:grid.nx - bx, :, :])
+                or np.any(A[..., by + 1:grid.ny - by, :]))
+
+
+def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
     """Forward real FFT over the trailing three axes, normalized coefficients.
 
-    With planes, only the leading `planes` p-planes are computed; the others
-    are returned as zeros.
+    With ball, only the p-planes up to np//3 are computed; the others are
+    returned as zeros.
     """
     scale = 1.0 / (grid.nx * grid.ny * grid.np)
-    if planes is None:
+    if not ball:
         out = _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers())
         out *= scale
         return out
     out = _fft.rfft(data, axis=-1, workers=_workers())
+    planes = grid.np // 3 + 1
     out[..., planes:] = 0.0
     kept = out[..., :planes]
     _fft.fftn(kept, axes=(-3, -2), overwrite_x=True, workers=_workers())
@@ -136,19 +151,23 @@ def rfftn_norm(grid: Grid, data: np.ndarray, planes: int | None = None) -> np.nd
     return out
 
 
-def irfftn_norm(grid: Grid, coeff: np.ndarray, planes: int | None = None) -> np.ndarray:
+def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
     """Inverse of rfftn_norm; returns real samples on the collocation grid.
 
-    With planes, only the leading `planes` p-planes of coeff are synthesised
-    and coeff is the work array: its other planes are set to zero and its
-    leading ones are overwritten.  Without, coeff is left as it was.
+    With ball, coeff is the work array, and what it holds on the p-planes
+    up to np//3 must lie inside the 2/3 ball (in_ball): its other planes
+    are set to zero and those are overwritten.  Without, coeff is left as
+    it was.
     """
-    if planes is None:
+    if not ball:
         return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",
                            workers=_workers())
+    planes, by = grid.np // 3 + 1, grid.ny // 3
     coeff[..., planes:] = 0.0
-    _fft.ifftn(coeff[..., :planes], axes=(-3, -2), norm="forward", overwrite_x=True,
-               workers=_workers())
+    kept = coeff[..., :planes]
+    for rows in (kept[..., :by + 1, :], kept[..., grid.ny - by:, :]):
+        _fft.ifft(rows, axis=-3, norm="forward", overwrite_x=True, workers=_workers())
+    _fft.ifft(kept, axis=-2, norm="forward", overwrite_x=True, workers=_workers())
     return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 

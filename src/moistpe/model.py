@@ -45,7 +45,7 @@ import scipy.fft
 
 from .errors import ConstraintError, DataError
 from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
-                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p,
+                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p, in_ball,
                      irfftn_norm, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
@@ -149,21 +149,23 @@ def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return 1j * grid.KX * V1 + 1j * grid.KY * V2
 
 
-def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None) -> np.ndarray:
+def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None,
+                    ball: bool = False) -> np.ndarray:
     """base + integral from p to p1 of the zero-p-mean part of F, sampled.
 
     F holds spectral coefficients (one field or a stack).  The antiderivative
     G = F / (i kp) is taken mode by mode with the p-mean plane dropped, and
     G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
     (default zero) is the value at p = p0.  Given a spectral work array to
-    build G in, F may hold only the leading p-planes (the rest are zero) and
-    the transform skips the others (see irfftn_norm).
+    build G in, F may be a view of its leading p-planes.  With ball, F lies
+    inside the 2/3 ball and holds at least the planes up to np//3, and the
+    transform prunes (see irfftn_norm).
     """
     n = F.shape[-1]
     G = np.empty_like(F) if work is None else work
     G[..., 0] = 0.0
     np.divide(F[..., 1:], 1j * grid.kp[1:n], out=G[..., 1:n])
-    G = irfftn_norm(grid, G, None if work is None else n)
+    G = irfftn_norm(grid, G, ball)
     top = G[..., :1] if base is None else base + G[..., :1]
     return top - G
 
@@ -556,9 +558,10 @@ ForcingFn = Callable[[float], np.ndarray]
 class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
     variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 of
-    each variable, the dealias mask, the operators along p on the rows
-    (band, a _VerticalBand), the implicit multipliers lam of the IMEX split
-    (stacked like a state), and scratch buffers sized by the grid.
+    each field and minus the dealias mask on the planes a masked product
+    keeps, the operators along p on the rows (band, a _VerticalBand), the
+    implicit multipliers lam of the IMEX split (stacked like a state), and
+    scratch buffers sized by the grid.
 
     The scratch holds intermediate values of one tendency call or one step;
     nothing a call returns refers to it.  A run builds one workspace and
@@ -571,24 +574,28 @@ class Workspace:
         self.params = params
         self.variant = variant
         self.co = co
-        # p-planes a dealiased spectrum can occupy: mode index <= np // 3
+        # p-planes a masked product can occupy: mode index <= np // 3
         self.planes = grid.np // 3 + 1 if variant.dealias else grid.np // 2 + 1
-        # the dealias mask on those planes
-        self.mask = grid.dealias_mask[..., :self.planes] if variant.dealias else 1.0
+        # minus the dealias mask on those planes
+        self.neg_mask = -1.0 * grid.dealias_mask[..., :self.planes] if variant.dealias else -1.0
         self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
         self.band = _VerticalBand(grid, params, co, variant.dealias)
         kp2 = grid.KP**2
-        self.mu_kh2, lam = {}, {}
+        mu_kh2, lam = {}, {}
         for which in ("v", "theta", "q"):
             mu, nu = _viscosities(params, which)
-            self.mu_kh2[which] = mu * grid.kh2
-            lam[which] = (self.mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
+            mu_kh2[which] = mu * grid.kh2
+            lam[which] = (mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
                           else np.zeros(grid.spectral_shape))
+        # mu |k_h|^2 of v1, v2, theta and q on the kept planes
+        self.mu_kh2 = np.stack([mu_kh2[which][..., :self.planes] for which in _VARIABLES])
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
         # scratch of tendency: the spectral input of the stacked inverse
-        # transforms, the physical input of the forward ones, a temporary
-        self.spec = np.zeros((16,) + grid.spectral_shape, dtype=np.complex128)
+        # transform (v1, v2 and the 12 derivatives) and that of omega's, the
+        # physical input of the forward one, a temporary
+        self.spec = np.zeros((14,) + grid.spectral_shape, dtype=np.complex128)
+        self.omega_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
         self.phys = np.empty((4,) + grid.shape)
         self.tmp = np.empty(grid.shape)
         # scratch of the operators on the rows: the rows gathered from the
@@ -644,19 +651,20 @@ def tendency(
     (Phi and T through the faithful route of diagnose_phi).
 
     Advection and rotation are products of physical samples, taken through
-    3-D transforms: 16 fields in (the state and its derivatives), omega,
-    and 4 fields out.  The pressure gradient and the vertical viscosity act
-    along p alone and are taken on the horizontal spectra of the rows the
-    mask keeps (_row_terms): Phi as a spectrum, from the hydrostatic
-    integral, and the gradient as i k times it; each viscous flux and
-    theta's conjugated chain by pairs of transforms along p.  They are
-    added to the forward transform of the products, masked.
+    3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
+    state), omega, and 4 fields out.  The pressure gradient and the
+    vertical viscosity act along p alone and are taken on the horizontal
+    spectra of the rows the mask keeps (_row_terms): Phi as a spectrum,
+    from the hydrostatic integral, and the gradient as i k times it; each
+    viscous flux and theta's conjugated chain by pairs of transforms along
+    p.  They are added to the forward transform of the products, masked.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
-    when none is given.  Transforms skip the p-planes above np//3 where their
-    data are zero: those of masked products whenever the variant dealiases,
-    those of the state and its derivatives only when the state has no
-    content on those planes, bit for bit as the full transforms.
+    when none is given.  The transforms prune what is zero (see
+    irfftn_norm): the forward one skips the p-planes above np//3 whenever
+    the variant dealiases, and when the state lies inside the 2/3 ball
+    (fields.in_ball) the inverse ones skip those planes and the y rows
+    beyond ny//3 in their x pass, bit for bit as the full transforms.
     """
     g = state.grid
     if ws is None:
@@ -665,32 +673,29 @@ def tendency(
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
     co, buf, P, tmp = ws.co, ws.spec, ws.phys, ws.tmp
     U = state.as_spectral().data
-    V1, V2 = U[0], U[1]
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
-    n = g.np // 2 + 1 if np.any(U[..., nk:]) else nk
+    ball = in_ball(g, U)
+    n = g.np // 3 + 1 if ball else g.np // 2 + 1
 
-    for i, u in enumerate(U):
-        u = u[..., :n]
-        buf[i, ..., :n] = u
-        for j, iK in enumerate(ws.iK):
-            np.multiply(iK[..., :n], u, out=buf[4 + 3 * i + j, ..., :n])
-    (v1, v2, th, q,
-     dxv1, dyv1, dpv1,
-     dxv2, dyv2, dpv2,
-     dxth, dyth, dpth,
-     dxq, dyq, dpq) = irfftn_norm(g, buf, n)
-
+    Un = U[..., :n]
+    buf[:2, ..., :n] = Un[:2]
+    for j, iK in enumerate(ws.iK):
+        np.multiply(iK[..., :n], Un, out=buf[2 + j::3, ..., :n])
     # vertical velocity from the divergence (fluctuating part only; the
-    # projected state carries no vertical-mean divergence)
-    om = _integral_to_p1(g, _divergence_hat(g, V1[..., :n], V2[..., :n]), work=buf[0])
+    # projected state carries no vertical-mean divergence), taken before
+    # the inverse transform overwrites the derivatives
+    D = ws.omega_hat[..., :n]
+    np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)  # dx v1 + dy v2
+    om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
+    samples = irfftn_norm(g, buf, ball)
+    v1, v2 = samples[:2]
     along_p = variant.pressure or variant.viscosity
     if along_p:
         terms = _row_terms(ws, U)
 
     # advection and rotation, assembled in P
-    for Pi, (dx, dy, dp) in zip(P, ((dxv1, dyv1, dpv1), (dxv2, dyv2, dpv2),
-                                    (dxth, dyth, dpth), (dxq, dyq, dpq))):
+    for Pi, (dx, dy, dp) in zip(P, samples[2:].reshape((4, 3) + g.shape)):
         if variant.advection:
             np.multiply(v1, dx, out=Pi)
             Pi += np.multiply(v2, dy, out=tmp)
@@ -701,16 +706,13 @@ def tendency(
     P[0] += cor1
     P[1] += cor2
 
-    # -H - mu |k_h|^2 X on the kept planes, masked; H's other planes are
+    # -(H + mu |k_h|^2 X) on the kept planes, masked; H's other planes are
     # zero and its array becomes the result
-    H = rfftn_norm(g, P, nk)
-    part = buf[3, ..., :nk]
-    for Hi, u, which in zip(H, U, _VARIABLES):
-        h = Hi[..., :nk]
-        np.negative(h, out=h)
-        if variant.viscosity:
-            h -= np.multiply(ws.mu_kh2[which][..., :nk], u[..., :nk], out=part)
-        h *= ws.mask
+    H = rfftn_norm(g, P, variant.dealias)
+    Hk = H[..., :nk]
+    if variant.viscosity:
+        Hk += np.multiply(ws.mu_kh2, U[..., :nk], out=buf[:4, ..., :nk])
+    Hk *= ws.neg_mask
     # + nu d/dp(c dp f) (theta's conjugated) - grad Phi at the targets
     if along_p:
         vb, T, tmp_t = ws.band, ws.dst_tend, ws.dst_tmp
@@ -727,7 +729,7 @@ def tendency(
 
     out = Tendency.of(g, H, SPECTRAL, state.t)
     if return_diagnostics:
-        it = _integrand(g, params, co, th)
+        it = _integrand(g, params, co, irfftn_norm(g, U[2]))
         diag = Diagnostics(
             Field3D.physical(g, om),
             Field3D.physical(g, _phi(g, params, co, it)),

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, SamplingError
-from .fields import (SPECTRAL, Field3D, fft2_norm, horizontal_spectra,
+from .fields import (SPECTRAL, Field3D, fft2_norm, horizontal_spectra, in_ball,
                      irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
@@ -122,14 +122,6 @@ class MonitorConstants:
         # the spectrum of p1 - p, normalized like rfftn_norm's
         self.ramp_hat = _ramp_hat(grid, params)
 
-    def in_ball(self, A: np.ndarray) -> bool:
-        """Whether the spectral stack A is zero outside the 2/3 ball: on the
-        p-planes above np//3 and on the x and y rows beyond n//3."""
-        g = self.grid
-        bx, by, bp = g.nx // 3, g.ny // 3, g.np // 3
-        return not (np.any(A[..., bp + 1:]) or np.any(A[..., bx + 1:g.nx - bx, :, :])
-                    or np.any(A[..., by + 1:g.ny - by, :]))
-
 
 def _quadratic_forms(k: MonitorConstants, A: np.ndarray) -> dict:
     """{form: per-field value} of |M| sum_k w_k |c_k|^2 m_k for the fields of
@@ -217,7 +209,7 @@ def sample_context(state: State, params: PhysParams,
     periodic_and_T[1] = it.T
     hats = rfftn_norm(g, periodic_and_T)
     return SampleContext(state, constants, spec, phys, _quadratic_forms(constants, spec),
-                         constants.in_ball(spec), it, phi, hats)
+                         in_ball(g, spec), it, phi, hats)
 
 
 def _context(state: State, params: PhysParams, ctx: SampleContext | None) -> SampleContext:

@@ -76,12 +76,13 @@ def fft_calls(monkeypatch):
 
 @pytest.fixture
 def fft_log(monkeypatch):
-    """A list of (entry point, shape of its input) for every scipy.fft call."""
+    """A list of (entry point, shape of its input, its axis or axes keyword
+    or None) for every scipy.fft call."""
     log = []
 
     def logging(name, fn):
         def wrapped(x, *args, **kwargs):
-            log.append((name, np.shape(x)))
+            log.append((name, np.shape(x), kwargs.get("axis", kwargs.get("axes"))))
             return fn(x, *args, **kwargs)
         return wrapped
 

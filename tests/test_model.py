@@ -14,7 +14,7 @@ import pytest
 
 from moistpe.errors import ConstraintError, DataError, ParameterError
 from moistpe.fd_oracle import OP_NAMES, FdOracle, reference_apply
-from moistpe.fields import Field3D, derivative, rfftn_norm
+from moistpe.fields import Field3D, derivative, in_ball, rfftn_norm
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import (FAITHFUL, ModelVariant, apply_viscosity_q,
@@ -314,18 +314,26 @@ def test_viscosity_operators_match_the_3d_assembly(kind, dealias, params):
     assert max(_relative_misfits(got, want)) <= 1e-13
 
 
-def test_one_tendency_moves_21_fields_and_works_the_band_along_p(grid16, params, fft_log):
-    # 3-D passes: the state and its 12 derivatives in, omega, the products
-    # out; the transforms along p alone act on the rows of the 2/3 band
-    state = _ball_state(grid16)
-    ws = Workspace(grid16, params)
+def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft_log):
+    # 3-D passes: v1, v2 and the 12 derivatives in, omega, the products
+    # out; the transforms along p alone act on the rows of the 2/3 band,
+    # and the x pass of each inverse on the y rows of the band
+    g = grid16
+    state = _ball_state(g)
+    ws = Workspace(g, params)
     fft_log.clear()
     tendency(state, params, ws=ws)
-    three_d = sum(int(np.prod(shape[:-3])) for name, shape in fft_log
+    three_d = sum(int(np.prod(shape[:-3])) for name, shape, _ in fft_log
                   if name in ("rfft", "irfft", "rfftn", "irfftn"))
-    along_p = [shape for name, shape in fft_log if name in ("fft", "ifft")]
-    assert three_d == 21
+    along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
+    x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
+    assert three_d == 19
     assert along_p and all(shape[-3:] == (11, 6, 16) for shape in along_p)
+    assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
+    assert all(shape[-3] == g.nx and shape[-1] == g.np // 3 + 1 for shape in x_pass)
+    # the y rows of the x pass of each inverse: the 14-field stack, omega
+    rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
+    assert len(x_pass) == 4 and rows == {(14,): 2 * (g.ny // 3) + 1, (): 2 * (g.ny // 3) + 1}
 
 
 # --- finite-difference reference agreement ----------------------------------
@@ -519,6 +527,25 @@ def test_workspace_after_an_off_ball_call_gives_the_fresh_result(grid16, params)
         assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_tendency_with_rows_beyond_the_ball_transforms_every_row(shape, axis, params):
+    # a state inside the ball along p with content on the x or y rows beyond
+    # n//3, on a workspace that has just served an in-ball call
+    g = Grid(*shape, P0, P1)
+    params = _surface_params(g, params)
+    jx, jy, jp = g.mode_index
+    band = (jp <= g.np // 3) & ((jy <= g.ny // 3) if axis == "x" else (jx <= g.nx // 3))
+    state = project_state(State.of(g, _oracle_state(g, "off-ball").data * band, "spectral", 0.0))
+    beyond = jx > g.nx // 3 if axis == "x" else jy > g.ny // 3
+    assert np.any(state.data * beyond) and not in_ball(g, state.data)
+    ws = Workspace(g, params)
+    tendency(_oracle_state(g, "ball"), params, ws=ws)
+    got = tendency(state, params, ws=ws).data
+    assert np.array_equal(got, tendency(state, params).data)
+    assert max(_relative_misfits(got, tendency_3d(state, params))) <= 1e-13
+
+
 def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     # a Runge-Kutta step holds four tendencies of one workspace at once
     ws = Workspace(grid16, params)
@@ -530,7 +557,7 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     for f, k in zip((first.v1, first.v2, first.theta, first.q,
                      diag.omega, diag.phi, diag.temperature), kept):
         assert np.array_equal(f.data, k)
-        for scratch in (ws.spec, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
+        for scratch in (ws.spec, ws.omega_hat, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
                         ws.rows_plane, ws.dst_terms, ws.dst_tend, ws.dst_tmp):
             assert not np.shares_memory(f.data, scratch)
 

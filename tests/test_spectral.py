@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from moistpe.errors import DataError, ParameterError
 from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
                             HorizontalRows, from_horizontal_spectra,
-                            horizontal_spectra, irfftn_norm, parity_project,
+                            horizontal_spectra, in_ball, irfftn_norm, parity_project,
                             parity_violation, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
@@ -80,26 +80,44 @@ def test_parseval(grid16):
     assert abs(direct - spectral) <= 1e-12 * direct
 
 
-@pytest.mark.parametrize("n", [16, 24, 32])
-def test_pruned_transforms_are_the_full_ones_in_the_ball(n):
-    # a stack of spectra inside the 2/3 ball: the transforms restricted to
-    # the p-planes up to n//3 must give bit for bit what the full ones give,
-    # and so must the split transforms over every plane
-    g = _grid(n)
-    keep, every = n // 3 + 1, n // 2 + 1
-    data = np.random.default_rng(n).standard_normal((3,) + g.shape)
+@pytest.mark.parametrize("shape", [(16, 16, 16), (24, 24, 24), (32, 32, 32), (16, 24, 20)],
+                         ids=["16", "24", "32", "16x24x20"])
+def test_pruned_transforms_are_the_full_ones_in_the_ball(shape):
+    # a stack of spectra inside the 2/3 ball: the forward transform
+    # restricted to the p-planes up to np//3 and the inverse restricted to
+    # those planes and, in its x pass, to the y rows up to ny//3 must give
+    # bit for bit what the full ones give
+    g = Grid(*shape, P0, P1)
+    keep = g.np // 3 + 1
+    data = np.random.default_rng(sum(shape)).standard_normal((3,) + g.shape)
     full = rfftn_norm(g, data)
-    pruned = rfftn_norm(g, data, keep)
+    pruned = rfftn_norm(g, data, ball=True)
     assert np.array_equal(pruned[..., :keep], full[..., :keep])
     assert not np.any(pruned[..., keep:])
-    assert np.array_equal(rfftn_norm(g, data, every), full)
 
     coeff = full * g.dealias_mask
+    assert in_ball(g, coeff)
     samples = irfftn_norm(g, coeff)
-    work = coeff.copy()
-    work[..., keep:] = 7.0  # whatever the work array holds beyond the planes
-    assert np.array_equal(irfftn_norm(g, work, keep), samples)
-    assert np.array_equal(irfftn_norm(g, full.copy(), every), irfftn_norm(g, full))
+    for stack in (slice(None), 0):
+        work = coeff[stack].copy()
+        work[..., keep:] = 7.0  # whatever the work array holds beyond the planes
+        assert np.array_equal(irfftn_norm(g, work, ball=True), samples[stack])
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 20), (24, 20, 16)])
+@pytest.mark.parametrize("where", ["p", "+x", "-x", "+y", "-y"])
+def test_in_ball_sees_one_coefficient_just_outside(shape, where):
+    # every mode of the 2/3 ball set, then one coefficient just outside it:
+    # on the p-plane np//3 + 1, or on the x or y row +-(n//3 + 1)
+    g = Grid(*shape, P0, P1)
+    bx, by, bp = g.nx // 3, g.ny // 3, g.np // 3
+    outside = {"p": (1, 1, bp + 1), "+x": (bx + 1, 1, 1), "-x": (g.nx - bx - 1, 1, 1),
+               "+y": (1, by + 1, 1), "-y": (1, g.ny - by - 1, 1)}[where]
+    A = g.dealias_mask.astype(complex)
+    assert in_ball(g, A) and in_ball(g, np.stack([A, A]))
+    A[outside] = 1e-300
+    assert not in_ball(g, A)
+    assert not in_ball(g, np.stack([g.dealias_mask.astype(complex), A]))
 
 
 # --- derivatives ------------------------------------------------------------
