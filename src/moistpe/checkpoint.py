@@ -59,38 +59,41 @@ def write_checkpoint(path: str, state: State, cfg) -> None:
 
 
 def read_checkpoint(path: str):
-    """-> (RunConfig, State); the state's time is the stored time.t0."""
+    """-> (RunConfig, State); the state's time is the stored time.t0.
+
+    The payload is read straight into the state's array, so a resume holds
+    the state once.
+    """
     from . import config as config_mod
 
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path!r} is not a checkpoint file (bad magic)")
-    if len(raw) < HEADER_BYTES:
-        raise DataError(f"checkpoint header truncated: {len(raw)} bytes, "
-                        f"expected at least {HEADER_BYTES}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    nx, ny, npp = struct.unpack_from("<III", raw, 8)
-    (blob_len,) = struct.unpack_from("<I", raw, 20)
-    blob_end = HEADER_BYTES + blob_len
-    if len(raw) < blob_end:
-        raise DataError("checkpoint truncated inside the config block")
-    try:
-        cfg_text = raw[HEADER_BYTES:blob_end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path!r}: checkpoint config block is not UTF-8: {exc}") from exc
-    cfg = config_mod.parse(cfg_text)
-    if (cfg.nx, cfg.ny, cfg.np) != (nx, ny, npp):
-        raise DataError(
-            f"checkpoint header dims {(nx, ny, npp)} disagree with its config "
-            f"({cfg.nx}, {cfg.ny}, {cfg.np})")
-    grid = config_mod.build_grid(cfg)
-    count = nx * ny * npp
-    need = blob_end + 4 * count * 8
-    if len(raw) != need:
-        raise DataError(f"checkpoint payload is {len(raw) - blob_end} bytes, expected {4 * count * 8}")
-    data = np.frombuffer(raw, dtype="<f8", count=4 * count, offset=blob_end)
-    return cfg, State.of(grid, data.reshape(4, nx, ny, npp).astype(np.float64),
-                         PHYSICAL, cfg.t0)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(HEADER_BYTES)
+        if head[:4] != MAGIC:
+            raise DataError(f"{path!r} is not a checkpoint file (bad magic)")
+        if len(head) < HEADER_BYTES:
+            raise DataError(f"checkpoint header truncated: {len(head)} bytes, "
+                            f"expected at least {HEADER_BYTES}")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        nx, ny, npp = struct.unpack_from("<III", head, 8)
+        (blob_len,) = struct.unpack_from("<I", head, 20)
+        blob_end = HEADER_BYTES + blob_len
+        if size < blob_end:
+            raise DataError("checkpoint truncated inside the config block")
+        try:
+            cfg_text = fh.read(blob_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path!r}: checkpoint config block is not UTF-8: {exc}") from exc
+        cfg = config_mod.parse(cfg_text)
+        if (cfg.nx, cfg.ny, cfg.np) != (nx, ny, npp):
+            raise DataError(
+                f"checkpoint header dims {(nx, ny, npp)} disagree with its config "
+                f"({cfg.nx}, {cfg.ny}, {cfg.np})")
+        grid = config_mod.build_grid(cfg)
+        data = np.empty((4, nx, ny, npp), dtype="<f8")
+        if size != blob_end + data.nbytes or fh.readinto(data) != data.nbytes:
+            raise DataError(f"checkpoint payload is {size - blob_end} bytes, "
+                            f"expected {data.nbytes}")
+    return cfg, State.of(grid, data.astype(np.float64, copy=False), PHYSICAL, cfg.t0)

@@ -119,7 +119,11 @@ class Field3D:
 # inverse: x, y, p), so every coefficient and sample the pruned transforms
 # return is bit-identical to the full transform's.  The forward transform
 # runs unscaled and is scaled by 1/N afterwards, a step the pruned
-# transform repeats exactly; the inverse needs no scaling.
+# transform repeats exactly; the inverse needs no scaling.  The inverse's
+# passes are also callable apart (ifft_xy, then irfft_p), in place and with
+# or without ball, so a stack can finish its p pass in slices: one pass
+# along p acts on each line alone, and the slices get the same bits as the
+# whole stack.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
@@ -162,12 +166,30 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray
     if not ball:
         return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",
                            workers=_workers())
+    return irfft_p(grid, ifft_xy(grid, coeff, ball))
+
+
+def ifft_xy(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
+    """The x and y passes of irfftn_norm, in place on coeff, which is
+    returned; irfft_p of it finishes the transform, one slice of a stack
+    at a time if need be.  With ball, as for irfftn_norm: the planes above
+    np//3 are set to zero and the x pass runs on the band's y rows."""
+    if not ball:
+        for axis in (-3, -2):
+            _fft.ifft(coeff, axis=axis, norm="forward", overwrite_x=True, workers=_workers())
+        return coeff
     planes, by = grid.np // 3 + 1, grid.ny // 3
     coeff[..., planes:] = 0.0
     kept = coeff[..., :planes]
     for rows in (kept[..., :by + 1, :], kept[..., grid.ny - by:, :]):
         _fft.ifft(rows, axis=-3, norm="forward", overwrite_x=True, workers=_workers())
     _fft.ifft(kept, axis=-2, norm="forward", overwrite_x=True, workers=_workers())
+    return coeff
+
+
+def irfft_p(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """The last pass of irfftn_norm, along p: the samples of coefficients
+    whose x and y passes ifft_xy has taken."""
     return _fft.irfft(coeff, n=grid.np, axis=-1, norm="forward", workers=_workers())
 
 

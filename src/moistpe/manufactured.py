@@ -25,7 +25,8 @@ The stored arrays are band-exact: the profiles are zero outside mode index
 four and Q outside index eight, exactly rather than to roundoff.  With
 n//3 >= 8 (n >= 24) the forcing, and so the forced trajectory, then stays
 exactly inside the dealiased ball, where the tendency's transforms skip the
-empty p-planes.
+empty p-planes.  So they are stored only on the box that holds their
+nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -113,8 +114,26 @@ def _profiles(case: ManufacturedCase, grid: Grid) -> State:
                    for fn in (v1, v2, theta, q)))
 
 
+def _box(grid: Grid, band: int) -> tuple:
+    """The index, in a state's spectral stack, of the box that holds every
+    nonzero coefficient of the stored arrays: per axis |j| <= max(n//3,
+    2 band), n the axis's size (the whole axis where that reaches n/2).
+    The masked tendency keeps |j| <= n//3 and Q is band-exact at 2 band
+    (see the module docstring).  x and y are index arrays that broadcast to
+    the box's rows, p a slice of leading planes."""
+    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(n // 3, 2 * band))
+                  for j, n in zip(grid.mode_index, grid.shape))
+    return (slice(None), jx[:, None], jy, slice(0, jp.size))
+
+
 class ManufacturedSolution:
-    """Precomputed forcing and exact states for one case on one grid."""
+    """Precomputed forcing and exact states for one case on one grid.
+
+    The static response S, the linear response L, the quadratic response Q
+    and the profiles U are stored on their box (_box): at 64^3 that is 30%
+    of a full stack, at 16^3 all of it.  forcing and exact_state return
+    full stacks, zero off the box.
+    """
 
     def __init__(self, case: ManufacturedCase, grid: Grid, params: PhysParams):
         if grid.nx // 3 < case.band or grid.ny // 3 < case.band or grid.np // 3 < case.band:
@@ -125,19 +144,20 @@ class ManufacturedSolution:
         self.grid = grid
         self.params = params
         ustate = _profiles(case, grid)
+        self._box = box = _box(grid, case.band)
 
-        # stacked like a state: the static response S, the linear response L
-        # and the quadratic response Q of the profiles
-        self._S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data
+        # stacked like a state, on the box: the static response S, the
+        # linear response L and the quadratic response Q of the profiles
+        self._S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data[box]
         self._L = tendency(ustate, params,
-                           variant=FAITHFUL.with_(advection=False)).data - self._S
+                           variant=FAITHFUL.with_(advection=False)).data[box] - self._S
         quad = tendency(ustate, params, variant=ModelVariant(
             advection=True, coriolis=False, pressure=False,
-            viscosity=False, dealias=False))
+            viscosity=False, dealias=False)).data[box]
         # band-exact (see the module docstring): the transforms leave
         # roundoff outside the band; a product of the profiles has twice it
-        self._Q = np.where(grid.band_mask(2 * case.band), quad.data, 0.0)
-        self._Uhat = np.where(grid.band_mask(case.band), ustate.data, 0.0)
+        self._Q = np.where(grid.band_mask(2 * case.band)[box[1:]], quad, 0.0)
+        self._Uhat = np.where(grid.band_mask(case.band)[box[1:]], ustate.data[box], 0.0)
         self._last = None  # (t, forcing stack) of the latest forcing call
         self._scratch = None  # the products of forcing; never handed out
 
@@ -161,18 +181,25 @@ class ManufacturedSolution:
         m, mdot = self.modulation(t)
         if self._scratch is None:
             self._scratch = np.empty_like(self._L)
-        # mdot U - m L - m^2 Q - S in one new array, operations in that order
-        f = np.multiply(mdot, self._Uhat)
-        f -= np.multiply(m, self._L, out=self._scratch)
-        f -= np.multiply(m * m, self._Q, out=self._scratch)
-        f -= self._S
+        # mdot U - m L - m^2 Q - S on the box, operations in that order
+        box = np.multiply(mdot, self._Uhat)
+        box -= np.multiply(m, self._L, out=self._scratch)
+        box -= np.multiply(m * m, self._Q, out=self._scratch)
+        box -= self._S
+        f = self._unboxed(box)
         f.flags.writeable = False
         self._last = (t, f)
         return f
 
+    def _unboxed(self, box: np.ndarray) -> np.ndarray:
+        """A new full stack holding box on the box and zero elsewhere."""
+        out = np.zeros((4,) + self.grid.spectral_shape, dtype=np.complex128)
+        out[self._box] = box
+        return out
+
     def exact_state(self, t: float) -> State:
         m, _ = self.modulation(t)
-        return State.of(self.grid, m * self._Uhat, SPECTRAL, t)
+        return State.of(self.grid, self._unboxed(m * self._Uhat), SPECTRAL, t)
 
     def initial_state(self) -> State:
         return self.exact_state(0.0)

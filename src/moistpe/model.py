@@ -45,8 +45,8 @@ import scipy.fft
 
 from .errors import ConstraintError, DataError
 from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
-                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p, in_ball,
-                     irfftn_norm, rfftn_norm)
+                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p, ifft_xy,
+                     in_ball, irfft_p, irfftn_norm, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -563,6 +563,11 @@ class Workspace:
     implicit multipliers lam of the IMEX split (stacked like a state), and
     scratch buffers sized by the grid.
 
+    The band and its row scratch exist only for a variant with a term along
+    p (pressure or viscosity); otherwise band is None.  An advection-only
+    variant without dealiasing would take them on every half row, and at
+    64^3 they are ~58 MB.
+
     The scratch holds intermediate values of one tendency call or one step;
     nothing a call returns refers to it.  A run builds one workspace and
     passes it to every step.
@@ -579,7 +584,6 @@ class Workspace:
         # minus the dealias mask on those planes
         self.neg_mask = -1.0 * grid.dealias_mask[..., :self.planes] if variant.dealias else -1.0
         self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
-        self.band = _VerticalBand(grid, params, co, variant.dealias)
         kp2 = grid.KP**2
         mu_kh2, lam = {}, {}
         for which in ("v", "theta", "q"):
@@ -592,12 +596,21 @@ class Workspace:
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
         # scratch of tendency: the spectral input of the stacked inverse
-        # transform (v1, v2 and the 12 derivatives) and that of omega's, the
-        # physical input of the forward one, a temporary
+        # transform (v1, v2 and the 12 derivatives), whose x and y passes
+        # run in it, and that of omega's, the physical input of the forward
+        # one, a temporary
         self.spec = np.zeros((14,) + grid.spectral_shape, dtype=np.complex128)
         self.omega_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
         self.phys = np.empty((4,) + grid.shape)
         self.tmp = np.empty(grid.shape)
+        # scratch of the steps: a stage state or spectral temporary, and a
+        # real temporary, each stacked like a state
+        self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
+        self.real = np.empty((4,) + grid.spectral_shape)
+        if not (variant.pressure or variant.viscosity):
+            self.band = None  # no term along p: no operators on the rows
+            return
+        self.band = _VerticalBand(grid, params, co, variant.dealias)
         # scratch of the operators on the rows: the rows gathered from the
         # state and their mirrors, six fields on the rows (four fluxes, the
         # integrand, a temporary), one plane of them, the values at the
@@ -610,10 +623,6 @@ class Workspace:
         self.dst_terms = np.empty((5, n_dst), dtype=np.complex128)
         self.dst_tend = np.empty((4, n_dst), dtype=np.complex128)
         self.dst_tmp = np.empty(n_dst, dtype=np.complex128)
-        # scratch of the steps: a stage state or spectral temporary, and a
-        # real temporary, each stacked like a state
-        self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
-        self.real = np.empty((4,) + grid.spectral_shape)
 
 
 def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
@@ -652,12 +661,18 @@ def tendency(
 
     Advection and rotation are products of physical samples, taken through
     3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
-    state), omega, and 4 fields out.  The pressure gradient and the
-    vertical viscosity act along p alone and are taken on the horizontal
-    spectra of the rows the mask keeps (_row_terms): Phi as a spectrum,
-    from the hydrostatic integral, and the gradient as i k times it; each
-    viscous flux and theta's conjugated chain by pairs of transforms along
-    p.  They are added to the forward transform of the products, masked.
+    state), omega, and 4 fields out.  The 14-field inverse runs its x and
+    y passes in place in the workspace and its pass along p in groups: v1
+    and v2, then each field's three derivatives, multiplied into the
+    products as they arrive.  So at most five of its 14 sample fields exist
+    at once, and they carry the bits of irfftn_norm (fields.ifft_xy).
+
+    The pressure gradient and the vertical viscosity act along p alone and
+    are taken on the horizontal spectra of the rows the mask keeps
+    (_row_terms): Phi as a spectrum, from the hydrostatic integral, and the
+    gradient as i k times it; each viscous flux and theta's conjugated chain
+    by pairs of transforms along p.  They are added to the forward
+    transform of the products, masked.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
     when none is given.  The transforms prune what is zero (see
@@ -688,23 +703,28 @@ def tendency(
     D = ws.omega_hat[..., :n]
     np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)  # dx v1 + dy v2
     om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
-    samples = irfftn_norm(g, buf, ball)
-    v1, v2 = samples[:2]
+    # the inverse of the stack: its x and y passes in place, then the pass
+    # along p for v1 and v2 and for each field's three derivatives in turn
+    ifft_xy(g, buf, ball)
+    v1, v2 = irfft_p(g, buf[:2])
     along_p = variant.pressure or variant.viscosity
     if along_p:
         terms = _row_terms(ws, U)
 
     # advection and rotation, assembled in P
-    for Pi, (dx, dy, dp) in zip(P, samples[2:].reshape((4, 3) + g.shape)):
+    for i, Pi in enumerate(P):
         if variant.advection:
+            dx, dy, dp = irfft_p(g, buf[2 + 3 * i:5 + 3 * i])
             np.multiply(v1, dx, out=Pi)
             Pi += np.multiply(v2, dy, out=tmp)
             Pi += np.multiply(om, dp, out=tmp)
+            del dx, dy, dp  # before the next group's samples arrive
         else:
             Pi.fill(0.0)
     cor1, cor2 = coriolis_term(v1, v2, params, variant)
     P[0] += cor1
     P[1] += cor2
+    del v1, v2, cor1, cor2  # before the forward transform's output arrives
 
     # -(H + mu |k_h|^2 X) on the kept planes, masked; H's other planes are
     # zero and its array becomes the result

@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, SamplingError
-from .fields import (SPECTRAL, Field3D, fft2_norm, horizontal_spectra, in_ball,
-                     irfftn_norm, parity_deviation, rfftn_norm)
+from .fields import (SPECTRAL, Field3D, HorizontalRows, fft2_norm, horizontal_spectra,
+                     in_ball, irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
@@ -95,10 +95,10 @@ def _half_rows(kh2: np.ndarray) -> np.ndarray:
 class MonitorConstants:
     """The faithful constants the monitors use on one (grid, params): the
     pressure profiles, the weight c(p) = w(p)^2 of the weighted norms, the
-    powers of |k_h|^2 and kp^2 the quadratic forms are taken against, and
-    the 2/3 mask.  A run builds them once.  They never depend on the
-    ModelVariant being run: the monitors check every run against the
-    faithful definitions.
+    powers of |k_h|^2 and kp^2 the quadratic forms are taken against, the
+    horizontal rows of the weighted norms, and the 2/3 mask.  A run builds
+    them once.  They never depend on the ModelVariant being run: the
+    monitors check every run against the faithful definitions.
     """
 
     def __init__(self, grid: Grid, params: PhysParams):
@@ -113,8 +113,9 @@ class MonitorConstants:
         self.w_kp2_pow = np.repeat(grid.parseval_weights[0, 0, :, None] * kp2_pow, 2, axis=0)
         self.iKP = 1j * grid.KP
         self.mask = grid.dealias_mask
-        # kh2^r on the rows horizontal_spectra keeps, each counted with its
-        # conjugate
+        # the rows horizontal_spectra keeps by default, and kh2^r on them,
+        # each counted with its conjugate
+        self.rows = HorizontalRows(grid, band=False)
         self.kh2_half = _half_rows(kh2)
         # volume / np * c(p), a mean over p times the volume, for the
         # interleaved real and imaginary parts of a complex row
@@ -151,8 +152,8 @@ def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None) -> 
     """
     g = k.grid
     # Re(conj(b) a) summed against c(p) on the real and imaginary parts
-    a = horizontal_spectra(g, A).view(np.float64)
-    b = a if B is None else horizontal_spectra(g, B).view(np.float64)
+    a = horizontal_spectra(g, A, k.rows).view(np.float64)
+    b = a if B is None else horizontal_spectra(g, B, k.rows).view(np.float64)
     prod = np.multiply(a, b, out=a).reshape(len(A), -1, 2 * g.np)
     return (k.kh2_half @ prod) @ k.c_mean2
 

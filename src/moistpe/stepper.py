@@ -155,6 +155,9 @@ def erk4_step(state: State, dt: float, params: PhysParams,
     accounting then sees no spurious projection losses.  ws is the Workspace
     of (grid, params, variant); a temporary one is built when none is given.
     The stage states live in the workspace; the result has its own array.
+    The weighted sum of the stage tendencies is a running sum with the
+    classical order of operations, ((k1 + 2 k2) + 2 k3) + k4, so at most two
+    stage tendencies are alive at once, not four.
     """
     g = state.grid
     if ws is None:
@@ -167,16 +170,22 @@ def erk4_step(state: State, dt: float, params: PhysParams,
         np.multiply(c * dt, k, out=ws.stage)
         return _projected(g, np.add(u, ws.stage, out=ws.stage), t_stage)
 
+    # the running sum ((k1 + 2 k2) + 2 k3) + k4, each stage tendency folded
+    # in as soon as the next stage state is built from it, in the array of
+    # that tendency
     k1 = _tendency(state, ws, forcing)
-    k2 = _tendency(stage(0.5, k1, t + 0.5 * dt), ws, forcing)
-    k3 = _tendency(stage(0.5, k2, t + 0.5 * dt), ws, forcing)
-    k4 = _tendency(stage(1.0, k3, t + dt), ws, forcing)
-    # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4), built in the array of k4
-    np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-    np.add(k2, np.multiply(2.0, k3, out=k3), out=k3)
-    np.add(k3, k4, out=k4)
-    np.multiply(dt / 6.0, k4, out=k4)
-    return _projected(g, np.add(u, k4, out=k4), t + dt)
+    k = _tendency(stage(0.5, k1, t + 0.5 * dt), ws, forcing)
+    st = stage(0.5, k, t + 0.5 * dt)
+    acc = np.add(k1, np.multiply(2.0, k, out=k), out=k)
+    del k1
+    k = _tendency(st, ws, forcing)
+    st = stage(1.0, k, t + dt)
+    acc = np.add(acc, np.multiply(2.0, k, out=k), out=k)
+    k = _tendency(st, ws, forcing)
+    np.add(acc, k, out=k)
+    # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in the array of k4
+    np.multiply(dt / 6.0, k, out=k)
+    return _projected(g, np.add(u, k, out=k), t + dt)
 
 
 def check_erk4_stability(ws: Workspace, dt: float):

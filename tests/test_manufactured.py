@@ -14,12 +14,13 @@ from moistpe.convergence import (
     temporal_study,
 )
 from moistpe.errors import ConfigError
-from moistpe.fields import Field3D
+from moistpe.fields import SPECTRAL, Field3D
 from moistpe.grid import Grid
-from moistpe.manufactured import CASES, ManufacturedSolution, get_case
-from moistpe.model import divergence_residual, tendency
+from moistpe.manufactured import CASES, ManufacturedSolution, _profiles, get_case
+from moistpe.model import FAITHFUL, ModelVariant, divergence_residual, tendency
 from moistpe.norms import sobolev_norm
 from moistpe.params import PhysParams
+from moistpe.state import State
 from moistpe.stepper import StepConfig, erk4_step, run
 
 
@@ -186,6 +187,27 @@ def test_stored_arrays_are_band_exact(grid24, params):
         assert not np.any(f.data[..., grid24.np // 3 + 1:])
 
 
+def test_forcing_on_the_box_is_the_forcing_of_the_full_stacks(params):
+    # the responses built on the whole grid have nothing off the box, so
+    # the stored box gives the forcing and the exact states bit for bit
+    grid = Grid(32, 32, 32, params.p0, params.p1)
+    ms = ManufacturedSolution(get_case("brisk"), grid, params)
+    band = ms.case.band
+    u = _profiles(ms.case, grid)
+    S = tendency(State.zeros(grid, SPECTRAL), params).data
+    L = tendency(u, params, variant=FAITHFUL.with_(advection=False)).data - S
+    quad = tendency(u, params, variant=ModelVariant(advection=True, coriolis=False,
+                                                    pressure=False, viscosity=False,
+                                                    dealias=False)).data
+    Q = np.where(grid.band_mask(2 * band), quad, 0.0)
+    U = np.where(grid.band_mask(band), u.data, 0.0)
+    assert ms._S.size < S.size
+    for t in (0.0, 0.3):
+        m, mdot = ms.modulation(t)
+        assert np.array_equal(ms.forcing(t), mdot * U - m * L - (m * m) * Q - S)
+        assert np.array_equal(ms.exact_state(t).data, m * U)
+
+
 def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
     ms = ManufacturedSolution(get_case("brisk"), grid16, params)
     first = ms.forcing(0.01)
@@ -203,8 +225,11 @@ def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
     assert not np.array_equal(ms.forcing(0.02)[0], copies[0])
 
 
-def test_forcing_of_an_earlier_time_is_left_unchanged(grid16, params):
-    ms = ManufacturedSolution(get_case("gentle"), grid16, params)
+@pytest.mark.parametrize("n", [16, 32])
+def test_forcing_of_an_earlier_time_is_left_unchanged(n, params):
+    # at 16^3 the box of the stored arrays is the whole grid, at 32^3 not
+    grid = Grid(n, n, n, params.p0, params.p1)
+    ms = ManufacturedSolution(get_case("gentle"), grid, params)
     t1, t2 = 0.125, 0.25
     first = ms.forcing(t1)
     kept = first.copy()
@@ -212,7 +237,12 @@ def test_forcing_of_an_earlier_time_is_left_unchanged(grid16, params):
     assert second is not first
     assert np.array_equal(first, kept)
     assert not first.flags.writeable and not second.flags.writeable
-    # the operations of mdot U - m L - m^2 Q - S, in that order
+    # the operations of mdot U - m L - m^2 Q - S, in that order, on the box
+    # the arrays are stored on, and zero off it
+    off_box = np.ones(first.shape, dtype=bool)
+    off_box[ms._box] = False
+    assert np.any(off_box) == (n == 32)
     for t, f in ((t1, first), (t2, second)):
         m, mdot = ms.modulation(t)
-        assert np.array_equal(f, mdot * ms._Uhat - m * ms._L - (m * m) * ms._Q - ms._S)
+        assert np.array_equal(f[ms._box], mdot * ms._Uhat - m * ms._L - (m * m) * ms._Q - ms._S)
+        assert not np.any(f[off_box])

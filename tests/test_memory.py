@@ -1,0 +1,91 @@
+"""Memory held by a forced step, by the manufactured forcing and by a
+checkpoint read.
+
+tracemalloc sees every NumPy data buffer and Python object, and nothing of
+pocketfft's internal scratch, so these counts are the same on every run.
+The bounds are in units of the arrays involved: a spectral state stack, the
+box the manufactured arrays are stored on, a checkpoint payload.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+
+from moistpe import checkpoint, config
+from moistpe.grid import Grid
+from moistpe.manufactured import ManufacturedSolution, get_case
+from moistpe.model import Workspace
+from moistpe.stepper import erk4_step
+
+
+def _grid32(params):
+    return Grid(32, 32, 32, params.p0, params.p1)
+
+
+def _stack_bytes(shape) -> int:
+    return 4 * int(np.prod(shape)) * np.dtype(np.complex128).itemsize
+
+
+def test_forced_erk4_step_holds_few_stacks_at_once(params):
+    # at its peak a step holds the running sum of its stage tendencies, the
+    # tendency being built, the forcing of a new time and a few fields of
+    # samples: under 4.5 spectral stacks above what it starts with (nine
+    # when all four stage tendencies and the 14 samples were held at once)
+    g = _grid32(params)
+    ms = ManufacturedSolution(get_case("gentle"), g, params)
+    ws = Workspace(g, params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = ms.initial_state()
+        for _ in range(2):
+            state = erk4_step(state, 1e-4, params, ms.forcing, ws=ws)
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        erk4_step(state, 1e-4, params, ms.forcing, ws=ws)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * _stack_bytes(g.spectral_shape)
+
+
+def test_manufactured_arrays_take_the_bytes_of_their_box(params):
+    # S, L, Q and U on the box; at 32^3 the box is 28% of the grid
+    g = _grid32(params)
+    ManufacturedSolution(get_case("gentle"), g, params)  # the grid's cached arrays
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ms = ManufacturedSolution(get_case("gentle"), g, params)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # per axis the modes |j| <= max(n//3, 2 band)
+    half = [max(n // 3, 2 * ms.case.band) for n in g.shape]
+    box = _stack_bytes([np.count_nonzero(j.ravel() <= h) for j, h in zip(g.mode_index, half)])
+    assert 4 * box < 2 * _stack_bytes(g.spectral_shape)
+    assert kept <= 4 * box + 16 * 1024
+
+
+def test_checkpoint_read_holds_about_one_payload(tmp_path, params):
+    g = _grid32(params)
+    cfg = config.parse("grid.nx = 32\ngrid.ny = 32\ngrid.np = 32\n"
+                       "time.dt = 1e-4\ntime.t_end = 1e-3\n")
+    state = ManufacturedSolution(get_case("gentle"), g, params).initial_state()
+    path = str(tmp_path / "state.ckpt")
+    checkpoint.write_checkpoint(path, state, cfg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, back = checkpoint.read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    payload = 4 * 32**3 * 8
+    assert back.data.nbytes == payload
+    assert peak <= payload + 64 * 1024

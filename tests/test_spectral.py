@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from moistpe.errors import DataError, ParameterError
 from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
                             HorizontalRows, from_horizontal_spectra,
-                            horizontal_spectra, in_ball, irfftn_norm, parity_project,
-                            parity_violation, rfftn_norm)
+                            horizontal_spectra, ifft_xy, in_ball, irfft_p, irfftn_norm,
+                            parity_project, parity_violation, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -102,6 +102,28 @@ def test_pruned_transforms_are_the_full_ones_in_the_ball(shape):
         work = coeff[stack].copy()
         work[..., keep:] = 7.0  # whatever the work array holds beyond the planes
         assert np.array_equal(irfftn_norm(g, work, ball=True), samples[stack])
+
+
+@pytest.mark.parametrize("kind", ["ball", "off-ball"])
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_inverse_finished_in_groups_along_p_is_the_full_one(n, kind):
+    # the tendency's inverse: the x and y passes in place on a 14-field
+    # stack, then the pass along p on v1 and v2 and on each field's three
+    # derivatives; bit for bit what irfftn_norm gives for the whole stack
+    g = _grid(n)
+    coeff = rfftn_norm(g, np.random.default_rng(n).standard_normal((14,) + g.shape))
+    if kind == "ball":
+        coeff *= g.dealias_mask
+    ball = in_ball(g, coeff)
+    assert ball == (kind == "ball")
+    want = irfftn_norm(g, coeff)
+    work = coeff.copy()
+    if ball:
+        work[..., g.np // 3 + 1:] = 7.0  # whatever the work array holds beyond the planes
+    ifft_xy(g, work, ball)
+    groups = [slice(0, 2)] + [slice(2 + 3 * i, 5 + 3 * i) for i in range(4)]
+    got = np.concatenate([irfft_p(g, work[group]) for group in groups])
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (16, 24, 20), (24, 20, 16)])

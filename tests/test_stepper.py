@@ -14,7 +14,8 @@ from moistpe.errors import BlowupError, ConfigError
 from moistpe.fields import Field3D
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
-from moistpe.model import FAITHFUL
+from moistpe.manufactured import ManufacturedSolution, get_case
+from moistpe.model import FAITHFUL, project_state, tendency
 from moistpe.norms import parseval_sum
 from moistpe.params import PhysParams, Profile
 from moistpe.state import State
@@ -151,6 +152,40 @@ def test_erk4_is_fourth_order_on_the_nonlinear_system():
     d1 = _state_dist(sols[8e-3], sols[4e-3])
     d2 = _state_dist(sols[4e-3], sols[2e-3])
     assert 12.0 <= d1 / d2 <= 20.0
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["forced-24", "free-16"])
+def test_erk4_step_is_the_classical_combination_of_its_stage_tendencies(forced):
+    # the step folds its stage tendencies into a running sum; the result is
+    # bit for bit the combination of four retained tendencies, built with
+    # the classical order of operations
+    pr = PhysParams()
+    if forced:
+        g = Grid(24, 24, 24, pr.p0, pr.p1)
+        ms = ManufacturedSolution(get_case("brisk"), g, pr)
+        state, forcing = ms.exact_state(0.05), ms.forcing
+    else:
+        g = _grid(16)
+        state, forcing = random_smooth(g, 5, amplitude=1.0, band=5).as_spectral(), None
+    dt, t = 1e-3, state.t
+    u = state.data
+    ws = Workspace(g, pr)
+
+    def k_at(s):
+        return tendency(s, pr, forcing=forcing, ws=ws).data
+
+    def stage(c, k, t_stage):
+        return project_state(State.of(g, u + np.multiply(c * dt, k), "spectral", t_stage))
+
+    k1 = k_at(state)
+    k2 = k_at(stage(0.5, k1, t + 0.5 * dt))
+    k3 = k_at(stage(0.5, k2, t + 0.5 * dt))
+    k4 = k_at(stage(1.0, k3, t + dt))
+    total = np.add(np.add(np.add(k1, 2.0 * k2), 2.0 * k3), k4)
+    want = project_state(State.of(g, u + np.multiply(dt / 6.0, total), "spectral", t + dt))
+    got = erk4_step(state, dt, pr, forcing, ws=ws)
+    assert got.t == want.t
+    assert np.array_equal(got.data, want.data)
 
 
 # --- run control ------------------------------------------------------------
