@@ -2,9 +2,8 @@
 primitive equations on a periodic pressure-coordinate domain.
 
 The public surface mirrors the internal layering: spectral fields and norms,
-the physical model (diagnostics, viscosity operators, tendencies,
-projection), time integration, runtime monitors, randomized probes, and the
-verification oracles."""
+the physical model (diagnostics, tendencies, projection), time integration,
+runtime monitors, randomized probes, and the verification oracles."""
 
 from .config import RunConfig
 from .errors import (
@@ -25,9 +24,6 @@ from .model import (
     Diagnostics,
     ModelVariant,
     Tendency,
-    apply_viscosity_q,
-    apply_viscosity_theta,
-    apply_viscosity_v,
     barotropic_project,
     diagnose,
     diagnose_omega,
@@ -79,9 +75,6 @@ __all__ = [
     "StepConfig",
     "Tendency",
     "Trajectory",
-    "apply_viscosity_q",
-    "apply_viscosity_theta",
-    "apply_viscosity_v",
     "barotropic_project",
     "dealias",
     "derivative",

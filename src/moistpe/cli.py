@@ -56,9 +56,15 @@ def _load_numpy(key: str, path: str):
         raise ConfigError(f"{key}: cannot read {path!r} as a NumPy file: {exc}") from exc
 
 
-def _require_finite(key: str, what: str, arr) -> None:
+def _real_array(key: str, what: str, arr: np.ndarray) -> np.ndarray:
+    """arr as float64; an array of strings, complex numbers or objects, or
+    one with non-finite values, is a ConfigError."""
+    if arr.dtype.kind not in "biuf":
+        raise ConfigError(f"{key}: {what} has dtype {arr.dtype}, expected real numbers")
+    arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{key}: {what} holds non-finite values")
+    return arr
 
 
 def _load_phi_s(cfg, grid):
@@ -72,9 +78,7 @@ def _load_phi_s(cfg, grid):
         raise ConfigError(
             f"physics.phi_s: array at {path!r} has shape {arr.shape}, "
             f"expected {(grid.nx, grid.ny)}")
-    arr = np.asarray(arr, dtype=np.float64)
-    _require_finite("physics.phi_s", f"array at {path!r}", arr)
-    return arr
+    return _real_array("physics.phi_s", f"array at {path!r}", arr)
 
 
 def _build_initial(cfg, grid, seed_override):
@@ -87,11 +91,13 @@ def _build_initial(cfg, grid, seed_override):
         state = random_smooth(grid, seed, amplitude=args["amplitude"],
                               band=args["band"], symmetry=symmetry)
     else:
-        ck_cfg, state = checkpoint_mod.read_checkpoint(args["path"])
-        if (ck_cfg.nx, ck_cfg.ny, ck_cfg.np) != (grid.nx, grid.ny, grid.np):
+        _, state = checkpoint_mod.read_checkpoint(args["path"])
+        ck = state.grid
+        if ck != grid:
             raise ConfigError(
-                f"initial.kind: checkpoint grid ({ck_cfg.nx}, {ck_cfg.ny}, {ck_cfg.np}) "
-                f"disagrees with grid section ({grid.nx}, {grid.ny}, {grid.np})")
+                f"initial.kind: checkpoint grid ({ck.nx}, {ck.ny}, {ck.np}) and pressure "
+                f"bounds ({ck.p0}, {ck.p1}) disagree with the grid and domain sections "
+                f"({grid.nx}, {grid.ny}, {grid.np}) and ({grid.p0}, {grid.p1})")
     if state.t == 0.0 and cfg.t0 != 0.0:
         state = state.with_time(cfg.t0)
     return state
@@ -110,12 +116,13 @@ def _build_forcing(cfg, grid, params):
     if missing:
         raise ConfigError(f"forcing.kind: file {arg!r} lacks arrays {missing}")
     from .fields import rfftn_norm
-    arrays = [np.asarray(data[k], dtype=np.float64) for k in needed]
-    for k, arr in zip(needed, arrays):
+    arrays = []
+    for k in needed:
+        arr = data[k]
         if arr.shape != grid.shape:
             raise ConfigError(
                 f"forcing.kind: array {k} has shape {arr.shape}, expected {grid.shape}")
-        _require_finite("forcing.kind", f"array {k} of {arg!r}", arr)
+        arrays.append(_real_array("forcing.kind", f"array {k} of {arg!r}", arr))
     static = rfftn_norm(grid, np.stack(arrays))
     static.flags.writeable = False
 

@@ -318,19 +318,6 @@ def horizontal_spectra(grid: Grid, coeff: np.ndarray, rows: HorizontalRows | Non
     return ifft_p(out)
 
 
-def from_horizontal_spectra(grid: Grid, F: np.ndarray, rows: HorizontalRows,
-                            out: np.ndarray) -> np.ndarray:
-    """The inverse of horizontal_spectra on rows: the rfft-layout
-    coefficients of the real field whose horizontal spectra F holds,
-    written into out (C-contiguous, shape (..., *grid.spectral_shape)) on
-    the kept planes of the rows and their mirrors.  Every other entry of out
-    is left as it was, and F is overwritten.
-    """
-    lead = F.shape[:-3]
-    out.reshape(lead + (-1,))[..., rows.dst] = rows.targets(fft_p(F))
-    return out
-
-
 def checked_forward(grid: Grid, data: np.ndarray) -> np.ndarray:
     """rfftn_norm of one field or a stack.  Non-finite input is rejected:
     NaN/Inf would silently poison every subsequent spectral operation."""

@@ -45,8 +45,8 @@ import scipy.fft
 
 from .errors import ConstraintError, DataError
 from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
-                     from_horizontal_spectra, horizontal_spectra, ifft2_norm, ifft_p, ifft_xy,
-                     in_ball, irfft_p, irfftn_norm, rfftn_norm)
+                     horizontal_spectra, ifft2_norm, ifft_p, ifft_xy, in_ball, irfft_p,
+                     irfftn_norm, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -335,8 +335,6 @@ def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
 
 def _viscosities(params: PhysParams, which: str) -> tuple[float, float]:
     """(mu, nu) of variable 'v', 'theta' or 'q'."""
-    if which not in ("v", "theta", "q"):
-        raise DataError(f"unknown variable {which!r}")
     return getattr(params, f"mu_{which}"), getattr(params, f"nu_{which}")
 
 
@@ -431,43 +429,6 @@ class _VerticalBand:
         np.sum(ghat, axis=-1, out=top)
         np.subtract(self.phi_s, top, out=ghat[..., 0])
         ghat += tmp
-
-
-def _apply_viscosity(field: Field3D, params: PhysParams, which: str,
-                     variant: ModelVariant) -> Field3D:
-    g = field.grid
-    vb = _VerticalBand(g, params, Coefficients(g, params), variant.dealias)
-    mu, nu = _viscosities(params, which)
-    k = _VARIABLES.index(which)
-    F = field.as_spectral().data
-    # the samples of c df/dp on the rows, or of (p0/p)^kappa f for theta
-    X = horizontal_spectra(g, F[None], vb.rows, vb.factor[k])
-    X *= vb.profiles[k]
-    if which == "theta":
-        vb.outer_theta(fft_p(X[0]))
-    V = from_horizontal_spectra(g, X, vb.rows, np.zeros_like(F[None]))[0]
-    out = mu * g.kh2 * F - nu * (V if which == "theta" else 1j * g.KP * V)
-    spec = Field3D.spectral(g, out)
-    return spec if field.rep == SPECTRAL else spec.as_physical()
-
-
-def apply_viscosity_v(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
-    """A_v f = -mu_v Lap f - nu_v d/dp(c df/dp); the product c*df/dp is dealiased."""
-    return _apply_viscosity(field, params, "v", variant)
-
-
-def apply_viscosity_q(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
-    """A_q f, identical in form to A_v with the humidity coefficients."""
-    return _apply_viscosity(field, params, "q", variant)
-
-
-def apply_viscosity_theta(field: Field3D, params: PhysParams, variant: ModelVariant = FAITHFUL) -> Field3D:
-    """A_th f = -mu_th Lap f - nu_th (p0/p)^kappa d/dp(c d/dp((p0/p)^kappa f)).
-
-    The composite coefficient chain is evaluated pointwise on the grid with
-    every product dealiased.  At kappa = 0 this reduces to the plain operator.
-    """
-    return _apply_viscosity(field, params, "theta", variant)
 
 
 # --- barotropic projection ------------------------------------------------
@@ -578,7 +539,6 @@ class Workspace:
         self.grid = grid
         self.params = params
         self.variant = variant
-        self.co = co
         # p-planes a masked product can occupy: mode index <= np // 3
         self.planes = grid.np // 3 + 1 if variant.dealias else grid.np // 2 + 1
         # minus the dealias mask on those planes
@@ -646,9 +606,8 @@ def tendency(
     params: PhysParams,
     forcing: ForcingFn | None = None,
     variant: ModelVariant = FAITHFUL,
-    return_diagnostics: bool = False,
     ws: Workspace | None = None,
-):
+) -> Tendency:
     """Evaluate the semi-discrete right-hand side at the state's time.
 
     All operator terms are truncated by the 2/3 mask (variant permitting) and
@@ -656,8 +615,7 @@ def tendency(
     dealiased ball only when the forcing does: manufactured forcing does on
     grids with n >= 24, forcing read from a file in general does not.
     Returns a Tendency whose stacked array is a fresh one (nothing else
-    refers to it), optionally with the freshly diagnosed omega and Phi
-    (Phi and T through the faithful route of diagnose_phi).
+    refers to it); diagnose gives omega, Phi and T.
 
     Advection and rotation are products of physical samples, taken through
     3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
@@ -686,7 +644,7 @@ def tendency(
         ws = Workspace(g, params, variant)
     elif ws.grid != g or ws.params is not params or ws.variant != variant:
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
-    co, buf, P, tmp = ws.co, ws.spec, ws.phys, ws.tmp
+    buf, P, tmp = ws.spec, ws.phys, ws.tmp
     U = state.as_spectral().data
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
@@ -747,16 +705,7 @@ def tendency(
     if forcing is not None:
         H += forcing(state.t)
 
-    out = Tendency.of(g, H, SPECTRAL, state.t)
-    if return_diagnostics:
-        it = _integrand(g, params, co, irfftn_norm(g, U[2]))
-        diag = Diagnostics(
-            Field3D.physical(g, om),
-            Field3D.physical(g, _phi(g, params, co, it)),
-            Field3D.physical(g, it.T),
-        )
-        return out, diag
-    return out
+    return Tendency.of(g, H, SPECTRAL, state.t)
 
 
 def diagnose(state: State, params: PhysParams) -> Diagnostics:

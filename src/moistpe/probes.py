@@ -86,24 +86,6 @@ def _seeded_table(seed: int, band: int, decay: float) -> tuple[np.ndarray, np.nd
     return C, counts
 
 
-def seeded_coefficients(seed: int, band: int, decay: float = 2.0) -> dict:
-    """Complex mode table {(jx, jy, jp): c} for |jx|,|jy| <= band, 0 <= jp <= band.
-
-    Modes are visited in a fixed order and every visit consumes the same
-    number of draws, so the table depends only on (seed, band, decay).  The
-    jp = 0 plane carries the conjugate symmetry of a real field explicitly.
-    The dict holds the modes in the visiting order of `_seeded_table`.
-    """
-    C, counts = _seeded_table(seed, band, decay)
-    coeffs: dict[tuple[int, int, int], complex] = {}
-    for ix, iy, jp in zip(*np.nonzero(counts)):
-        jx, jy = int(ix) - band, int(iy) - band
-        coeffs[(jx, jy, int(jp))] = complex(C[ix, iy, jp])
-        if counts[ix, iy, jp] == 2:
-            coeffs[(-jx, -jy, 0)] = complex(C[2 * band - ix, 2 * band - iy, 0])
-    return coeffs
-
-
 def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) -> Field3D:
     """A random trigonometric polynomial with ||f||_L2 = amplitude, identical
     (as a function) on every grid with n >= 3*band in each direction."""

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import resample
 
-from .errors import ParameterError
-from .grid import Grid
-from .params import PhysParams
+from moistpe.errors import ParameterError
+from moistpe.grid import Grid
+from moistpe.params import PhysParams
 
 OP_NAMES = ("derivative", "viscosity_v", "viscosity_theta", "viscosity_q",
             "omega", "phi")

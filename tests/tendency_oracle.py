@@ -5,7 +5,8 @@ horizontal row: the hydrostatic Phi is synthesised in physical space,
 transformed forward and differentiated, and each vertical viscous flux and
 the (p0/p)^kappa conjugation of theta's viscosity is a dealiased product of
 physical samples.  model.tendency takes the p-only terms on the horizontal
-spectra of the kept rows instead; the two must agree to roundoff.
+spectra of the kept rows instead; the two must agree to roundoff, for
+every variant (a viscosity-only one checks the viscous operator alone).
 """
 
 import numpy as np
@@ -38,21 +39,6 @@ def dp_viscous(grid, co, mask, F, which):
     if which == "theta":
         F = conjugated_hat(grid, co, mask, irfftn_norm(grid, F))
     return irfftn_norm(grid, 1j * grid.KP * F)
-
-
-def viscosity_3d(grid, F, params, which, variant=FAITHFUL):
-    """mu |k_h|^2 F - nu d/dp(c dF/dp), theta's conjugated by (p0/p)^kappa,
-    of the spectral field F: the spectrum apply_viscosity_v, _theta and _q
-    return."""
-    co = Coefficients(grid, params)
-    mask = grid.dealias_mask if variant.dealias else 1.0
-    mu, nu = _viscosities(params, which)
-    W = viscous_flux_hat(grid, co, mask, dp_viscous(grid, co, mask, F, which))
-    if which == "theta":
-        vertical = conjugated_hat(grid, co, mask, irfftn_norm(grid, 1j * grid.KP * W))
-    else:
-        vertical = 1j * grid.KP * W
-    return mu * grid.kh2 * F - nu * vertical
 
 
 def tendency_3d(state, params, forcing=None, variant=FAITHFUL):

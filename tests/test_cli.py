@@ -80,6 +80,16 @@ def test_registry_contents():
     assert PROBE_KINDS == ("trilinear", "minkowski", "gronwall")
 
 
+def test_public_names_resolve():
+    missing = [name for name in moistpe.__all__ if not hasattr(moistpe, name)]
+    assert not missing
+    # the standalone viscosity operators left the package: the viscous
+    # operator is the one inside tendency
+    for gone in ("apply_viscosity_v", "apply_viscosity_q", "apply_viscosity_theta"):
+        assert gone not in moistpe.__all__
+        assert not hasattr(moistpe, gone) and not hasattr(moistpe.model, gone)
+
+
 # --- run --------------------------------------------------------------------
 
 
@@ -204,6 +214,17 @@ def test_run_undecodable_checkpoint_config(tmp_path, capsys):
     _assert_configuration_error(capsys, str(ck))
 
 
+def test_run_resume_with_other_pressure_bounds(tmp_path, capsys):
+    # used to fail inside the run with a generic error
+    ck = tmp_path / "resume.mpes"
+    cfg_a = _write_config(tmp_path, "a.cfg", **{"output.checkpoint_path": ck})
+    assert main(["run", "--config", cfg_a, "--quiet"]) == 0
+    capsys.readouterr()
+    cfg_b = _write_config(tmp_path, "b.cfg", **{"initial.kind": f"file:{ck}", "domain.p0": "0.1"})
+    assert main(["run", "--config", cfg_b, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "initial.kind", "(0.2, 1.0)", "(0.1, 1.0)")
+
+
 @pytest.mark.parametrize("content", [b"this is not a NumPy file\n", b"",
                                      b"PK\x03\x04 not a zip archive"])
 @pytest.mark.parametrize("key", ["physics.phi_s", "forcing.kind"])
@@ -255,6 +276,23 @@ def test_run_non_finite_input_file(tmp_path, key, make):
     line, = proc.stderr.splitlines()
     assert line.startswith("configuration error: ") and "non-finite" in line
     assert key in line and array in line
+
+
+@pytest.mark.parametrize("dtype, value", [("U4", "1.5"), (complex, 1 + 2j)], ids=["str", "complex"])
+@pytest.mark.parametrize("key", ["physics.phi_s", "forcing.kind"])
+def test_run_input_file_of_the_wrong_dtype(tmp_path, capsys, key, dtype, value):
+    # a string array used to end in a traceback, and a complex one ran on
+    # with its imaginary part dropped
+    if key == "physics.phi_s":
+        path, array = tmp_path / "phi.npy", "phi.npy"
+        np.save(path, np.full((8, 8), value, dtype=dtype))
+    else:
+        path, array = tmp_path / "forcing.npz", "fq"
+        fields = {k: np.zeros((8, 8, 8)) for k in ("fv1", "fv2", "ftheta")}
+        np.savez(path, fq=np.full((8, 8, 8), value, dtype=dtype), **fields)
+    cfg = _write_config(tmp_path, **{key: f"file:{path}"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, key, array, "dtype")
 
 
 def test_run_file_forcing_is_read_only(tmp_path):

@@ -4,7 +4,10 @@ Operator-level checks come in two independent flavors: closed-form examples
 (single harmonics with hand-integrable right-hand sides) and the
 finite-difference reference in fd_oracle, which evaluates the same operator
 on a refined grid with fourth-order stencils.  Doubling the refinement
-factor must shrink the disagreement by about 2^4.
+factor must shrink the disagreement by about 2^4.  The viscous operators
+are those runs integrate: minus the tendency of a viscosity-only variant.
+The whole tendency is checked against tendency_oracle's assembly through
+3-D transforms.
 """
 
 import math
@@ -13,13 +16,10 @@ import numpy as np
 import pytest
 
 from moistpe.errors import ConstraintError, DataError, ParameterError
-from moistpe.fd_oracle import OP_NAMES, FdOracle, reference_apply
-from moistpe.fields import Field3D, derivative, in_ball, rfftn_norm
+from moistpe.fields import SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
-from moistpe.model import (FAITHFUL, ModelVariant, apply_viscosity_q,
-                           apply_viscosity_theta, apply_viscosity_v,
-                           Workspace, barotropic_project, diagnose,
+from moistpe.model import (FAITHFUL, ModelVariant, Workspace, barotropic_project, diagnose,
                            diagnose_omega, diagnose_phi, divergence_residual,
                            hydrostatic_gradient_residual,
                            hydrostatic_residual, omega_top_residual,
@@ -29,7 +29,8 @@ from moistpe.norms import sobolev_norm
 from moistpe.params import PhysParams, Profile
 from moistpe.probes import seeded_scalar, seeded_velocity
 from moistpe.state import State
-from tendency_oracle import tendency_3d, viscosity_3d
+from fd_oracle import OP_NAMES, FdOracle, reference_apply
+from tendency_oracle import tendency_3d
 
 P0, P1 = 0.2, 1.0
 LP = P1 - P0
@@ -162,21 +163,30 @@ def test_hydrostatic_residual_detects_wrong_phi(grid16, params):
 
 # --- viscosity --------------------------------------------------------------
 
+VISCOUS = ModelVariant(advection=False, coriolis=False, pressure=False)
+
+
+def _viscosity(f, params):
+    """The samples of A_v f, A_v f, A_th f and A_q f, stacked: minus the
+    viscosity-only tendency of the state with f in every slot."""
+    g = f.grid
+    state = State.of(g, np.stack([f.as_spectral().data] * 4), SPECTRAL, 0.0)
+    return irfftn_norm(g, -tendency(state, params, variant=VISCOUS).data)
+
+
 def test_viscosity_of_constant_vanishes(grid16, params):
     const = Field3D.physical(grid16, np.full(grid16.shape, 2.0))
-    for op in (apply_viscosity_v, apply_viscosity_q):
-        out = op(const, params)
-        assert np.abs(out.as_physical().data).max() <= 1e-12
+    Av, _, _, Aq = _viscosity(const, params)
+    for out in (Av, Aq):
+        assert np.abs(out).max() <= 1e-12
     # the conjugated operator annihilates constants only in the zero-exponent
     # limit; its general null direction is (p/p0)^kappa instead
     pr0 = PhysParams(cp=math.inf)
-    out = apply_viscosity_theta(const, pr0)
-    assert np.abs(out.as_physical().data).max() <= 1e-12
+    assert np.abs(_viscosity(const, pr0)[2]).max() <= 1e-12
     prof = Field3D.physical(
         grid16, np.broadcast_to((grid16.p / P0) ** params.kappa,
                                 grid16.shape).copy())
-    out = apply_viscosity_theta(prof, params)
-    assert np.abs(out.as_physical().data).max() <= 1e-12
+    assert np.abs(_viscosity(prof, params)[2]).max() <= 1e-12
 
 
 def test_viscosity_eigenfunction_with_linear_reference():
@@ -185,58 +195,41 @@ def test_viscosity_eigenfunction_with_linear_reference():
     g = _grid(16)
     f = Field3D.from_function(
         g, lambda x, y, p: np.sin(2 * np.pi * (p - P0) / LP))
-    out = apply_viscosity_v(f, pr).as_physical()
+    out = _viscosity(f, pr)[0]
     lam = pr.nu_v * (2 * np.pi / LP) ** 2
-    assert np.abs(out.data - lam * f.data).max() <= 1e-10
+    assert np.abs(out - lam * f.data).max() <= 1e-10
 
 
 def test_theta_viscosity_reduces_to_plain_form_without_exponent():
     pr = PhysParams(cp=math.inf)   # kappa = 0 removes the conjugation
     g = _grid(16)
     f = seeded_scalar(g, 13, band=5).as_physical()
-    a = apply_viscosity_theta(f, pr).as_physical().data
-    b = apply_viscosity_v(f, pr).as_physical().data  # same mu, nu defaults
-    scale = max(1.0, np.abs(b).max())
-    assert np.abs(a - b).max() <= 1e-12 * scale
+    Av, _, a, _ = _viscosity(f, pr)  # same mu, nu defaults
+    scale = max(1.0, np.abs(Av).max())
+    assert np.abs(a - Av).max() <= 1e-12 * scale
 
 
 def test_viscosity_positive_pairing(grid16, params):
     # <A f, f> >= 0: the operator only ever drains energy
     for seed in range(5):
         f = seeded_scalar(grid16, 100 + seed, band=5).as_physical()
-        for op in (apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q):
-            out = op(f, params).as_physical()
-            pairing = grid16.volume * np.mean(out.data * f.data)
+        Av, _, Ath, Aq = _viscosity(f, params)
+        for out in (Av, Ath, Aq):
+            pairing = grid16.volume * np.mean(out * f.data)
             assert pairing >= -1e-10 * max(1.0, abs(pairing))
-
-
-@pytest.mark.parametrize("distinct", [False, True])
-def test_viscous_tendency_matches_standalone_operators(grid16, params, distinct):
-    # with transport, rotation and pressure switched off the tendency is
-    # -dealias(A u) for each variable, and must agree with the standalone
-    # operators (default params, then a linear theta_bar with six distinct
-    # viscosities)
-    if distinct:
-        params = params.with_(theta_bar=Profile.linear(0.5, 1.5),
-                              mu_v=2e-2, nu_v=3e-2, mu_theta=4e-3,
-                              nu_theta=5e-3, mu_q=6e-3, nu_q=7e-3)
-    variant = ModelVariant(advection=False, coriolis=False, pressure=False)
-    state = project_state(random_smooth(grid16, 5, amplitude=1.0)).as_spectral()
-    tend = tendency(state, params, variant=variant)
-    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
-    for got, field, op in zip((tend.v1, tend.v2, tend.theta, tend.q), state.fields, ops):
-        want = -op(field, params).data * grid16.dealias_mask
-        diff = sobolev_norm(Field3D.spectral(grid16, got.data - want), 0)
-        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(grid16, want), 0)
 
 
 # --- the operators along p against the 3-D assembly -------------------------
 
 def _surface_params(grid, params):
-    """params with a nonzero surface geopotential and a linear theta_bar."""
+    """params with a nonzero surface geopotential, a linear theta_bar and
+    six distinct viscosities, so that a mix-up of the v, theta and q
+    coefficients shows."""
     x, y = grid.x[:, None], grid.y[None, :]
     phi_s = 3.0 * np.sin(2 * np.pi * x) + np.cos(2 * np.pi * (x + 2 * y))
-    return params.with_(phi_s=phi_s, theta_bar=Profile.linear(0.5, 1.5))
+    return params.with_(phi_s=phi_s, theta_bar=Profile.linear(0.5, 1.5),
+                        mu_v=2e-2, nu_v=3e-2, mu_theta=4e-3, nu_theta=5e-3,
+                        mu_q=6e-3, nu_q=7e-3)
 
 
 def _oracle_state(grid, kind):
@@ -267,6 +260,8 @@ _ORACLE_VARIANTS = {
     "no-coriolis": FAITHFUL.with_(coriolis=False),
     "no-pressure": FAITHFUL.with_(pressure=False),
     "no-viscosity": FAITHFUL.with_(viscosity=False),
+    "viscous": VISCOUS,
+    "viscous-no-dealias": VISCOUS.with_(dealias=False),
 }
 
 
@@ -298,20 +293,6 @@ def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
     variant = _ORACLE_VARIANTS[name]
     got = tendency(state, params, variant=variant).data
     assert max(_relative_misfits(got, tendency_3d(state, params, variant=variant))) <= 1e-13
-
-
-@pytest.mark.parametrize("kind", ["ball", "off-ball", "raw"])
-@pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no-dealias"])
-def test_viscosity_operators_match_the_3d_assembly(kind, dealias, params):
-    g = Grid(16, 24, 20, P0, P1)
-    params = _surface_params(g, params)
-    state = _oracle_state(g, kind)
-    variant = FAITHFUL.with_(dealias=dealias)
-    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
-    got = [op(field, params, variant).data for op, field in zip(ops, state.fields)]
-    want = [viscosity_3d(g, field.data, params, which, variant)
-            for field, which in zip(state.fields, ("v", "v", "theta", "q"))]
-    assert max(_relative_misfits(got, want)) <= 1e-13
 
 
 def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft_log):
@@ -367,14 +348,13 @@ def test_reference_viscosity_fourth_order():
     g = _grid(16)
     for seed in range(10):
         f = seeded_scalar(g, 60 + seed, band=4).as_physical()
-        r = _order_ratio(lambda: apply_viscosity_v(f, pr).as_physical().data,
-                         "viscosity_v", g, pr, f.data)
+        Av, _, _, Aq = _viscosity(f, pr)
+        Ath = _viscosity(f, prt)[2]
+        r = _order_ratio(lambda: Av, "viscosity_v", g, pr, f.data)
         assert 11.0 <= r <= 21.0
-        r = _order_ratio(lambda: apply_viscosity_q(f, pr).as_physical().data,
-                         "viscosity_q", g, pr, f.data)
+        r = _order_ratio(lambda: Aq, "viscosity_q", g, pr, f.data)
         assert 11.0 <= r <= 21.0
-        r = _order_ratio(lambda: apply_viscosity_theta(f, prt).as_physical().data,
-                         "viscosity_theta", g, prt, f.data)
+        r = _order_ratio(lambda: Ath, "viscosity_theta", g, prt, f.data)
         assert 11.0 <= r <= 21.0
 
 
@@ -463,15 +443,6 @@ def test_pure_rotation_tendency(grid16, params):
     assert np.abs(got2 - want2).max() <= 1e-12 * scale
 
 
-def test_tendency_returns_diagnostics_consistent_with_direct_calls(grid16, params):
-    st = random_smooth(grid16, 3).as_physical()
-    _, diag = tendency(st, params, return_diagnostics=True)
-    ref = diagnose(st, params)
-    assert np.abs(diag.omega.data - ref.omega.data).max() <= 1e-12
-    assert np.abs(diag.phi.data - ref.phi.data).max() <= 1e-12
-    assert np.abs(diag.temperature.data - ref.temperature.data).max() <= 1e-12
-
-
 def _off_ball_state(grid):
     """A projected state with content on the p-planes above np//3."""
     state = project_state(random_smooth(grid, 6, amplitude=1.0, band=7)).as_spectral()
@@ -489,29 +460,19 @@ def _ball_state(grid, seed=2):
 def test_tendency_off_the_ball_transforms_every_plane(grid16, params, dealias):
     # a state and a file-style forcing with content above np//3 in p, on a
     # workspace that has just served an in-ball call: the viscous tendency
-    # plus forcing must equal the standalone operators, and omega and Phi
-    # the standalone diagnostics, which never skip a plane
+    # plus forcing must equal the 3-D assembly's, which never skips a plane
     g = grid16
     state = _off_ball_state(g)
     rng = np.random.default_rng(9)
-    forced = tuple(rfftn_norm(g, rng.standard_normal(g.shape)) for _ in range(4))
-    viscous = ModelVariant(advection=False, coriolis=False, pressure=False, dealias=dealias)
+    forced = np.stack([rfftn_norm(g, rng.standard_normal(g.shape)) for _ in range(4)])
+    viscous = VISCOUS.with_(dealias=dealias)
     ws = Workspace(g, params, viscous)
     tendency(_ball_state(g), params, variant=viscous, ws=ws)
     tend = tendency(state, params, forcing=lambda t: forced, variant=viscous, ws=ws)
-    mask = g.dealias_mask if dealias else 1.0
-    ops = (apply_viscosity_v, apply_viscosity_v, apply_viscosity_theta, apply_viscosity_q)
-    for got, field, op, f in zip((tend.v1, tend.v2, tend.theta, tend.q), state.fields, ops, forced):
-        want = -op(field, params, viscous).data * mask + f
-        diff = sobolev_norm(Field3D.spectral(g, got.data - want), 0)
-        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(g, want), 0)
-
-    _, diag = tendency(state, params, variant=FAITHFUL.with_(dealias=dealias),
-                       return_diagnostics=True)
-    omega = diagnose_omega(state.v1, state.v2, check=False).data
-    phi = diagnose_phi(state.theta.as_physical(), params).data
-    np.testing.assert_allclose(diag.omega.data, omega, rtol=0, atol=1e-14 * np.abs(omega).max())
-    np.testing.assert_allclose(diag.phi.data, phi, rtol=0, atol=1e-14 * np.abs(phi).max())
+    want = tendency_3d(state, params, forcing=lambda t: forced, variant=viscous)
+    for got, w in zip(tend.data, want):
+        diff = sobolev_norm(Field3D.spectral(g, got - w), 0)
+        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(g, w), 0)
 
 
 def test_workspace_after_an_off_ball_call_gives_the_fresh_result(grid16, params):
@@ -549,17 +510,14 @@ def test_tendency_with_rows_beyond_the_ball_transforms_every_row(shape, axis, pa
 def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     # a Runge-Kutta step holds four tendencies of one workspace at once
     ws = Workspace(grid16, params)
-    first, diag = tendency(_ball_state(grid16), params, return_diagnostics=True, ws=ws)
-    kept = [f.data.copy() for f in (first.v1, first.v2, first.theta, first.q,
-                                    diag.omega, diag.phi, diag.temperature)]
+    first = tendency(_ball_state(grid16), params, ws=ws)
+    kept = first.data.copy()
     tendency(_ball_state(grid16, seed=3), params, ws=ws)
     tendency(_off_ball_state(grid16), params, ws=ws)
-    for f, k in zip((first.v1, first.v2, first.theta, first.q,
-                     diag.omega, diag.phi, diag.temperature), kept):
-        assert np.array_equal(f.data, k)
-        for scratch in (ws.spec, ws.omega_hat, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
-                        ws.rows_plane, ws.dst_terms, ws.dst_tend, ws.dst_tmp):
-            assert not np.shares_memory(f.data, scratch)
+    assert np.array_equal(first.data, kept)
+    for scratch in (ws.spec, ws.omega_hat, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
+                    ws.rows_plane, ws.dst_terms, ws.dst_tend, ws.dst_tmp):
+        assert not np.shares_memory(first.data, scratch)
 
 
 def test_tendency_rejects_a_workspace_of_other_params(grid16, params):

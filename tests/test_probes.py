@@ -14,10 +14,10 @@ from moistpe.norms import sobolev_norm
 from moistpe.monitors import coriolis_work as coriolis_work_applied
 from moistpe.params import PhysParams
 from moistpe.probes import (
+    _seeded_table,
     gronwall_probe,
     invariants_run,
     minkowski_suite,
-    seeded_coefficients,
     seeded_scalar,
     seeded_velocity,
     skew_suite,
@@ -81,14 +81,24 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
 
 
+def _moduli(c):
+    return c.real * c.real + c.imag * c.imag
+
+
 @pytest.mark.parametrize("decay", [2.0, 1.5])
 @pytest.mark.parametrize("band", range(1, 8))
 def test_seeded_coefficients_match_the_loop_bit_for_bit(band, decay):
+    # the table holds the loop's value of every mode, and repeating each
+    # entry by its count gives the loop's modes in the loop's order
     for seed in range(50):
         ref = _loop_coefficients(seed, band, decay)
-        got = seeded_coefficients(seed, band, decay)
-        assert list(got) == list(ref)
-        assert np.array_equal(_bits(list(got.values())), _bits(list(ref.values())))
+        want = np.zeros((2 * band + 1, 2 * band + 1, band + 1), dtype=np.complex128)
+        for (jx, jy, jp), c in ref.items():
+            want[jx + band, jy + band, jp] = c
+        C, counts = _seeded_table(seed, band, decay)
+        assert np.array_equal(_bits(C), _bits(want))
+        in_order = np.repeat(_moduli(C).ravel(), counts.ravel())
+        assert np.array_equal(in_order, [_moduli(c) for c in ref.values()])
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (24, 24, 24), (32, 32, 32), (16, 24, 16)])
@@ -111,16 +121,14 @@ def test_seeded_velocity_matches_the_loop_bit_for_bit(grid16):
 
 
 def test_seeded_coefficients_are_deterministic_and_hermitian():
-    a = seeded_coefficients(3, 4)
-    b = seeded_coefficients(3, 4)
-    assert a == b
-    for (jx, jy, jp), c in a.items():
-        assert abs(jx) <= 4 and abs(jy) <= 4 and 0 <= jp <= 4
-        if jp == 0:
-            assert a[(-jx, -jy, 0)] == c.conjugate()
-    assert a[(0, 0, 0)].imag == 0.0
+    C, counts = _seeded_table(3, 4, 2.0)
+    again, _ = _seeded_table(3, 4, 2.0)
+    assert C.shape == counts.shape == (9, 9, 5)
+    assert np.array_equal(C, again)
+    assert np.array_equal(C[::-1, ::-1, 0], np.conj(C[:, :, 0]))
+    assert C[4, 4, 0].imag == 0.0
     with pytest.raises(ConfigError):
-        seeded_coefficients(3, 0)
+        _seeded_table(3, 0, 2.0)
 
 
 def test_seeded_scalar_is_resolution_independent(grid16, params):

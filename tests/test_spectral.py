@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
-from moistpe.fields import (Field3D, ParityClass, dealias, derivative,
-                            HorizontalRows, from_horizontal_spectra,
-                            horizontal_spectra, ifft_xy, in_ball, irfft_p, irfftn_norm,
-                            parity_project, parity_violation, rfftn_norm)
+from moistpe.fields import (Field3D, ParityClass, dealias, derivative, fft_p,
+                            HorizontalRows, horizontal_spectra, ifft_xy, in_ball, irfft_p,
+                            irfftn_norm, parity_project, parity_violation, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -427,7 +426,8 @@ def test_horizontal_spectra_synthesise_the_samples(shape, params):
 @pytest.mark.parametrize("band", [True, False], ids=["band", "half-rows"])
 def test_from_horizontal_spectra_inverts_them_on_the_rows(shape, band, params):
     # the spectra of real fields: on the band rows they are those of every
-    # half row, and the inverse writes back the kept planes of the rows and
+    # half row, and scattering their spectra along p to the targets
+    # (rows.dst, rows.targets) writes back the kept planes of the rows and
     # their mirrors, nothing else
     g = Grid(*shape, params.p0, params.p1)
     rng = np.random.default_rng(sum(shape))
@@ -440,6 +440,6 @@ def test_from_horizontal_spectra_inverts_them_on_the_rows(shape, band, params):
         every = horizontal_spectra(g, C)[:, np.r_[0:bx + 1, g.nx - bx:g.nx], :by + 1]
         np.testing.assert_allclose(F, every, rtol=0, atol=1e-15 * np.abs(every).max())
     out = np.zeros_like(C)
-    from_horizontal_spectra(g, F, rows, out)
+    out.reshape(2, -1)[:, rows.dst] = rows.targets(fft_p(F))
     want = C * (g.dealias_mask if band else 1.0)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-15 * np.abs(C).max())
