@@ -219,6 +219,24 @@ def test_viscosity_positive_pairing(grid16, params):
             assert pairing >= -1e-10 * max(1.0, abs(pairing))
 
 
+@pytest.mark.parametrize("distinct", [False, True])
+def test_viscous_tendency_matches_standalone_operators(grid16, params, distinct):
+    # with transport, rotation and pressure switched off the tendency is
+    # -dealias(A u) for each variable, and must agree with the operators
+    # assembled through 3-D transforms (default params, then a linear
+    # theta_bar with six distinct viscosities)
+    if distinct:
+        params = params.with_(theta_bar=Profile.linear(0.5, 1.5),
+                              mu_v=2e-2, nu_v=3e-2, mu_theta=4e-3,
+                              nu_theta=5e-3, mu_q=6e-3, nu_q=7e-3)
+    state = project_state(random_smooth(grid16, 5, amplitude=1.0)).as_spectral()
+    got = tendency(state, params, variant=VISCOUS).data
+    want = tendency_3d(state, params, variant=VISCOUS)
+    for a, b in zip(got, want):
+        diff = sobolev_norm(Field3D.spectral(grid16, a - b), 0)
+        assert diff <= 1e-13 * sobolev_norm(Field3D.spectral(grid16, b), 0)
+
+
 # --- the operators along p against the 3-D assembly -------------------------
 
 def _surface_params(grid, params):
