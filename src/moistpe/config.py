@@ -9,20 +9,24 @@ identity.
 Sections and keys:
 
   grid.nx, grid.ny, grid.np          even integers >= 8
-  domain.p0, domain.p1               pressure bounds, 0 < p0 < p1
-  physics.R, physics.cp, physics.g, physics.f_cor
+  domain.p0, domain.p1               pressure bounds, 0 < p0 < p1 < inf
+  physics.R, physics.g               positive and finite
+  physics.cp                         positive; inf is the kappa = 0 case
+  physics.f_cor                      finite
   physics.mu_v,  physics.nu_v       }
-  physics.mu_theta, physics.nu_theta }  positive viscosities
+  physics.mu_theta, physics.nu_theta }  viscosities, positive and finite
   physics.mu_q,  physics.nu_q       }
   physics.theta_bar, physics.theta_h   profile tokens: constant:a |
-                                       linear:a,b | proportional:a
+                                       linear:a,b | proportional:a;
+                                       on the pressure grid theta_bar is
+                                       positive and finite, theta_h finite
   physics.phi_s                      zero | file:<path to .npy, shape nx x ny>
   time.dt, time.t_end, time.t0       floats (t0 is the resume time);
                                      t_end - t0 a whole number of dt
   time.scheme                        imex_cnab2 | erk4_fully_explicit
   forcing.kind                       zero | manufactured:<case> | file:<path>
   initial.kind                       rest | random_smooth:<seed[,amplitude[,band]]>
-                                     | file:<path>
+                                     | file:<path>; 0 < amplitude < inf
   initial.symmetry                   none | paper_parity
   output.norms_path                  none | <path> (NDJSON; a .csv mirror is
                                      written next to it)
@@ -36,16 +40,26 @@ older checkpoints still load, but time.adapt = true is an error.
 
 The pressure bounds live in the domain section only; the physics parameter
 set reuses them, so there is exactly one place to mistype them.
+
+validate builds what the config describes (the Grid, the PhysParams without
+phi_s, the model.Coefficients of its profiles, the StepConfig and its
+step_count), so each grid, physics and step rule is written once, in its
+constructor; a constructor's ParameterError becomes a ConfigError.  Every
+error names its dotted key.  Only the tokens no constructor reads (phi_s,
+the forcing and initial kinds, the symmetry and the output cadences) are
+checked in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .grid import Grid
+from .model import Coefficients
 from .params import PhysParams, Profile
-from .stepper import SCHEMES, StepConfig, step_count
+from .stepper import StepConfig, step_count
 
 SYMMETRY_TOKENS = ("none", "paper_parity")
 
@@ -205,30 +219,15 @@ def _key_error(attr: str, message: str) -> ConfigError:
 
 
 def validate(cfg: RunConfig) -> None:
-    for attr in ("nx", "ny", "np"):
-        n = getattr(cfg, attr)
-        if n < 8 or n % 2 != 0:
-            raise _key_error(attr, f"mode count must be even and >= 8, got {n}")
-    if not (0.0 < cfg.p0 < cfg.p1):
-        raise _key_error("p0", f"pressure bounds need 0 < p0 < p1, got p0={cfg.p0}, p1={cfg.p1}")
-    for attr in ("R", "cp", "g"):
-        if getattr(cfg, attr) <= 0.0:
-            raise _key_error(attr, "must be positive")
-    for attr in ("mu_v", "nu_v", "mu_theta", "nu_theta", "mu_q", "nu_q"):
-        if getattr(cfg, attr) <= 0.0:
-            raise _key_error(attr, "viscosity must be positive")
-    for attr in ("theta_bar", "theta_h"):
-        try:
-            Profile.parse(getattr(cfg, attr))
-        except ConfigError as exc:
-            raise _key_error(attr, str(exc)) from exc
+    """Raise ConfigError, naming the key, for the first rule cfg breaks."""
+    try:
+        Coefficients(build_grid(cfg), build_params(cfg))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    build_step_config(cfg)
+    step_count(cfg.t0, cfg.t_end, cfg.dt)
     if cfg.phi_s != "zero" and not cfg.phi_s.startswith("file:"):
         raise _key_error("phi_s", f"expected 'zero' or 'file:<path>', got {cfg.phi_s!r}")
-    if cfg.dt <= 0.0:
-        raise _key_error("dt", f"must be positive, got {cfg.dt}")
-    step_count(cfg.t0, cfg.t_end, cfg.dt)
-    if cfg.scheme not in SCHEMES:
-        raise _key_error("scheme", f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     parse_forcing_kind(cfg.forcing_kind)
     parse_initial_kind(cfg.initial_kind)
     if cfg.initial_symmetry not in SYMMETRY_TOKENS:
@@ -282,8 +281,8 @@ def parse_initial_kind(token: str) -> tuple[str, dict]:
             raise ConfigError(f"initial.kind: bad random_smooth arguments {rest!r}: {exc}") from exc
         if args["seed"] is None:
             raise ConfigError("initial.kind: random_smooth needs a seed")
-        if args["amplitude"] <= 0.0:
-            raise ConfigError("initial.kind: random_smooth amplitude must be positive")
+        if not 0.0 < args["amplitude"] < math.inf:
+            raise ConfigError("initial.kind: random_smooth amplitude must be positive and finite")
         return ("random_smooth", args)
     raise ConfigError(
         "initial.kind: expected 'rest', 'random_smooth:<seed[,amplitude[,band]]>' "
@@ -294,6 +293,13 @@ def build_grid(cfg: RunConfig) -> Grid:
     return Grid(cfg.nx, cfg.ny, cfg.np, cfg.p0, cfg.p1)
 
 
+def _profile(cfg: RunConfig, attr: str) -> Profile:
+    try:
+        return Profile.parse(getattr(cfg, attr))
+    except ConfigError as exc:
+        raise _key_error(attr, str(exc)) from exc
+
+
 def build_params(cfg: RunConfig, phi_s=None) -> PhysParams:
     return PhysParams(
         R=cfg.R, cp=cfg.cp, g=cfg.g, f_cor=cfg.f_cor,
@@ -301,8 +307,8 @@ def build_params(cfg: RunConfig, phi_s=None) -> PhysParams:
         mu_v=cfg.mu_v, nu_v=cfg.nu_v,
         mu_theta=cfg.mu_theta, nu_theta=cfg.nu_theta,
         mu_q=cfg.mu_q, nu_q=cfg.nu_q,
-        theta_bar=Profile.parse(cfg.theta_bar),
-        theta_h=Profile.parse(cfg.theta_h),
+        theta_bar=_profile(cfg, "theta_bar"),
+        theta_h=_profile(cfg, "theta_h"),
         phi_s=phi_s,
     )
 

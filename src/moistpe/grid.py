@@ -12,12 +12,20 @@ halves the p axis, giving spectral shape (nx, ny, np//2 + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
+
+
+def check_pressure_bounds(p0: float, p1: float) -> None:
+    """The pressure shell rule of Grid and PhysParams: 0 < p0 < p1 < inf."""
+    if not 0.0 < p0 < p1 < math.inf:
+        raise ParameterError(f"domain.p0, domain.p1: need 0 < p0 < p1 < inf, "
+                             f"got p0={p0!r}, p1={p1!r}")
 
 
 @dataclass(frozen=True)
@@ -35,18 +43,15 @@ class Grid:
     p1: float
 
     # horizontal periods are fixed by the model's nondimensionalization
-    Lx: float = 1.0
-    Ly: float = 1.0
+    Lx = 1.0
+    Ly = 1.0
 
     def __post_init__(self):
         for name in ("nx", "ny", "np"):
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < 8 or n % 2 != 0:
-                raise ParameterError(f"grid.{name} must be an even integer >= 8, got {n!r}")
-        if not (0.0 < self.p0 < self.p1):
-            raise ParameterError(f"pressure bounds must satisfy 0 < p0 < p1, got p0={self.p0}, p1={self.p1}")
-        if self.Lx != 1.0 or self.Ly != 1.0:
-            raise ParameterError("horizontal periods are fixed at 1")
+                raise ParameterError(f"grid.{name}: must be an even integer >= 8, got {n!r}")
+        check_pressure_bounds(self.p0, self.p1)
 
     @property
     def Lp(self) -> float:

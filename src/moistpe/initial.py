@@ -47,8 +47,8 @@ def random_smooth(
         band = grid.nx // 3
     if band < 1:
         raise ConfigError(f"band must be at least 1, got {band}")
-    if amplitude <= 0:
-        raise ConfigError(f"amplitude must be positive, got {amplitude}")
+    if not 0.0 < amplitude < np.inf:
+        raise ConfigError(f"amplitude must be positive and finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     mask = grid.band_mask(band)
 

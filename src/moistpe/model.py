@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.fft
 
-from .errors import ConstraintError, DataError
+from .errors import ConstraintError, DataError, ParameterError
 from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
                      horizontal_spectra, ifft2_norm, ifft_p, ifft_xy, in_ball, irfft_p,
                      irfftn_norm, rfftn_norm)
@@ -93,7 +93,11 @@ class Tendency(State):
 
 
 class Coefficients:
-    """Pressure-profile coefficients sampled on the grid (1D along p)."""
+    """Pressure-profile coefficients sampled on the grid (1D along p).
+
+    The one check of the profiles: theta_bar must be positive and finite and
+    theta_h finite at every grid level, or ParameterError is raised.
+    """
 
     def __init__(self, grid: Grid, params: PhysParams):
         params.check_grid(grid)
@@ -101,10 +105,12 @@ class Coefficients:
         self.p = p
         self.inv_p = 1.0 / p
         theta_bar = params.theta_bar.evaluate(p)
-        if np.any(theta_bar <= 0.0):
-            raise DataError("theta_bar must be positive on the pressure grid")
+        if not np.all((0.0 < theta_bar) & (theta_bar < np.inf)):
+            raise ParameterError("physics.theta_bar: must be positive and finite on the grid")
         self.theta_bar = theta_bar
         self.theta_h = params.theta_h.evaluate(p)
+        if not np.all(np.isfinite(self.theta_h)):
+            raise ParameterError("physics.theta_h: must be finite on the grid")
         self.c = (params.g * p / (params.R * theta_bar)) ** 2
         kappa = params.kappa
         self.kappa = kappa

@@ -166,9 +166,9 @@ class SampleContext:
     array in its representation; phys of a spectral state is
     checked_backward of its stack, so a checksum hashes the same bits), sq
     the quadratic forms of the fields (_quadratic_forms), in_ball whether
-    the state lies inside the 2/3 ball, it and phi the hydrostatic integrand
-    and Phi of the faithful model and hats the spectra of Phi minus its ramp
-    and of T.  Nothing here writes into the state's array.
+    the state lies inside the 2/3 ball, it the hydrostatic integrand of the
+    faithful model and hats the spectra of its Phi minus the ramp and of T.
+    Nothing here writes into the state's array.
     """
 
     state: State
@@ -178,7 +178,6 @@ class SampleContext:
     sq: dict
     in_ball: bool
     it: _Integrand
-    phi: np.ndarray
     hats: np.ndarray
 
     @cached_property
@@ -210,7 +209,7 @@ def sample_context(state: State, params: PhysParams,
     periodic_and_T[1] = it.T
     hats = rfftn_norm(g, periodic_and_T)
     return SampleContext(state, constants, spec, phys, _quadratic_forms(constants, spec),
-                         in_ball(g, spec), it, phi, hats)
+                         in_ball(g, spec), it, hats)
 
 
 def _context(state: State, params: PhysParams, ctx: SampleContext | None) -> SampleContext:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError
 from .fields import PHYSICAL, Field3D
 from .grid import Grid
 
@@ -64,11 +64,10 @@ def l2_inner(f: Field3D, g_field: Field3D) -> float:
 
 
 def weight_profile(grid: Grid, params) -> np.ndarray:
-    """The pressure weight g*p/(R*theta_bar(p)) sampled on the p grid."""
-    theta_bar = params.theta_bar.evaluate(grid.p)
-    if np.any(theta_bar <= 0.0):
-        raise ParameterError("theta_bar must be strictly positive on the pressure grid")
-    return params.g * grid.p / (params.R * theta_bar)
+    """The pressure weight g*p/(R*theta_bar(p)) sampled on the p grid;
+    theta_bar comes from model.Coefficients, which checks it."""
+    from .model import Coefficients  # model imports this module
+    return params.g * grid.p / (params.R * Coefficients(grid, params).theta_bar)
 
 
 def weighted_norm_w(field: Field3D, params) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ParameterError
+from .grid import check_pressure_bounds
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,6 @@ class Profile:
             return np.asarray(self.fn(p), dtype=np.float64)
         raise ParameterError(f"unknown profile kind {self.kind!r}")
 
-    def serialize(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.a!r}"
-        if self.kind == "linear":
-            return f"linear:{self.a!r},{self.b!r}"
-        if self.kind == "proportional":
-            return f"proportional:{self.a!r}"
-        raise ConfigError(f"profile kind {self.kind!r} has no text form")
-
     @classmethod
     def parse(cls, text: str) -> "Profile":
         kind, _, rest = text.partition(":")
@@ -104,13 +96,16 @@ class PhysParams:
     phi_s: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.R <= 0 or self.cp <= 0 or self.g <= 0:
-            raise ParameterError("R, cp, g must be positive")
-        if not (0.0 < self.p0 < self.p1):
-            raise ParameterError(f"pressure bounds must satisfy 0 < p0 < p1, got p0={self.p0}, p1={self.p1}")
-        for name in ("mu_v", "nu_v", "mu_theta", "nu_theta", "mu_q", "nu_q"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"viscosity {name} must be positive")
+        for name in ("R", "g", "mu_v", "nu_v", "mu_theta", "nu_theta", "mu_q", "nu_q"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"physics.{name}: must be positive and finite, got {value!r}")
+        # +inf is the kappa = 0 limit
+        if not self.cp > 0.0:
+            raise ParameterError(f"physics.cp: must be positive (inf allowed), got {self.cp!r}")
+        if not math.isfinite(self.f_cor):
+            raise ParameterError(f"physics.f_cor: must be finite, got {self.f_cor!r}")
+        check_pressure_bounds(self.p0, self.p1)
 
     @property
     def kappa(self) -> float:

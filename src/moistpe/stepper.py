@@ -59,11 +59,11 @@ class StepConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+            raise ConfigError(f"time.scheme: unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+            raise ConfigError(f"time.dt: must be positive and finite, got {self.dt}")
         if not (self.t_end >= 0.0 and np.isfinite(self.t_end)):
-            raise ConfigError(f"t_end must be nonnegative and finite, got {self.t_end}")
+            raise ConfigError(f"time.t_end: must be nonnegative and finite, got {self.t_end}")
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
@@ -144,24 +144,20 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
     return _projected(state.grid, new, state.t + dt), n_cur
 
 
-def erk4_step(state: State, dt: float, params: PhysParams,
-              forcing: ForcingFn | None = None,
-              variant: ModelVariant = FAITHFUL,
-              ws: Workspace | None = None) -> State:
-    """Classical four-stage Runge-Kutta step.
+def erk4_step(state: State, dt: float, ws: Workspace,
+              forcing: ForcingFn | None = None) -> State:
+    """Classical four-stage Runge-Kutta step of the model of ws.
 
     Stage states are projected as well as the result, so the scheme is
     exactly the classical one applied to the projected vector field; energy
-    accounting then sees no spurious projection losses.  ws is the Workspace
-    of (grid, params, variant); a temporary one is built when none is given.
-    The stage states live in the workspace; the result has its own array.
+    accounting then sees no spurious projection losses.  The workspace fixes
+    the grid, params and variant integrated, as for imex_step.  The stage
+    states live in the workspace; the result has its own array.
     The weighted sum of the stage tendencies is a running sum with the
     classical order of operations, ((k1 + 2 k2) + 2 k3) + k4, so at most two
     stage tendencies are alive at once, not four.
     """
     g = state.grid
-    if ws is None:
-        ws = Workspace(g, params, variant)
     t = state.t
     u = state.as_spectral().data
 
@@ -218,13 +214,6 @@ class Trajectory:
     blowup_time: float | None = None
     blowup_detail: str | None = None  # the step, field, norm and limit that tripped
     gronwall: list | None = None
-
-    @property
-    def times(self):
-        return np.array([s.t for s in self.samples])
-
-    def series(self, name: str):
-        return np.array([getattr(s.report, name) for s in self.samples])
 
 
 BLOWUP_FACTOR = 1e8
@@ -308,7 +297,7 @@ def run(
             if config.scheme == "imex_cnab2":
                 st, n_prev = imex_step(st, n_prev, config.dt, ws, forcing)
             else:
-                st = erk4_step(st, config.dt, params, forcing, variant, ws)
+                st = erk4_step(st, config.dt, ws, forcing)
             norms = l2_norms(st)
         st = st.with_time(t0 + k * config.dt)
         # a non-finite value makes its norm NaN or infinite, which fails too

@@ -58,6 +58,18 @@ def test_run_invalid_config_value(tmp_path, capsys):
     assert "configuration error" in err and "grid.nx" in err
 
 
+def test_run_non_finite_viscosity(tmp_path, capsys):
+    # used to start and stop as a blowup (exit 2)
+    cfg = _write_config(tmp_path, **{"physics.mu_v": "nan"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    assert "configuration error: physics.mu_v" in capsys.readouterr().err
+
+
+def test_run_infinite_cp(tmp_path):
+    cfg = _write_config(tmp_path, **{"physics.cp": "inf"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 0
+
+
 def test_verify_suite_selection_errors(capsys):
     assert main(["verify", "--suite", " , "]) == 1
     assert main(["verify", "--suite", "spectra"]) == 1

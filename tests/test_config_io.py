@@ -81,10 +81,28 @@ def test_unparseable_value_names_key():
     ("initial.symmetry = mirror\n", "initial.symmetry"),
     ("output.norms_every = 0\n", "output.norms_every"),
     ("physics.theta_bar = wavy:1.0\n", "physics.theta_bar"),
+    # non-finite values used to pass and stop the run as a blowup or run on
+    ("physics.mu_v = nan\n", "physics.mu_v"),
+    ("physics.f_cor = nan\n", "physics.f_cor"),
+    ("physics.cp = nan\n", "physics.cp"),
+    ("physics.R = inf\n", "physics.R"),
+    ("physics.nu_q = inf\n", "physics.nu_q"),
+    ("physics.theta_bar = linear:1,nan\n", "physics.theta_bar"),
+    ("domain.p1 = inf\n", "domain.p1"),
+    ("physics.theta_h = linear:0,inf\n", "physics.theta_h"),
+    ("physics.theta_bar = constant:-1\n", "physics.theta_bar"),
+    ("initial.kind = random_smooth:1,nan\n", "initial.kind"),
+    ("initial.kind = random_smooth:1,inf\n", "initial.kind"),
 ])
 def test_validation_errors_name_dotted_keys(text, fragment):
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
         parse(text)
+
+
+def test_infinite_cp_is_the_kappa_zero_case():
+    cfg = parse("physics.cp = inf\n")
+    assert cfg.cp == float("inf")
+    assert build_params(cfg).kappa == 0.0
 
 
 @pytest.mark.parametrize("t_end", ["0.0104", "0.0006"])
@@ -118,7 +136,8 @@ def test_parse_initial_kind_variants():
     assert kind == "file" and args == {"path": "/tmp/state.mpes"}
 
     for bad in ("random_smooth:", "random_smooth:1,2,3,4", "random_smooth:a",
-                "random_smooth:amplitude=2", "random_smooth:1,-0.5", "warmpool"):
+                "random_smooth:amplitude=2", "random_smooth:1,-0.5", "random_smooth:1,nan",
+                "random_smooth:1,inf", "warmpool"):
         with pytest.raises(ConfigError):
             parse_initial_kind(bad)
 
@@ -144,6 +163,11 @@ def test_builders_materialize_config():
     assert params.theta_bar.b == 0.5
     step = build_step_config(cfg)
     assert step == StepConfig(dt=5e-4, t_end=0.1, scheme="erk4_fully_explicit")
+    # RunConfig and PhysParams each write the defaults down
+    defaults = build_params(RunConfig())
+    assert defaults == PhysParams()
+    default_grid = build_grid(RunConfig())
+    assert (default_grid.p0, default_grid.p1) == (defaults.p0, defaults.p1)
 
 
 # --- norm output files ----------------------------------------------------

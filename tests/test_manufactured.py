@@ -17,7 +17,7 @@ from moistpe.errors import ConfigError
 from moistpe.fields import SPECTRAL, Field3D
 from moistpe.grid import Grid
 from moistpe.manufactured import CASES, ManufacturedSolution, _profiles, get_case
-from moistpe.model import FAITHFUL, ModelVariant, divergence_residual, tendency
+from moistpe.model import FAITHFUL, ModelVariant, Workspace, divergence_residual, tendency
 from moistpe.norms import sobolev_norm
 from moistpe.params import PhysParams
 from moistpe.state import State
@@ -181,8 +181,9 @@ def test_stored_arrays_are_band_exact(grid24, params):
     for f in ms.forcing(0.3):
         assert not np.any(f[outside_ball])
     state = ms.initial_state()
+    ws = Workspace(grid24, params)
     for _ in range(2):
-        state = erk4_step(state, 1e-3, params, forcing=ms.forcing)
+        state = erk4_step(state, 1e-3, ws, forcing=ms.forcing)
     for f in state.fields:
         assert not np.any(f.data[..., grid24.np // 3 + 1:])
 
@@ -218,7 +219,7 @@ def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
         first[0] += 1.0
     state = ms.exact_state(0.01)
     tendency(state, params, forcing=ms.forcing)
-    erk4_step(state, 1e-3, params, forcing=ms.forcing)
+    erk4_step(state, 1e-3, Workspace(grid16, params), forcing=ms.forcing)
     again = ms.forcing(0.01)
     for f, c in zip(again, copies):
         assert np.array_equal(f, c)

@@ -40,11 +40,11 @@ def test_forced_erk4_step_holds_few_stacks_at_once(params):
     try:
         state = ms.initial_state()
         for _ in range(2):
-            state = erk4_step(state, 1e-4, params, ms.forcing, ws=ws)
+            state = erk4_step(state, 1e-4, ws, ms.forcing)
         gc.collect()
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        erk4_step(state, 1e-4, params, ms.forcing, ws=ws)
+        erk4_step(state, 1e-4, ws, ms.forcing)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -88,7 +88,7 @@ def test_erk4_amplification_matches_stability_polynomial():
     dt = 1e-3
     z = lam * dt
     want = 1 - z + z**2 / 2 - z**3 / 6 + z**4 / 24
-    s1 = erk4_step(st, dt, pr, forcing=None, variant=FAITHFUL)
+    s1 = erk4_step(st, dt, Workspace(g, pr, FAITHFUL), forcing=None)
     assert abs(_mode_amp(s1) / _mode_amp(st) / want - 1) <= 1e-13
 
 
@@ -183,7 +183,7 @@ def test_erk4_step_is_the_classical_combination_of_its_stage_tendencies(forced):
     k4 = k_at(stage(1.0, k3, t + dt))
     total = np.add(np.add(np.add(k1, 2.0 * k2), 2.0 * k3), k4)
     want = project_state(State.of(g, u + np.multiply(dt / 6.0, total), "spectral", t + dt))
-    got = erk4_step(state, dt, pr, forcing, ws=ws)
+    got = erk4_step(state, dt, ws, forcing)
     assert got.t == want.t
     assert np.array_equal(got.data, want.data)
 
