@@ -1,9 +1,11 @@
 """Command-line entry point: run, verify, probe.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 blowup during a
-run, 3 verification or probe failure.  The only environment variable
-honored is MOISTPE_THREADS (transform worker count); everything else comes
-from the config file and flags.
+run, 3 verification or probe failure.  The commands return 0 or 3 and raise
+everything else; main alone turns an error into its message and exit code,
+argparse's own errors included.  The only environment variable honored is
+MOISTPE_THREADS (transform worker count); everything else comes from the
+config file and flags.
 """
 
 from __future__ import annotations
@@ -35,6 +37,22 @@ MUTATIONS = {
 PROBE_KINDS = ("trilinear", "minkowski", "gronwall")
 
 
+class UsageError(Exception):
+    """A command line that names no valid command, option or value (exit 1).
+    Carries the usage text of the command it was given to."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: error: {message}", self.format_usage())
+
+
 def _say(quiet: bool, *parts) -> None:
     if not quiet:
         print(*parts)
@@ -49,10 +67,11 @@ def _seed_kwargs(args) -> dict:
 
 
 def _load_numpy(key: str, path: str):
-    """np.load of the file a config key names; unreadable content is a ConfigError."""
+    """np.load of the file a config key names; a file that cannot be opened,
+    or whose content is not a NumPy file, is a ConfigError."""
     try:
         return np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{key}: cannot read {path!r} as a NumPy file: {exc}") from exc
 
 
@@ -81,17 +100,27 @@ def _load_phi_s(cfg, grid):
     return _real_array("physics.phi_s", f"array at {path!r}", arr)
 
 
-def _build_initial(cfg, grid, seed_override):
-    kind, args = config_mod.parse_initial_kind(cfg.initial_kind)
+def _build_params(cfg, grid):
+    return config_mod.build_params(cfg, phi_s=_load_phi_s(cfg, grid))
+
+
+def _build_initial(cfg, grid, args):
+    kind, init = config_mod.parse_initial_kind(cfg.initial_kind)
+    if args.seed is not None and kind != "random_smooth":
+        raise UsageError(f"run: --seed applies to initial.kind random_smooth, not {kind!r}",
+                         args.usage)
     if kind == "rest":
         state = rest(grid)
     elif kind == "random_smooth":
-        seed = seed_override if seed_override is not None else args["seed"]
+        seed = args.seed if args.seed is not None else init["seed"]
         symmetry = "mirror" if cfg.initial_symmetry == "paper_parity" else "none"
-        state = random_smooth(grid, seed, amplitude=args["amplitude"],
-                              band=args["band"], symmetry=symmetry)
+        state = random_smooth(grid, seed, amplitude=init["amplitude"],
+                              band=init["band"], symmetry=symmetry)
     else:
-        _, state = checkpoint_mod.read_checkpoint(args["path"])
+        try:
+            _, state = checkpoint_mod.read_checkpoint(init["path"])
+        except OSError as exc:
+            raise ConfigError(f"initial.kind: cannot read checkpoint: {exc}") from exc
         ck = state.grid
         if ck != grid:
             raise ConfigError(
@@ -144,55 +173,48 @@ def _check_output_dir(key: str, path: str) -> None:
 
 def cmd_run(args) -> int:
     if args.config is None:
-        print("run: --config is required", file=sys.stderr)
-        return 1
-    try:
-        cfg = config_mod.load(args.config)
-        if args.out is not None:
-            cfg = cfg.with_(norms_path=args.out)
-        _check_output_dir("output.norms_path", cfg.norms_path)
-        _check_output_dir("output.checkpoint_path", cfg.checkpoint_path)
-        grid = config_mod.build_grid(cfg)
-        params = config_mod.build_params(cfg, phi_s=_load_phi_s(cfg, grid))
-        step_cfg = config_mod.build_step_config(cfg)
-        state = _build_initial(cfg, grid, args.seed)
-        forcing = _build_forcing(cfg, grid, params)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError("run: --config is required", args.usage)
+    cfg = config_mod.load(args.config)
+    if args.out is not None:
+        cfg = cfg.with_(norms_path=args.out)
+    _check_output_dir("output.norms_path", cfg.norms_path)
+    _check_output_dir("output.checkpoint_path", cfg.checkpoint_path)
+    grid = config_mod.build_grid(cfg)
+    params = _build_params(cfg, grid)
+    step_cfg = config_mod.build_step_config(cfg)
+    state = _build_initial(cfg, grid, args)
+    forcing = _build_forcing(cfg, grid, params)
 
-    ck_counter = {"n": 0}
+    samples = []
+    rolling = cfg.checkpoint_path != "none" and cfg.checkpoint_every > 0
 
     def on_sample(s, sample):
-        if cfg.checkpoint_path != "none" and cfg.checkpoint_every > 0:
-            ck_counter["n"] += 1
-            if ck_counter["n"] % cfg.checkpoint_every == 0:
-                checkpoint_mod.write_checkpoint(cfg.checkpoint_path, s, cfg)
+        samples.append(sample)
+        if rolling and len(samples) % cfg.checkpoint_every == 0:
+            checkpoint_mod.write_checkpoint(cfg.checkpoint_path, s, cfg)
 
     want_norms = cfg.norms_path != "none"
-    traj = run_trajectory(
-        state, params, step_cfg, forcing=forcing,
-        record_every=cfg.norms_every,
-        on_sample=on_sample,
-        collect_budget=want_norms,
-    )
-
-    if want_norms:
-        output.write_norms(cfg.norms_path, traj.samples)
-        _say(args.quiet, f"norms: {cfg.norms_path} "
-             f"(+ {output.csv_mirror_path(cfg.norms_path)})")
-    # a diverged state is never written: the last rolling checkpoint stays
-    if cfg.checkpoint_path != "none" and traj.completed:
+    try:
+        traj = run_trajectory(
+            state, params, step_cfg, forcing=forcing,
+            record_every=cfg.norms_every,
+            on_sample=on_sample,
+            collect_budget=want_norms,
+        )
+    finally:
+        # a run that blows up keeps the rows recorded before the blowup; one
+        # that stops before its first sample writes no file
+        if want_norms and samples:
+            output.write_norms(cfg.norms_path, samples)
+            _say(args.quiet, f"norms: {cfg.norms_path} "
+                 f"(+ {output.csv_mirror_path(cfg.norms_path)})")
+    # only a completed run gets here: a diverged state is never written, so
+    # the last rolling checkpoint survives a blowup
+    if cfg.checkpoint_path != "none":
         checkpoint_mod.write_checkpoint(cfg.checkpoint_path, traj.final_state, cfg)
         _say(args.quiet, f"checkpoint: {cfg.checkpoint_path}")
 
-    if not traj.completed:
-        print(f"blowup at t = {traj.blowup_time:.6g} {traj.blowup_detail}", file=sys.stderr)
-        return 2
-    last = traj.samples[-1].report
+    last = samples[-1].report
     _say(args.quiet,
          f"completed t = {last.t:g}  ||v||_H1 = {last.h1_v:.6g}  "
          f"||theta|| = {last.l2_theta:.6g}  ||q|| = {last.l2_q:.6g}")
@@ -205,18 +227,12 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     if not suites:
-        print("verify: empty suite selection", file=sys.stderr)
-        return 1
+        raise UsageError("verify: empty suite selection", args.usage)
     known = {"convergence", "invariants"}
     unknown = [s for s in suites if s not in known]
     if unknown:
-        print(f"verify: unknown suite(s) {unknown}; choose from {sorted(known)}",
-              file=sys.stderr)
-        return 1
-    if args.mutate not in MUTATIONS:
-        print(f"verify: unknown mutation {args.mutate!r}; choose from "
-              f"{sorted(MUTATIONS)}", file=sys.stderr)
-        return 1
+        raise UsageError(f"verify: unknown suite(s) {unknown}; choose from {sorted(known)}",
+                         args.usage)
     variant = MUTATIONS[args.mutate]
 
     rows = []
@@ -258,19 +274,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    if args.kind not in PROBE_KINDS:
-        print(f"probe: unknown kind {args.kind!r}; choose from {PROBE_KINDS}",
-              file=sys.stderr)
-        return 1
-    try:
-        if args.config is not None:
-            cfg = config_mod.load(args.config)
-        else:
-            cfg = config_mod.RunConfig()
-        grid = config_mod.build_grid(cfg)
-    except CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+    cfg = config_mod.load(args.config) if args.config is not None else config_mod.RunConfig()
+    grid = config_mod.build_grid(cfg)
     seed0 = args.seed if args.seed is not None else 0
     rows = []
     status = 0
@@ -305,7 +310,8 @@ def cmd_probe(args) -> int:
             status = 3
 
     else:  # gronwall
-        result = probes.gronwall_probe(**_seed_kwargs(args))
+        result = probes.gronwall_probe(grid=grid, params=_build_params(cfg, grid),
+                                       **_seed_kwargs(args))
         for name, data in result["series"].items():
             for t, lhs, rhs in zip(data["t"], data["lhs"], data["rhs"]):
                 rows.append({"form": name, "t": t, "lhs": lhs, "rhs": rhs})
@@ -321,56 +327,51 @@ def cmd_probe(args) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="path to a run config file")
+def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
+    if config:
+        p.add_argument("--config", default=None, help="path to a run config file")
     p.add_argument("--out", default=None, help="output path (NDJSON)")
     p.add_argument("--seed", type=int, default=None, help="override the random seed")
     p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moistpe",
         description="Pseudo-spectral moist primitive-equation simulator and "
                     "verification harness.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a configured trajectory")
     _add_common(p_run)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    _add_common(p_verify)
+    _add_common(p_verify, config=False)
     p_verify.add_argument("--suite", default="convergence,invariants",
                           help="comma list: convergence,invariants")
-    p_verify.add_argument("--mutate", default="none",
-                          help="run the dynamics with a known defect "
-                               "(testing aid): none, coriolis, no-dealias")
+    p_verify.add_argument("--mutate", default="none", choices=list(MUTATIONS),
+                          help="run the dynamics with a known defect (testing aid)")
 
     p_probe = sub.add_parser("probe", help="emit inequality probe series")
-    p_probe.add_argument("kind", help="trilinear | minkowski | gronwall")
+    p_probe.add_argument("kind", choices=PROBE_KINDS)
     _add_common(p_probe)
 
+    for p, cmd in ((p_run, cmd_run), (p_verify, cmd_verify), (p_probe, cmd_probe)):
+        p.set_defaults(cmd=cmd, usage=p.format_usage())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_probe(args)
+        args = make_parser().parse_args(argv)
+        return args.cmd(args)
+    except UsageError as exc:
+        print(f"{exc.usage}{exc}", file=sys.stderr)
+        return 1
     except BlowupError as exc:
         print(f"blowup at t = {exc.t_last:.6g} {exc.detail}".rstrip(), file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        # e.g. an end time that is not a whole number of steps from a
-        # resumed checkpoint's time, which only run() can see
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except SimulationError as exc:

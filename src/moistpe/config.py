@@ -283,6 +283,8 @@ def parse_initial_kind(token: str) -> tuple[str, dict]:
             raise ConfigError("initial.kind: random_smooth needs a seed")
         if not 0.0 < args["amplitude"] < math.inf:
             raise ConfigError("initial.kind: random_smooth amplitude must be positive and finite")
+        if args["band"] is not None and args["band"] < 1:
+            raise ConfigError(f"initial.kind: random_smooth band must be >= 1, got {args['band']}")
         return ("random_smooth", args)
     raise ConfigError(
         "initial.kind: expected 'rest', 'random_smooth:<seed[,amplitude[,band]]>' "

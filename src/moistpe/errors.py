@@ -33,9 +33,11 @@ class ConfigError(SimulationError):
 class BlowupError(SimulationError):
     """Raised when the solution leaves the finite / bounded regime.
 
-    Carries the time at which the divergence was detected, that of the
-    first state that failed the check, and what failed it: the step, the
-    field, its norm and its limit.
+    stepper.run raises it for every run that diverges; it never returns a
+    partial trajectory.  Carries the time at which the divergence was
+    detected, that of the first state that failed the check, and what failed
+    it: the step, the field, its norm and its limit.  The command line turns
+    it into exit code 2.
     """
 
     def __init__(self, message: str, t_last: float, detail: str = ""):

@@ -81,11 +81,6 @@ class Grid:
     def p(self) -> np.ndarray:
         return self.p0 + np.arange(self.np) * (self.Lp / self.np)
 
-    @cached_property
-    def p_tilde(self) -> np.ndarray:
-        """Centered pressure coordinate p - (p0+p1)/2; zero lies on the grid."""
-        return self.p - 0.5 * (self.p0 + self.p1)
-
     # --- wavenumbers ------------------------------------------------------
 
     @cached_property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BlowupError, ConfigError
 from .fields import Field3D
 from .grid import Grid
 from .initial import random_smooth
@@ -224,15 +224,12 @@ def invariants_run(
     grid = Grid(n, n, n, params.p0, params.p1)
     state0 = random_smooth(grid, seed, amplitude=amplitude)
     cfg = StepConfig(dt=dt, t_end=t_end)
-    traj = run(state0, params, cfg, variant=variant,
-               record_every=1, collect_budget=True)
-    checks: list[Check] = []
-
-    if not traj.completed:
-        checks.append(Check("completes", 1.0, 0.0, False,
-                            f"blowup at t = {traj.blowup_time}"))
-        return checks
-    checks.append(Check("completes", 0.0, 0.0, True))
+    try:
+        traj = run(state0, params, cfg, variant=variant,
+                   record_every=1, collect_budget=True)
+    except BlowupError as exc:
+        return [Check("completes", 1.0, 0.0, False, f"blowup at t = {exc.t_last}")]
+    checks = [Check("completes", 0.0, 0.0, True)]
 
     reports = [s.report for s in traj.samples]
     div_ratio = max((r.div_residual / r.h1_v if r.h1_v > 0 else 0.0) for r in reports)
@@ -295,16 +292,17 @@ def invariants_run(
 
 
 def gronwall_probe(
-    n: int = 16,
+    grid: Grid,
+    params: PhysParams,
     dt: float = 1e-3,
     t_end: float = 0.05,
     seed: int = 11,
     amplitude: float = 1.0,
 ) -> dict:
-    """Short faithful run returning the four inequality series plus the
-    fitted worst constant per form (max lhs/rhs where rhs is positive)."""
-    params = PhysParams()
-    grid = Grid(n, n, n, params.p0, params.p1)
+    """Short faithful run on grid with params, returning the four inequality
+    series plus the fitted worst constant per form (max lhs/rhs where rhs is
+    positive).  A run that diverges raises BlowupError: no constant is
+    fitted to a diverged trajectory."""
     state0 = random_smooth(grid, seed, amplitude=amplitude)
     cfg = StepConfig(dt=dt, t_end=t_end)
     traj = run(state0, params, cfg, record_every=1, collect_gronwall=True)

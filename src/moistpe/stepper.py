@@ -208,11 +208,11 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
+    """A run that reached t_end: its samples, its final state and, when
+    collected, its Gronwall records.  A run that diverges returns none; it
+    raises BlowupError."""
     samples: list = dc_field(default_factory=list)
     final_state: State | None = None
-    completed: bool = False
-    blowup_time: float | None = None
-    blowup_detail: str | None = None  # the step, field, norm and limit that tripped
     gronwall: list | None = None
 
 
@@ -231,7 +231,6 @@ def run(
     on_sample=None,
     collect_budget: bool = False,
     collect_gronwall: bool = False,
-    raise_on_blowup: bool = False,
 ) -> Trajectory:
     """Integrate from state.t to t_end in fixed steps of config.dt.
 
@@ -304,17 +303,11 @@ def run(
         if not np.all(norms <= limits):
             # name the field furthest past its limit, a non-finite one first
             i = int(np.argmax(np.where(np.isfinite(norms), norms / limits, np.inf)))
-            traj.blowup_time = st.t
-            traj.blowup_detail = (f"(step {k}): ||{FIELD_NAMES[i]}||_L2 = {norms[i]:.6g}, "
-                                  f"limit {limits[i]:.6g}")
-            traj.final_state = st
-            if raise_on_blowup:
-                raise BlowupError(f"solution diverged at t = {st.t:.6g} {traj.blowup_detail}",
-                                  st.t, traj.blowup_detail)
-            return traj
+            detail = (f"(step {k}): ||{FIELD_NAMES[i]}||_L2 = {norms[i]:.6g}, "
+                      f"limit {limits[i]:.6g}")
+            raise BlowupError(f"solution diverged at t = {st.t:.6g} {detail}", st.t, detail)
         if k % record_every == 0 or k == n_steps:
             record(st)
 
     traj.final_state = st
-    traj.completed = True
     return traj

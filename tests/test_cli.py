@@ -76,6 +76,51 @@ def test_verify_suite_selection_errors(capsys):
     assert main(["verify", "--suite", "invariants", "--mutate", "gravity"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--bogus"],
+    ["run", "--config"],
+    ["run", "--seed", "abc"],
+    [],
+    ["probe", "telescope"],
+    ["verify", "--suite", "invariants", "--mutate", "gravity"],
+    ["verify", "--suite", " , "],
+], ids=["unknown-option", "option-without-argument", "bad-int", "no-command",
+        "unknown-probe", "unknown-mutation", "empty-suite"])
+def test_usage_errors_exit_1_with_the_usage(capsys, argv):
+    # argparse's own errors exit 1 like the hand-checked ones, not 2, the
+    # blowup code
+    assert main(argv) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_verify_takes_no_config(capsys):
+    # verify never read --config, so passing one is a usage error rather
+    # than a silently ignored file
+    assert main(["verify", "--suite", "invariants", "--config", "/nonexistent/x.cfg"]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["rest", "file"])
+def test_run_seed_needs_random_smooth(tmp_path, capsys, kind):
+    token = "rest"
+    if kind == "file":
+        ck = tmp_path / "start.bin"
+        write_checkpoint(str(ck), random_smooth(Grid(8, 8, 8, 0.2, 1.0), 1, band=2),
+                         RunConfig(nx=8, ny=8, np=8))
+        token = f"file:{ck}"
+    cfg = _write_config(tmp_path, **{"initial.kind": token})
+    assert main(["run", "--config", cfg, "--quiet", "--seed", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--seed" in err and repr(kind) in err
+
+
 def test_probe_unknown_kind(capsys):
     assert main(["probe", "telescope"]) == 1
     assert "telescope" in capsys.readouterr().err
@@ -363,6 +408,22 @@ def test_run_blowup_is_quiet_and_names_what_tripped(tmp_path):
     assert "_L2 = " in line and ", limit " in line
 
 
+def test_run_blowup_keeps_the_rows_recorded_before_it(tmp_path, capsys):
+    norms = tmp_path / "n.ndjson"
+    cfg = _write_config(
+        tmp_path,
+        **{"initial.kind": "random_smooth:3,1e3", "time.dt": "0.05",
+           "time.t_end": "1.0", "output.norms_path": norms})
+    assert main(["run", "--config", cfg, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    step = int(err.split("(step ")[1].split(")")[0])
+    assert step >= 2  # this run diverges at step 7
+    # one row per step up to the last state that passed the blowup check
+    times = [row["t"] for row in read_norms(str(norms))]
+    assert times == pytest.approx([0.05 * k for k in range(step)])
+    assert len((tmp_path / "n.csv").read_text().splitlines()) == 1 + step
+
+
 @pytest.mark.parametrize("amplitude", ["1e3", "1e5"])
 def test_run_blowup_keeps_the_last_good_checkpoint(tmp_path, capsys, amplitude):
     # a final checkpoint of the diverged state would overwrite the rolling
@@ -462,6 +523,16 @@ def test_probe_gronwall(tmp_path, probe_cfg):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     fitted = {r["form"] for r in rows if "fitted_constant" in r}
     assert fitted == {"vp", "thetap", "lapv", "laptheta"}
+
+
+def test_probe_gronwall_reads_the_config(tmp_path, capsys):
+    # a strong rotation makes this 16^3 run diverge at step 7; the probe
+    # used to run its own 16^3 default parameters and exit 0
+    cfg = _write_config(tmp_path, "probe.cfg",
+                        **{"grid.nx": 16, "grid.ny": 16, "grid.np": 16,
+                           "physics.f_cor": "1e4"})
+    assert main(["probe", "gronwall", "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("blowup at t = 0.007 (step 7): ||")
 
 
 def test_probe_gronwall_seed(monkeypatch):

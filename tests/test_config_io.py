@@ -137,8 +137,9 @@ def test_parse_initial_kind_variants():
 
     for bad in ("random_smooth:", "random_smooth:1,2,3,4", "random_smooth:a",
                 "random_smooth:amplitude=2", "random_smooth:1,-0.5", "random_smooth:1,nan",
-                "random_smooth:1,inf", "warmpool"):
-        with pytest.raises(ConfigError):
+                "random_smooth:1,inf", "random_smooth:1,1,0", "random_smooth:1,1,-2",
+                "warmpool"):
+        with pytest.raises(ConfigError, match="initial.kind"):
             parse_initial_kind(bad)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moistpe.errors import ConfigError
+from moistpe.errors import BlowupError, ConfigError
 from moistpe.fields import Field3D
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
@@ -215,12 +215,18 @@ def test_invariants_run_faithful_passes():
         assert c.ok, (c.name, c.value, c.bound)
 
 
+def test_invariants_run_reports_a_blowup_as_its_one_failed_check():
+    check, = invariants_run(amplitude=1e5)
+    assert check.name == "completes" and not check.ok
+    assert check.detail.startswith("blowup at t = ")
+
+
 # --- differential-inequality probe ----------------------------------------
 
 
-def test_gronwall_probe_fitted_constants_are_stable():
-    coarse = gronwall_probe(dt=1e-3)
-    fine = gronwall_probe(dt=5e-4)
+def test_gronwall_probe_fitted_constants_are_stable(grid16, params):
+    coarse = gronwall_probe(grid16, params, dt=1e-3)
+    fine = gronwall_probe(grid16, params, dt=5e-4)
     assert set(coarse["fitted"]) == {"vp", "thetap", "lapv", "laptheta"}
     for name, value in coarse["fitted"].items():
         refined = fine["fitted"][name]
@@ -231,3 +237,11 @@ def test_gronwall_probe_fitted_constants_are_stable():
     series = coarse["series"]
     n_rows = {len(data["lhs"]) for data in series.values()}
     assert len(n_rows) == 1
+
+
+def test_gronwall_probe_fits_no_constant_to_a_diverged_run(grid16, params):
+    # this run diverges at step 5; its first records must not become
+    # fitted constants
+    with pytest.raises(BlowupError) as exc:
+        gronwall_probe(grid16, params, amplitude=1e5)
+    assert "(step 5)" in exc.value.detail

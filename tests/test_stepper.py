@@ -40,6 +40,12 @@ def _single_harmonic_state(g):
     return State(z, z, z, q)
 
 
+def _assert_complete(traj, t_end):
+    """A returned trajectory ends at t_end, in its final state and its last sample."""
+    assert traj.final_state.t == pytest.approx(t_end, abs=1e-12)
+    assert traj.samples[-1].t == traj.final_state.t
+
+
 def _unit_c_params():
     # theta_bar = (g/R) p makes the vertical coefficient identically one
     return PhysParams(theta_bar=Profile("proportional", 1.0))
@@ -101,7 +107,7 @@ def test_pure_diffusion_norm_never_increases_even_at_huge_steps():
     cfg = StepConfig(dt=50.0, t_end=500.0)
     traj = run(st, pr, cfg)
     vals = [s.report.l2_q for s in traj.samples]
-    assert traj.completed
+    _assert_complete(traj, 500.0)
     assert np.all(np.diff(vals) <= 1e-14)
 
 
@@ -126,7 +132,8 @@ def test_erk4_rejects_steps_beyond_the_stability_limit():
 def _final(g, pr, scheme, dt, seed=6, t_end=0.02):
     st = random_smooth(g, seed, amplitude=1.0, band=2)
     cfg = StepConfig(dt=dt, t_end=t_end, scheme=scheme)
-    traj = run(st, pr, cfg, record_every=10**9, raise_on_blowup=True)
+    traj = run(st, pr, cfg, record_every=10**9)
+    _assert_complete(traj, t_end)
     return traj.final_state
 
 
@@ -195,7 +202,7 @@ def test_zero_state_is_a_fixed_point():
     pr = PhysParams()
     for scheme in ("imex_cnab2", "erk4_fully_explicit"):
         traj = run(State.zeros(g), pr, StepConfig(dt=1e-3, t_end=0.01, scheme=scheme))
-        assert traj.completed
+        _assert_complete(traj, 0.01)
         final = traj.final_state
         for f in final.fields:
             assert np.abs(f.as_physical().data).max() <= 1e-14
@@ -204,47 +211,49 @@ def test_zero_state_is_a_fixed_point():
 def test_zero_span_run_records_exactly_the_initial_sample():
     g = _grid(8)
     traj = run(State.zeros(g), PhysParams(), StepConfig(dt=1e-3, t_end=0.0))
-    assert traj.completed
+    _assert_complete(traj, 0.0)
     assert len(traj.samples) == 1
     assert traj.samples[0].t == 0.0
 
 
-def test_divergent_run_returns_partial_trajectory():
-    g = _grid(8)
-    pr = PhysParams()
-    st = random_smooth(g, 8, amplitude=200.0, band=2)
-    cfg = StepConfig(dt=0.2, t_end=50.0)
-    traj = run(st, pr, cfg)
-    assert not traj.completed
-    assert traj.blowup_time is not None
-    assert len(traj.samples) >= 1          # partial history retained
-    assert traj.final_state is not None
+def _divergent_case():
+    st = random_smooth(_grid(8), 8, amplitude=200.0, band=2)
+    return st, PhysParams(), StepConfig(dt=0.2, t_end=50.0)
 
 
-def test_divergent_run_raises_when_asked():
-    g = _grid(8)
-    pr = PhysParams()
-    st = random_smooth(g, 8, amplitude=200.0, band=2)
-    cfg = StepConfig(dt=0.2, t_end=50.0)
+def test_divergent_run_hands_its_samples_to_on_sample_then_raises():
+    st, pr, cfg = _divergent_case()
+    seen = []
     with pytest.raises(BlowupError) as exc:
-        run(st, pr, cfg, raise_on_blowup=True)
+        run(st, pr, cfg, on_sample=lambda s, sample: seen.append(sample))
+    # the history before the blowup went out through the callback: one
+    # sample per step, the last one a step before the diverged state
+    assert len(seen) >= 1
+    assert [s.t for s in seen] == pytest.approx([0.2 * k for k in range(len(seen))])
+    assert seen[-1].t == pytest.approx(exc.value.t_last - 0.2)
+
+
+def test_divergent_run_raises():
+    st, pr, cfg = _divergent_case()
+    with pytest.raises(BlowupError) as exc:
+        run(st, pr, cfg)
     assert exc.value.t_last > 0.0
-    traj = run(st, pr, cfg)
-    assert exc.value.detail == traj.blowup_detail
-    assert traj.blowup_detail in str(exc.value)
+    assert exc.value.detail
+    assert str(exc.value) == (f"solution diverged at t = {exc.value.t_last:.6g} "
+                              f"{exc.value.detail}")
 
 
 def test_blowup_names_the_step_field_norm_and_limit():
     g = _grid(8)
     pr = PhysParams()
     st = random_smooth(g, 3, amplitude=1e5)
-    traj = run(st, pr, StepConfig(dt=0.05, t_end=1.0))
-    assert not traj.completed
-    step = round(traj.blowup_time / 0.05)
+    with pytest.raises(BlowupError) as exc:
+        run(st, pr, StepConfig(dt=0.05, t_end=1.0))
+    step = round(exc.value.t_last / 0.05)
     start = run(st, pr, StepConfig(dt=0.05, t_end=0.0)).final_state
     ref = np.sqrt(g.volume * parseval_sum(g, start.data))
     # "(step k): ||name||_L2 = norm, limit L"
-    head, norm_part = traj.blowup_detail.split(": ")
+    head, norm_part = exc.value.detail.split(": ")
     assert head == f"(step {step})"
     name = norm_part.split("||")[1]
     assert name in stepper.FIELD_NAMES
