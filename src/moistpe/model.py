@@ -537,8 +537,19 @@ class Workspace:
 
     The scratch holds intermediate values of one tendency call or one step;
     nothing a call returns refers to it.  A run builds one workspace and
-    passes it to every step.
+    passes it to every step.  The spectra of the tendency's inverse (v1, v2
+    and the 12 derivatives) take their x and y passes in spec: all 14 at
+    once, or, where that stack would pass STREAM_BYTES (streamed), one
+    group at a time in a spec of three fields.  Both give the same bits.
     """
+
+    # Where splitting the stack starts to pay: the time of a warm in-ball
+    # tendency, the two paths interleaved in one process (2-core AMD EPYC,
+    # one FFT thread, two runs), streamed against whole at N^3: +8 to +10%
+    # at 16, +3% at 24, +1 to +2% at 32, -1 to -2% at 36 and 40, -5 to -8%
+    # at 44 and 48, -10 to -12% at 64.  The 14-field stack is 3.9 MB at
+    # 32^3 and 5.5 MB at 36^3.
+    STREAM_BYTES = 4 << 20
 
     def __init__(self, grid: Grid, params: PhysParams, variant: ModelVariant = FAITHFUL):
         co = Coefficients(grid, params)
@@ -561,12 +572,14 @@ class Workspace:
         self.mu_kh2 = np.stack([mu_kh2[which][..., :self.planes] for which in _VARIABLES])
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
-        # scratch of tendency: the spectral input of the stacked inverse
-        # transform (v1, v2 and the 12 derivatives), whose x and y passes
-        # run in it, and that of omega's, the physical input of the forward
-        # one, a temporary
-        self.spec = np.zeros((14,) + grid.spectral_shape, dtype=np.complex128)
+        # scratch of tendency: the spectral input of omega's inverse
+        # transform, that of the inverse of v1, v2 and the 12 derivatives
+        # (spec, see above), the physical input of the forward one, and a
+        # temporary
         self.omega_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
+        self.streamed = 14 * self.omega_hat.nbytes > self.STREAM_BYTES
+        self.spec = np.zeros((3 if self.streamed else 14,) + grid.spectral_shape,
+                             dtype=np.complex128)
         self.phys = np.empty((4,) + grid.shape)
         self.tmp = np.empty(grid.shape)
         # scratch of the steps: a stage state or spectral temporary, and a
@@ -607,6 +620,33 @@ def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
     return vb.rows.targets(X[:5], out=ws.dst_terms)
 
 
+def _sample_groups(ws: Workspace, Un: np.ndarray, ball: bool):
+    """The samples of the tendency's inverse transform, in the groups the
+    products take them: v1 and v2, then each field's x, y and p
+    derivatives, from Un, the state's leading p-planes (ball as for
+    ifft_xy).
+
+    The spectra take their x and y passes in ws.spec: all 14 at once, or
+    where ws.streamed, each group just before it is asked for.  Each
+    group's pass along p runs when it is asked for, and every sample has
+    the bits of irfftn_norm."""
+    g, buf, n = ws.grid, ws.spec, Un.shape[-1]
+    buf[:2, ..., :n] = Un[:2]
+    if ws.streamed:
+        yield irfft_p(g, ifft_xy(g, buf[:2], ball))
+        for u in Un:
+            for j, iK in enumerate(ws.iK):
+                np.multiply(iK[..., :n], u, out=buf[j, ..., :n])
+            yield irfft_p(g, ifft_xy(g, buf, ball))
+        return
+    for j, iK in enumerate(ws.iK):
+        np.multiply(iK[..., :n], Un, out=buf[2 + j::3, ..., :n])
+    ifft_xy(g, buf, ball)
+    yield irfft_p(g, buf[:2])
+    for i in range(2, 14, 3):
+        yield irfft_p(g, buf[i:i + 3])
+
+
 def tendency(
     state: State,
     params: PhysParams,
@@ -625,11 +665,14 @@ def tendency(
 
     Advection and rotation are products of physical samples, taken through
     3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
-    state), omega, and 4 fields out.  The 14-field inverse runs its x and
-    y passes in place in the workspace and its pass along p in groups: v1
-    and v2, then each field's three derivatives, multiplied into the
-    products as they arrive.  So at most five of its 14 sample fields exist
-    at once, and they carry the bits of irfftn_norm (fields.ifft_xy).
+    state), omega, and 4 fields out.  The 14-field inverse runs in groups:
+    v1 and v2, then each field's three derivatives, multiplied into the
+    products as they arrive (_sample_groups).  Its x and y passes run in
+    place in the workspace, over the whole stack on a small grid and one
+    group at a time on a large one (Workspace.streamed); its pass along p
+    runs one group at a time.  So at most five of its 14 sample fields
+    exist at once, and they carry the bits of irfftn_norm (fields.ifft_xy).
+    omega's divergence is taken from the state's spectra directly.
 
     The pressure gradient and the vertical viscosity act along p alone and
     are taken on the horizontal spectra of the rows the mask keeps
@@ -658,27 +701,22 @@ def tendency(
     n = g.np // 3 + 1 if ball else g.np // 2 + 1
 
     Un = U[..., :n]
-    buf[:2, ..., :n] = Un[:2]
-    for j, iK in enumerate(ws.iK):
-        np.multiply(iK[..., :n], Un, out=buf[2 + j::3, ..., :n])
-    # vertical velocity from the divergence (fluctuating part only; the
-    # projected state carries no vertical-mean divergence), taken before
-    # the inverse transform overwrites the derivatives
+    # vertical velocity from the divergence dx v1 + dy v2 (fluctuating part
+    # only; the projected state carries no vertical-mean divergence)
     D = ws.omega_hat[..., :n]
-    np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)  # dx v1 + dy v2
+    np.multiply(ws.iK[0][..., :n], Un[0], out=D)
+    D += np.multiply(ws.iK[1][..., :n], Un[1], out=buf[0, ..., :n])
     om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
-    # the inverse of the stack: its x and y passes in place, then the pass
-    # along p for v1 and v2 and for each field's three derivatives in turn
-    ifft_xy(g, buf, ball)
-    v1, v2 = irfft_p(g, buf[:2])
+    groups = _sample_groups(ws, Un, ball)
+    v1, v2 = next(groups)
     along_p = variant.pressure or variant.viscosity
     if along_p:
         terms = _row_terms(ws, U)
 
     # advection and rotation, assembled in P
-    for i, Pi in enumerate(P):
+    for Pi in P:
         if variant.advection:
-            dx, dy, dp = irfft_p(g, buf[2 + 3 * i:5 + 3 * i])
+            dx, dy, dp = next(groups)
             np.multiply(v1, dx, out=Pi)
             Pi += np.multiply(v2, dy, out=tmp)
             Pi += np.multiply(om, dp, out=tmp)
@@ -695,7 +733,9 @@ def tendency(
     H = rfftn_norm(g, P, variant.dealias)
     Hk = H[..., :nk]
     if variant.viscosity:
-        Hk += np.multiply(ws.mu_kh2, U[..., :nk], out=buf[:4, ..., :nk])
+        for i in range(0, 4, len(buf)):  # as many fields at once as buf holds
+            j = min(i + len(buf), 4)
+            Hk[i:j] += np.multiply(ws.mu_kh2[i:j], U[i:j, ..., :nk], out=buf[:j - i, ..., :nk])
     Hk *= ws.neg_mask
     # + nu d/dp(c dp f) (theta's conjugated) - grad Phi at the targets
     if along_p:

@@ -242,11 +242,12 @@ def run(
     The initial state is truncated to the dealiased ball (when the variant
     dealiases) and projected, so the advertised invariants hold from the first
     sample.  Divergence of the solution (a non-finite value, or any field's L2
-    norm exceeding 1e8 times its initial size) stops the run; the partial
-    trajectory is returned with completed=False unless raise_on_blowup is set.
-    Either way the report names the step, the field whose norm tripped, that
-    norm and its limit.  The floating-point warnings of a diverging step are
-    silenced; the norm check reports the divergence instead.
+    norm exceeding 1e8 times its initial size) stops the run with a
+    BlowupError that names the step, the field whose norm tripped, that norm
+    and its limit; the samples recorded before it have already gone to
+    on_sample, and no trajectory is returned.  The floating-point warnings
+    of a diverging step are silenced; the norm check reports the divergence
+    instead.
 
     Each record point converts the state once (monitors.sample_context), and
     every monitor and the checksum read that one conversion.

@@ -1,5 +1,5 @@
-"""Memory held by a forced step, by the manufactured forcing and by a
-checkpoint read.
+"""Memory held by a forced step, by a workspace, by the manufactured forcing
+and by a checkpoint read.
 
 tracemalloc sees every NumPy data buffer and Python object, and nothing of
 pocketfft's internal scratch, so these counts are the same on every run.
@@ -49,6 +49,25 @@ def test_forced_erk4_step_holds_few_stacks_at_once(params):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * _stack_bytes(g.spectral_shape)
+
+
+def test_a_streamed_workspace_holds_a_3_field_inverse_scratch(params):
+    # past Workspace.STREAM_BYTES the tendency's inverse runs one group at a
+    # time through 3 spectral fields, not all 14 of the whole stack: the
+    # workspace then holds ~28 spectral fields, ~39 with the whole stack
+    g = Grid(32, 48, 48, params.p0, params.p1)
+    Workspace(g, params)  # the grid's cached arrays
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ws = Workspace(g, params)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept <= 7.5 * _stack_bytes(g.spectral_shape)
+    assert ws.streamed
 
 
 def test_manufactured_arrays_take_the_bytes_of_their_box(params):

@@ -269,7 +269,10 @@ def _relative_misfits(got, want):
             for a, b in zip(got, want)]
 
 
-_SHAPES = [(16, 16, 16), (16, 24, 20)]
+# a grid whose 14-field stack (8.6 MB) is past Workspace.STREAM_BYTES, so its
+# inverse streams one group at a time through a 3-field scratch
+_STREAMED = (32, 48, 48)
+_SHAPES = [(16, 16, 16), (16, 24, 20), _STREAMED]
 _ORACLE_VARIANTS = {
     "faithful": FAITHFUL,
     "no-dealias": FAITHFUL.with_(dealias=False),
@@ -333,6 +336,51 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     # the y rows of the x pass of each inverse: the 14-field stack, omega
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
     assert len(x_pass) == 4 and rows == {(14,): 2 * (g.ny // 3) + 1, (): 2 * (g.ny // 3) + 1}
+
+
+def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_log):
+    # the 19 fields and band rows of the 16^3 pin above, but each x and y
+    # pass takes one group: v1 and v2, then each field's three derivatives
+    g = Grid(*_STREAMED, P0, P1)
+    state = _ball_state(g)
+    assert in_ball(g, state.data)
+    ws = Workspace(g, params)
+    assert ws.streamed and ws.spec.shape[0] == 3
+    fft_log.clear()
+    tendency(state, params, ws=ws)
+    three_d = sum(int(np.prod(shape[:-3])) for name, shape, _ in fft_log
+                  if name in ("rfft", "irfft", "rfftn", "irfftn"))
+    along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
+    x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
+    assert three_d == 19
+    band_rows = (2 * (g.nx // 3) + 1, g.ny // 3 + 1, g.np)
+    assert along_p and all(shape[-3:] == band_rows for shape in along_p)
+    assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
+    assert all(shape[-3] == g.nx and shape[-1] == g.np // 3 + 1 for shape in x_pass)
+    # the y rows of the x passes: v1 and v2, four groups of three, omega
+    leads = ((2,), (3,), ())
+    assert len(x_pass) == 12 and {shape[:-3] for shape in x_pass} == set(leads)
+    rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in leads}
+    band = 2 * (g.ny // 3) + 1
+    assert rows == {(2,): band, (3,): 4 * band, (): band}
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), _STREAMED])
+@pytest.mark.parametrize("kind", ["ball", "off-ball"])
+@pytest.mark.parametrize("name", ["faithful", "no-advection", "viscous-no-dealias"])
+def test_the_streamed_and_whole_stack_inverses_agree_bit_for_bit(shape, kind, name, params,
+                                                                 monkeypatch):
+    # the grid's own path, then the other one, forced by moving the threshold
+    g = Grid(*shape, P0, P1)
+    params = _surface_params(g, params)
+    state = _oracle_state(g, kind)
+    variant = _ORACLE_VARIANTS[name]
+    own = Workspace(g, params, variant)
+    want = tendency(state, params, variant=variant, ws=own).data
+    monkeypatch.setattr(Workspace, "STREAM_BYTES", 1 << 62 if own.streamed else 0)
+    other = Workspace(g, params, variant)
+    assert other.streamed != own.streamed
+    assert np.array_equal(tendency(state, params, variant=variant, ws=other).data, want)
 
 
 # --- finite-difference reference agreement ----------------------------------

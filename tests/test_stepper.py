@@ -362,3 +362,16 @@ def test_state_stacks_its_fields():
     assert mixed.rep == "spectral" and mixed.t == 0.5
     assert np.array_equal(mixed.data[1], st.data[1])
     assert np.allclose(mixed.data, st.data, rtol=0, atol=1e-15)
+
+
+def test_a_forced_erk4_run_on_a_streamed_grid_keeps_its_checksum():
+    # the tendency's inverse streams its groups on this grid
+    # (Workspace.streamed); the checksums are those the whole-stack inverse
+    # gave (numpy 2.4.6, scipy 1.17.1, x86-64), so both take the same bits
+    g = Grid(32, 48, 48, P0, P1)
+    pr = PhysParams()
+    assert Workspace(g, pr).streamed
+    ms = ManufacturedSolution(get_case("brisk"), g, pr)
+    config = StepConfig(dt=1e-4, t_end=2e-4, scheme="erk4_fully_explicit")
+    traj = run(ms.initial_state(), pr, config, forcing=ms.forcing, record_every=2)
+    assert [s.checksum for s in traj.samples] == ["cf0c06d8b3eee451", "9e5d5cfec77698b0"]
