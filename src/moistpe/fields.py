@@ -108,29 +108,30 @@ class Field3D:
 # --- raw-array transforms used by the hot paths ---------------------------
 #
 # Both take a ball flag.  A spectrum inside the 2/3-rule ball (in_ball) is
-# zero on the p-planes above np//3 and on the x and y rows beyond n//3, so
-# much of a 3-D transform works on zeros.  The forward transform with ball
-# computes only the planes up to np//3, which is all a masked product keeps:
-# its x-y stage runs on those planes alone.  The inverse with ball takes a
-# spectrum inside the ball: its x pass runs on the y rows |jy| <= ny//3 of
-# those planes alone (two slices), its y pass on those planes, and its p
-# pass on everything.  What is skipped is zero and stays zero, and the
-# passes are the full transform's in the same order (forward: p, x, y;
-# inverse: x, y, p), so every coefficient and sample the pruned transforms
-# return is bit-identical to the full transform's.  The forward transform
-# runs unscaled and is scaled by 1/N afterwards, a step the pruned
-# transform repeats exactly; the inverse needs no scaling.  The inverse's
-# passes are also callable apart (ifft_xy, then irfft_p), in place and with
-# or without ball, so a stack can finish its p pass in slices: one pass
-# along p acts on each line alone, and the slices get the same bits as the
-# whole stack.
+# zero beyond the kept radius K = grid.ball on each axis: on the p-planes
+# above Kp and on the x and y rows beyond Kx and Ky, so much of a 3-D
+# transform works on zeros.  The forward transform with ball computes only
+# the planes up to Kp (grid.planes(True) of them), which is all a masked
+# product keeps: its x-y stage runs on those planes alone.  The inverse
+# with ball takes a spectrum inside the ball: its x pass runs on the y rows
+# |jy| <= Ky of those planes alone (two slices), its y pass on those
+# planes, and its p pass on everything.  What is skipped is zero and stays
+# zero, and the passes are the full transform's in the same order
+# (forward: p, x, y; inverse: x, y, p), so every coefficient and sample
+# the pruned transforms return is bit-identical to the full transform's.
+# The forward transform runs unscaled and is scaled by 1/N afterwards, a
+# step the pruned transform repeats exactly; the inverse needs no
+# scaling.  The inverse's passes are also callable apart (ifft_xy, then
+# irfft_p), in place and with or without ball, so a stack can finish its
+# p pass in slices: one pass along p acts on each line alone, and the
+# slices get the same bits as the whole stack.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
     """Whether the spectra A (one field or a stack, rfft layout) are zero
-    outside the 2/3 ball: on the p-planes above np//3 and on the x and y
-    rows beyond n//3."""
-    bx, by, bp = grid.nx // 3, grid.ny // 3, grid.np // 3
+    outside the 2/3 ball: on the p-planes above its radius on p and on the
+    x and y rows beyond its radius on x and y (grid.ball)."""
+    bx, by, bp = grid.ball
     return not (np.any(A[..., bp + 1:]) or np.any(A[..., bx + 1:grid.nx - bx, :, :])
                 or np.any(A[..., by + 1:grid.ny - by, :]))
 
@@ -138,8 +139,8 @@ def in_ball(grid: Grid, A: np.ndarray) -> bool:
 def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
     """Forward real FFT over the trailing three axes, normalized coefficients.
 
-    With ball, only the p-planes up to np//3 are computed; the others are
-    returned as zeros.
+    With ball, only the p-planes of the 2/3 ball (grid.planes) are
+    computed; the others are returned as zeros.
     """
     scale = 1.0 / (grid.nx * grid.ny * grid.np)
     if not ball:
@@ -147,7 +148,7 @@ def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
         out *= scale
         return out
     out = _fft.rfft(data, axis=-1, workers=_workers())
-    planes = grid.np // 3 + 1
+    planes = grid.planes(True)
     out[..., planes:] = 0.0
     kept = out[..., :planes]
     _fft.fftn(kept, axes=(-3, -2), overwrite_x=True, workers=_workers())
@@ -159,7 +160,7 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray
     """Inverse of rfftn_norm; returns real samples on the collocation grid.
 
     With ball, coeff is the work array, and what it holds on the p-planes
-    up to np//3 must lie inside the 2/3 ball (in_ball): its other planes
+    of the ball (grid.planes) must lie inside the 2/3 ball (in_ball): its other planes
     are set to zero and those are overwritten.  Without, coeff is left as
     it was.
     """
@@ -172,13 +173,13 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray
 def ifft_xy(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
     """The x and y passes of irfftn_norm, in place on coeff, which is
     returned; irfft_p of it finishes the transform, one slice of a stack
-    at a time if need be.  With ball, as for irfftn_norm: the planes above
-    np//3 are set to zero and the x pass runs on the band's y rows."""
+    at a time if need be.  With ball, as for irfftn_norm: the planes beyond
+    the ball are set to zero and the x pass runs on the ball's y rows."""
     if not ball:
         for axis in (-3, -2):
             _fft.ifft(coeff, axis=axis, norm="forward", overwrite_x=True, workers=_workers())
         return coeff
-    planes, by = grid.np // 3 + 1, grid.ny // 3
+    planes, by = grid.planes(True), grid.ball[1]
     coeff[..., planes:] = 0.0
     kept = coeff[..., :planes]
     for rows in (kept[..., :by + 1, :], kept[..., grid.ny - by:, :]):
@@ -208,10 +209,10 @@ class HorizontalRows:
     """A set of horizontal rows (kx, ky) for the transforms along p alone,
     and where the rows and their mirrors sit in the rfft layout.
 
-    The rows are those with |jx| <= nx//3 and 0 <= jy <= ny//3 (the 2/3
-    band) for band=True, and every row with 0 <= jy <= ny//2 otherwise;
-    planes is the number of leading p-planes the inverse writes, np//3 + 1
-    in the band and all of them otherwise.  A row stands for itself and its
+    The rows are those with |jx| <= Kx and 0 <= jy <= Ky (the 2/3 band,
+    (Kx, Ky) the radius of grid.ball) for band=True, and every row with
+    0 <= jy <= ny//2 otherwise; planes is the number of leading p-planes
+    the inverse writes, grid.planes(band).  A row stands for itself and its
     mirror (-kx, -ky), whose coefficients are the conjugates of its own for
     a real field; the rows jy = 0 (and jy = ny/2) hold their own mirrors.
     indices and mirrors are their flat (kx, ky) indices in the rfft layout.
@@ -219,14 +220,10 @@ class HorizontalRows:
 
     def __init__(self, grid: Grid, band: bool):
         nx, ny = grid.nx, grid.ny
-        if band:
-            bx, by = nx // 3, ny // 3
-            jx = np.r_[0:bx + 1, nx - bx:nx]
-            self.planes = grid.np // 3 + 1
-        else:
-            jx, by = np.arange(nx), ny // 2
-            self.planes = grid.np // 2 + 1
+        bx, by = grid.ball[:2] if band else (nx // 2, ny // 2)
+        jx = np.flatnonzero(grid.mode_index[0].ravel() <= bx)
         jy = np.arange(by + 1)
+        self.planes = grid.planes(band)
         self.grid = grid
         self.shape = (len(jx), len(jy))
         self.indices = (jx[:, None] * ny + jy).ravel()
@@ -353,7 +350,7 @@ def derivative(field: Field3D, axis: str) -> Field3D:
 
 
 def dealias(field: Field3D) -> Field3D:
-    """Zero all modes with index |j| > floor(n/3) in any direction (2/3 rule)."""
+    """Zero all modes outside the 2/3 ball (grid.ball) in any direction."""
     field.require(SPECTRAL, "dealias")
     return Field3D.spectral(field.grid, field.data * field.grid.dealias_mask)
 

@@ -33,7 +33,9 @@ class Grid:
     """Grid sizes and pressure bounds.
 
     nx, ny, np are the number of collocation points per direction; all must be
-    even and at least 8 so the 2/3-rule dealiasing band is nonempty.
+    even and at least 8 so the 2/3-rule dealiasing band is nonempty.  ball
+    is the one home of the 2/3 rule: every dealiasing mask, pruned
+    transform, row set and stored box reads its kept radius from there.
     """
 
     nx: int
@@ -141,11 +143,21 @@ class Grid:
         return jx[:, None, None], jy[None, :, None], jp[None, None, :]
 
     @cached_property
+    def ball(self) -> tuple[int, int, int]:
+        """The kept radius K of the 2/3 rule on each axis (x, y, p): the
+        modes with |j| <= K survive dealiasing."""
+        return tuple(n // 3 for n in self.shape)
+
+    def planes(self, ball: bool) -> int:
+        """The number of leading p-planes a spectrum can occupy: those up to
+        the ball's radius with ball, all np//2 + 1 without."""
+        return self.ball[2] + 1 if ball else self.np // 2 + 1
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: modes with |j| > floor(n/3) in any direction are zeroed."""
-        jx, jy, jp = self.mode_index
-        keep = (jx <= self.nx // 3) & (jy <= self.ny // 3) & (jp <= self.np // 3)
-        return keep
+        """2/3-rule mask: modes outside the ball in any direction are zeroed."""
+        (jx, jy, jp), (bx, by, bp) = self.mode_index, self.ball
+        return (jx <= bx) & (jy <= by) & (jp <= bp)
 
     def band_mask(self, band: int) -> np.ndarray:
         """Mask keeping modes with |j| <= band in every direction."""

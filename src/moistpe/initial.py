@@ -44,7 +44,7 @@ def random_smooth(
     if symmetry not in SYMMETRY_CHOICES:
         raise ConfigError(f"unknown symmetry {symmetry!r}; choose from {SYMMETRY_CHOICES}")
     if band is None:
-        band = grid.nx // 3
+        band = grid.ball[0]
     if band < 1:
         raise ConfigError(f"band must be at least 1, got {band}")
     if not 0.0 < amplitude < np.inf:

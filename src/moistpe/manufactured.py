@@ -116,13 +116,14 @@ def _profiles(case: ManufacturedCase, grid: Grid) -> State:
 
 def _box(grid: Grid, band: int) -> tuple:
     """The index, in a state's spectral stack, of the box that holds every
-    nonzero coefficient of the stored arrays: per axis |j| <= max(n//3,
-    2 band), n the axis's size (the whole axis where that reaches n/2).
-    The masked tendency keeps |j| <= n//3 and Q is band-exact at 2 band
+    nonzero coefficient of the stored arrays: per axis |j| <= max(K,
+    2 band), K the axis's radius of the 2/3 ball (grid.ball; the whole axis
+    where that reaches n/2).  The masked tendency keeps |j| <= K and Q is
+    band-exact at 2 band
     (see the module docstring).  x and y are index arrays that broadcast to
     the box's rows, p a slice of leading planes."""
-    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(n // 3, 2 * band))
-                  for j, n in zip(grid.mode_index, grid.shape))
+    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(k, 2 * band))
+                  for j, k in zip(grid.mode_index, grid.ball))
     return (slice(None), jx[:, None], jy, slice(0, jp.size))
 
 
@@ -136,7 +137,7 @@ class ManufacturedSolution:
     """
 
     def __init__(self, case: ManufacturedCase, grid: Grid, params: PhysParams):
-        if grid.nx // 3 < case.band or grid.ny // 3 < case.band or grid.np // 3 < case.band:
+        if min(grid.ball) < case.band:
             raise ConfigError(
                 f"grid {grid.shape} cannot carry band-{case.band} profiles inside "
                 "the dealiased ball")

@@ -164,8 +164,8 @@ def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None,
     G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
     (default zero) is the value at p = p0.  Given a spectral work array to
     build G in, F may be a view of its leading p-planes.  With ball, F lies
-    inside the 2/3 ball and holds at least the planes up to np//3, and the
-    transform prunes (see irfftn_norm).
+    inside the 2/3 ball and holds at least its planes (grid.planes), and
+    the transform prunes (see irfftn_norm).
     """
     n = F.shape[-1]
     G = np.empty_like(F) if work is None else work
@@ -375,7 +375,7 @@ class _VerticalBand:
     integrand    R (p/p0)^kappa / p, of the hydrostatic integrand
     dp           i kp on the full kp axis, zero on the mean and Nyquist
                  planes (as irfftn_norm applies it) and, when dealiasing,
-                 beyond np//3
+                 beyond the ball's radius on p (grid.ball)
     neg_inv_ikp  -1/(i kp), zero on the mean and Nyquist planes
     ramp         the spectrum of p1 - p on the full kp axis
     phi_s        fft2_norm(phi_s) on the rows
@@ -394,9 +394,10 @@ class _VerticalBand:
         self.integrand = params.R * co.pk_inv * co.inv_p
         self.c, self.pk = co.c, co.pk
         kp = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.Lp / n)
-        jp = np.abs(np.fft.fftfreq(n, d=1.0 / n))
         kp[n // 2] = 0.0
-        self.dp = 1j * kp * (jp <= (n // 3 if dealias else n))
+        keep = np.zeros(n)  # the planes of grid.planes and their mirrors
+        keep[:grid.planes(dealias)] = keep[n + 1 - grid.planes(dealias):] = 1.0
+        self.dp = 1j * kp * keep
         self.neg_inv_ikp = np.zeros(n, dtype=np.complex128)
         self.neg_inv_ikp[kp != 0.0] = -1.0 / (1j * kp[kp != 0.0])
         half = _ramp_hat(grid, params)
@@ -556,8 +557,8 @@ class Workspace:
         self.grid = grid
         self.params = params
         self.variant = variant
-        # p-planes a masked product can occupy: mode index <= np // 3
-        self.planes = grid.np // 3 + 1 if variant.dealias else grid.np // 2 + 1
+        # p-planes a masked product can occupy
+        self.planes = grid.planes(variant.dealias)
         # minus the dealias mask on those planes
         self.neg_mask = -1.0 * grid.dealias_mask[..., :self.planes] if variant.dealias else -1.0
         self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
@@ -683,10 +684,11 @@ def tendency(
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
     when none is given.  The transforms prune what is zero (see
-    irfftn_norm): the forward one skips the p-planes above np//3 whenever
-    the variant dealiases, and when the state lies inside the 2/3 ball
-    (fields.in_ball) the inverse ones skip those planes and the y rows
-    beyond ny//3 in their x pass, bit for bit as the full transforms.
+    irfftn_norm): the forward one skips the p-planes beyond the 2/3 ball
+    (grid.ball, grid.planes) whenever the variant dealiases, and when the
+    state lies inside the ball (fields.in_ball) the inverse ones skip those
+    planes and the y rows beyond the ball's radius on y in their x pass,
+    bit for bit as the full transforms.
     """
     g = state.grid
     if ws is None:
@@ -698,7 +700,7 @@ def tendency(
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
     ball = in_ball(g, U)
-    n = g.np // 3 + 1 if ball else g.np // 2 + 1
+    n = g.planes(ball)
 
     Un = U[..., :n]
     # vertical velocity from the divergence dx v1 + dy v2 (fluctuating part

@@ -88,11 +88,10 @@ def _seeded_table(seed: int, band: int, decay: float) -> tuple[np.ndarray, np.nd
 
 def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) -> Field3D:
     """A random trigonometric polynomial with ||f||_L2 = amplitude, identical
-    (as a function) on every grid with n >= 3*band in each direction."""
-    n_min = min(grid.nx, grid.ny, grid.np)
-    if 3 * band > n_min:
-        raise ConfigError(
-            f"band {band} does not fit the dealiased ball of a {n_min}-point axis")
+    (as a function) on every grid whose 2/3 ball (grid.ball) holds band on
+    each axis."""
+    if band > min(grid.ball):
+        raise ConfigError(f"band {band} does not fit the dealiased ball of grid {grid.shape}")
     C, counts = _seeded_table(seed, band, 2.0)
     terms = C.real * C.real + C.imag * C.imag
     terms[:, :, 1:] *= 2.0

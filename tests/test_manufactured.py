@@ -185,7 +185,7 @@ def test_stored_arrays_are_band_exact(grid24, params):
     for _ in range(2):
         state = erk4_step(state, 1e-3, ws, forcing=ms.forcing)
     for f in state.fields:
-        assert not np.any(f.data[..., grid24.np // 3 + 1:])
+        assert not np.any(f.data[..., grid24.planes(True):])
 
 
 def test_forcing_on_the_box_is_the_forcing_of_the_full_stacks(params):

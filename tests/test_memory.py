@@ -83,8 +83,8 @@ def test_manufactured_arrays_take_the_bytes_of_their_box(params):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    # per axis the modes |j| <= max(n//3, 2 band)
-    half = [max(n // 3, 2 * ms.case.band) for n in g.shape]
+    # per axis the modes |j| <= max(K, 2 band), K the radius of the ball
+    half = [max(k, 2 * ms.case.band) for k in g.ball]
     box = _stack_bytes([np.count_nonzero(j.ravel() <= h) for j, h in zip(g.mode_index, half)])
     assert 4 * box < 2 * _stack_bytes(g.spectral_shape)
     assert kept <= 4 * box + 16 * 1024

@@ -332,10 +332,10 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     assert three_d == 19
     assert along_p and all(shape[-3:] == (11, 6, 16) for shape in along_p)
     assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
-    assert all(shape[-3] == g.nx and shape[-1] == g.np // 3 + 1 for shape in x_pass)
+    assert all(shape[-3] == g.nx and shape[-1] == g.planes(True) for shape in x_pass)
     # the y rows of the x pass of each inverse: the 14-field stack, omega
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
-    assert len(x_pass) == 4 and rows == {(14,): 2 * (g.ny // 3) + 1, (): 2 * (g.ny // 3) + 1}
+    assert len(x_pass) == 4 and rows == {(14,): 2 * g.ball[1] + 1, (): 2 * g.ball[1] + 1}
 
 
 def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_log):
@@ -353,15 +353,15 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
     x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
     assert three_d == 19
-    band_rows = (2 * (g.nx // 3) + 1, g.ny // 3 + 1, g.np)
+    band_rows = (2 * g.ball[0] + 1, g.ball[1] + 1, g.np)
     assert along_p and all(shape[-3:] == band_rows for shape in along_p)
     assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
-    assert all(shape[-3] == g.nx and shape[-1] == g.np // 3 + 1 for shape in x_pass)
+    assert all(shape[-3] == g.nx and shape[-1] == g.planes(True) for shape in x_pass)
     # the y rows of the x passes: v1 and v2, four groups of three, omega
     leads = ((2,), (3,), ())
     assert len(x_pass) == 12 and {shape[:-3] for shape in x_pass} == set(leads)
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in leads}
-    band = 2 * (g.ny // 3) + 1
+    band = 2 * g.ball[1] + 1
     assert rows == {(2,): band, (3,): 4 * band, (): band}
 
 
@@ -510,21 +510,21 @@ def test_pure_rotation_tendency(grid16, params):
 
 
 def _off_ball_state(grid):
-    """A projected state with content on the p-planes above np//3."""
+    """A projected state with content on the p-planes beyond the ball."""
     state = project_state(random_smooth(grid, 6, amplitude=1.0, band=7)).as_spectral()
-    assert all(np.any(f.data[..., grid.np // 3 + 1:]) for f in state.fields)
+    assert all(np.any(f.data[..., grid.planes(True):]) for f in state.fields)
     return state
 
 
 def _ball_state(grid, seed=2):
     state = project_state(random_smooth(grid, seed, amplitude=1.0)).as_spectral()
-    assert not any(np.any(f.data[..., grid.np // 3 + 1:]) for f in state.fields)
+    assert not any(np.any(f.data[..., grid.planes(True):]) for f in state.fields)
     return state
 
 
 @pytest.mark.parametrize("dealias", [True, False], ids=["dealias", "no-dealias"])
 def test_tendency_off_the_ball_transforms_every_plane(grid16, params, dealias):
-    # a state and a file-style forcing with content above np//3 in p, on a
+    # a state and a file-style forcing with content beyond the ball in p, on a
     # workspace that has just served an in-ball call: the viscous tendency
     # plus forcing must equal the 3-D assembly's, which never skips a plane
     g = grid16
@@ -558,13 +558,13 @@ def test_workspace_after_an_off_ball_call_gives_the_fresh_result(grid16, params)
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_tendency_with_rows_beyond_the_ball_transforms_every_row(shape, axis, params):
     # a state inside the ball along p with content on the x or y rows beyond
-    # n//3, on a workspace that has just served an in-ball call
+    # the ball, on a workspace that has just served an in-ball call
     g = Grid(*shape, P0, P1)
     params = _surface_params(g, params)
-    jx, jy, jp = g.mode_index
-    band = (jp <= g.np // 3) & ((jy <= g.ny // 3) if axis == "x" else (jx <= g.nx // 3))
+    (jx, jy, jp), (bx, by, bp) = g.mode_index, g.ball
+    band = (jp <= bp) & ((jy <= by) if axis == "x" else (jx <= bx))
     state = project_state(State.of(g, _oracle_state(g, "off-ball").data * band, "spectral", 0.0))
-    beyond = jx > g.nx // 3 if axis == "x" else jy > g.ny // 3
+    beyond = jx > bx if axis == "x" else jy > by
     assert np.any(state.data * beyond) and not in_ball(g, state.data)
     ws = Workspace(g, params)
     tendency(_oracle_state(g, "ball"), params, ws=ws)

@@ -83,11 +83,11 @@ def test_parseval(grid16):
                          ids=["16", "24", "32", "16x24x20"])
 def test_pruned_transforms_are_the_full_ones_in_the_ball(shape):
     # a stack of spectra inside the 2/3 ball: the forward transform
-    # restricted to the p-planes up to np//3 and the inverse restricted to
-    # those planes and, in its x pass, to the y rows up to ny//3 must give
+    # restricted to the p-planes of the ball and the inverse restricted to
+    # those planes and, in its x pass, to the y rows of the ball must give
     # bit for bit what the full ones give
     g = Grid(*shape, P0, P1)
-    keep = g.np // 3 + 1
+    keep = g.planes(True)
     data = np.random.default_rng(sum(shape)).standard_normal((3,) + g.shape)
     full = rfftn_norm(g, data)
     pruned = rfftn_norm(g, data, ball=True)
@@ -118,7 +118,7 @@ def test_inverse_finished_in_groups_along_p_is_the_full_one(n, kind):
     want = irfftn_norm(g, coeff)
     work = coeff.copy()
     if ball:
-        work[..., g.np // 3 + 1:] = 7.0  # whatever the work array holds beyond the planes
+        work[..., g.planes(True):] = 7.0  # whatever the work array holds beyond the planes
     ifft_xy(g, work, ball)
     groups = [slice(0, 2)] + [slice(2 + 3 * i, 5 + 3 * i) for i in range(4)]
     got = np.concatenate([irfft_p(g, work[group]) for group in groups])
@@ -129,9 +129,9 @@ def test_inverse_finished_in_groups_along_p_is_the_full_one(n, kind):
 @pytest.mark.parametrize("where", ["p", "+x", "-x", "+y", "-y"])
 def test_in_ball_sees_one_coefficient_just_outside(shape, where):
     # every mode of the 2/3 ball set, then one coefficient just outside it:
-    # on the p-plane np//3 + 1, or on the x or y row +-(n//3 + 1)
+    # on the p-plane K + 1, or on the x or y row +-(K + 1), K the radius
     g = Grid(*shape, P0, P1)
-    bx, by, bp = g.nx // 3, g.ny // 3, g.np // 3
+    bx, by, bp = g.ball
     outside = {"p": (1, 1, bp + 1), "+x": (bx + 1, 1, 1), "-x": (g.nx - bx - 1, 1, 1),
                "+y": (1, by + 1, 1), "-y": (1, g.ny - by - 1, 1)}[where]
     A = g.dealias_mask.astype(complex)
@@ -185,14 +185,14 @@ def test_dealias_is_idempotent(grid16):
 
 def test_dealias_fixes_band_limited_field(grid16):
     A = np.zeros(grid16.spectral_shape, dtype=np.complex128)
-    A[3, -2, 1] = 1.0 + 0.5j   # |j| <= 16//3 = 5 in every direction
+    A[3, -2, 1] = 1.0 + 0.5j   # |j| <= 5, the radius at n = 16, in every direction
     f = Field3D.spectral(grid16, A)
     assert np.abs(dealias(f).data - A).max() == 0.0
 
 
 def test_dealias_removes_modes_beyond_two_thirds(grid16):
     A = np.zeros(grid16.spectral_shape, dtype=np.complex128)
-    A[6, 0, 0] = 1.0           # 6 > 16//3
+    A[6, 0, 0] = 1.0           # 6 > 5, the radius at n = 16
     A[0, 0, 6] = 1.0
     f = Field3D.spectral(grid16, A)
     assert np.abs(dealias(f).data).max() == 0.0
@@ -240,7 +240,7 @@ def test_dealiased_product_matches_explicit_convolution():
             k = tuple(a + b for a, b in zip(k1, k2))
             conv[k] = conv.get(k, 0.0) + c1 * c2
     want = np.zeros(g.spectral_shape, dtype=np.complex128)
-    cut = g.nx // 3
+    cut = g.ball[0]
     for (jx, jy, jp), c in conv.items():
         if max(abs(jx), abs(jy), abs(jp)) > cut:
             continue
@@ -436,7 +436,7 @@ def test_from_horizontal_spectra_inverts_them_on_the_rows(shape, band, params):
     F = horizontal_spectra(g, C, rows)
     assert F.shape == (2,) + rows.shape + (g.np,)
     if band:
-        bx, by = g.nx // 3, g.ny // 3
+        bx, by = g.ball[:2]
         every = horizontal_spectra(g, C)[:, np.r_[0:bx + 1, g.nx - bx:g.nx], :by + 1]
         np.testing.assert_allclose(F, every, rtol=0, atol=1e-15 * np.abs(every).max())
     out = np.zeros_like(C)
