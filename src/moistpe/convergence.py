@@ -105,9 +105,10 @@ def temporal_study(case_name: str = "brisk",
 def contrast_profile_decay(resolutions=SPATIAL_RESOLUTIONS) -> dict:
     """Relative spectral-tail energy of a kinked |sin| profile per resolution.
 
-    The dealiased ball of an n-point axis keeps |j| <= n//3; a profile with a
-    derivative kink has coefficient decay ~ j^-2, so the discarded tail
-    shrinks like n^-3 instead of collapsing spectrally.
+    The dealiased ball of an n-point axis keeps |j| <= (n - 1)//3
+    (grid.ball); a profile with a derivative kink has coefficient decay
+    ~ j^-2, so the discarded tail shrinks like n^-3 instead of collapsing
+    spectrally.
     """
     out = {}
     p_ref = PhysParams()

@@ -108,23 +108,23 @@ class Field3D:
 # --- raw-array transforms used by the hot paths ---------------------------
 #
 # Both take a ball flag.  A spectrum inside the 2/3-rule ball (in_ball) is
-# zero beyond the kept radius K = grid.ball on each axis: on the p-planes
-# above Kp and on the x and y rows beyond Kx and Ky, so much of a 3-D
-# transform works on zeros.  The forward transform with ball computes only
-# the planes up to Kp (grid.planes(True) of them), which is all a masked
-# product keeps: its x-y stage runs on those planes alone.  The inverse
-# with ball takes a spectrum inside the ball: its x pass runs on the y rows
-# |jy| <= Ky of those planes alone (two slices), its y pass on those
-# planes, and its p pass on everything.  What is skipped is zero and stays
-# zero, and the passes are the full transform's in the same order
-# (forward: p, x, y; inverse: x, y, p), so every coefficient and sample
-# the pruned transforms return is bit-identical to the full transform's.
-# The forward transform runs unscaled and is scaled by 1/N afterwards, a
-# step the pruned transform repeats exactly; the inverse needs no
-# scaling.  The inverse's passes are also callable apart (ifft_xy, then
-# irfft_p), in place and with or without ball, so a stack can finish its
-# p pass in slices: one pass along p acts on each line alone, and the
-# slices get the same bits as the whole stack.
+# zero beyond the kept radius K = (n - 1)//3 of each axis (grid.ball, the
+# one place the rule is computed): on the p-planes above Kp and on the x and
+# y rows beyond Kx and Ky, so much of a 3-D transform works on zeros.  The
+# forward transform with ball computes only the planes up to Kp
+# (grid.planes(True) of them), which is all a masked product keeps: its x-y
+# stage runs on those planes alone.  The inverse with ball takes a spectrum
+# inside the ball: its x pass runs on the y rows |jy| <= Ky of those planes
+# alone (two slices), its y pass on those planes, and its p pass on
+# everything.  What is skipped is zero and stays zero, and the passes are the
+# full transform's in the same order (forward: p, x, y; inverse: x, y, p),
+# so every coefficient and sample the pruned transforms return is
+# bit-identical to the full transform's.  The forward transform runs unscaled
+# and is scaled by 1/N afterwards, a step the pruned transform repeats
+# exactly; the inverse needs no scaling.  The inverse's passes are also
+# callable apart (ifft_xy, then irfft_p), in place and with or without ball,
+# so a stack can finish its p pass in slices: one pass along p acts on each
+# line alone, and the slices get the same bits as the whole stack.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
@@ -160,9 +160,9 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray
     """Inverse of rfftn_norm; returns real samples on the collocation grid.
 
     With ball, coeff is the work array, and what it holds on the p-planes
-    of the ball (grid.planes) must lie inside the 2/3 ball (in_ball): its other planes
-    are set to zero and those are overwritten.  Without, coeff is left as
-    it was.
+    of the ball (grid.planes) must lie inside the 2/3 ball (in_ball): its
+    other planes are set to zero and those are overwritten.  Without,
+    coeff is left as it was.
     """
     if not ball:
         return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",

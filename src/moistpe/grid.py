@@ -145,8 +145,11 @@ class Grid:
     @cached_property
     def ball(self) -> tuple[int, int, int]:
         """The kept radius K of the 2/3 rule on each axis (x, y, p): the
-        modes with |j| <= K survive dealiasing."""
-        return tuple(n // 3 for n in self.shape)
+        modes with |j| <= K survive dealiasing.  K = (n - 1)//3 is the
+        largest radius with n >= 3K + 1 (Orszag 1971): a product of two kept
+        modes reaches |j| <= 2K, and its alias image j -+ n then lies beyond
+        K, so no aliased content survives the mask."""
+        return tuple((n - 1) // 3 for n in self.shape)
 
     def planes(self, ball: bool) -> int:
         """The number of leading p-planes a spectrum can occupy: those up to

@@ -36,21 +36,20 @@ def random_smooth(
 ) -> State:
     """Reproducible smooth random data with prescribed total H2 size.
 
-    Gaussian noise is band-limited, the velocity pair is projected to kill
+    Gaussian noise is band-limited (to |j| <= band on every axis, by default
+    to the 2/3 ball, grid.ball), the velocity pair is projected to kill
     the vertically-averaged divergence, the optional mirror symmetry is
     imposed, and finally all four fields are rescaled together so the
     combined H2 norm (square root of the sum of squares) equals amplitude.
     """
     if symmetry not in SYMMETRY_CHOICES:
         raise ConfigError(f"unknown symmetry {symmetry!r}; choose from {SYMMETRY_CHOICES}")
-    if band is None:
-        band = grid.ball[0]
-    if band < 1:
+    if band is not None and band < 1:
         raise ConfigError(f"band must be at least 1, got {band}")
     if not 0.0 < amplitude < np.inf:
         raise ConfigError(f"amplitude must be positive and finite, got {amplitude}")
     rng = np.random.default_rng(seed)
-    mask = grid.band_mask(band)
+    mask = grid.dealias_mask if band is None else grid.band_mask(band)
 
     def draw(name: str) -> Field3D:
         noise = rng.standard_normal(grid.shape)

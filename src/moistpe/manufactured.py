@@ -16,17 +16,18 @@ mode index at most four, their advective products at most seven, and a
 16-point axis represents index seven cleanly (collocation alias images of a
 band-7 product land outside the bin range), so the stored forcing is exact
 on every grid used here.  The solver's own advection, by contrast, is cut at
-the dealias radius n//3: at n = 16 that radius is five, so the product
-content at indices six and seven becomes a genuine spatial truncation
-residual, while any grid with n//3 >= 7 (n >= 21, so 24 and 32) reproduces
-the trajectory to the time-discretization floor.
+the dealias radius K = (n - 1)//3 (grid.ball): at n = 16 that radius is
+five, so the product content at indices six and seven becomes a genuine
+spatial truncation residual, while any grid with K >= 7 (n >= 22, so 24 and
+32) reproduces the trajectory to the time-discretization floor.
 
 The stored arrays are band-exact: the profiles are zero outside mode index
-four and Q outside index eight, exactly rather than to roundoff.  With
-n//3 >= 8 (n >= 24) the forcing, and so the forced trajectory, then stays
-exactly inside the dealiased ball, where the tendency's transforms skip the
-empty p-planes.  So they are stored only on the box that holds their
-nonzero coefficients.
+four and Q outside index eight, exactly rather than to roundoff (Q's
+content at index eight is itself roundoff).  So they are stored only on
+the box that holds their nonzero coefficients.  With K >= 8, from n = 26,
+the forcing, and so the forced trajectory, stays exactly inside the
+dealiased ball, where the tendency's transforms skip the empty p-planes;
+at n = 24 (K = 7) the roundoff at index eight takes it out of the ball.
 """
 
 from __future__ import annotations
@@ -119,9 +120,8 @@ def _box(grid: Grid, band: int) -> tuple:
     nonzero coefficient of the stored arrays: per axis |j| <= max(K,
     2 band), K the axis's radius of the 2/3 ball (grid.ball; the whole axis
     where that reaches n/2).  The masked tendency keeps |j| <= K and Q is
-    band-exact at 2 band
-    (see the module docstring).  x and y are index arrays that broadcast to
-    the box's rows, p a slice of leading planes."""
+    band-exact at 2 band (see the module docstring).  x and y are index
+    arrays that broadcast to the box's rows, p a slice of leading planes."""
     jx, jy, jp = (np.flatnonzero(j.ravel() <= max(k, 2 * band))
                   for j, k in zip(grid.mode_index, grid.ball))
     return (slice(None), jx[:, None], jy, slice(0, jp.size))

@@ -395,8 +395,9 @@ class _VerticalBand:
         self.c, self.pk = co.c, co.pk
         kp = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.Lp / n)
         kp[n // 2] = 0.0
-        keep = np.zeros(n)  # the planes of grid.planes and their mirrors
-        keep[:grid.planes(dealias)] = keep[n + 1 - grid.planes(dealias):] = 1.0
+        m = grid.planes(dealias)  # i kp on the kept planes and their mirrors
+        keep = np.zeros(n)
+        keep[:m] = keep[n + 1 - m:] = 1.0
         self.dp = 1j * kp * keep
         self.neg_inv_ikp = np.zeros(n, dtype=np.complex128)
         self.neg_inv_ikp[kp != 0.0] = -1.0 / (1j * kp[kp != 0.0])
@@ -660,7 +661,7 @@ def tendency(
     All operator terms are truncated by the 2/3 mask (variant permitting) and
     supplied forcing is added untruncated, so evolved states stay inside the
     dealiased ball only when the forcing does: manufactured forcing does on
-    grids with n >= 24, forcing read from a file in general does not.
+    grids with n >= 26, forcing read from a file in general does not.
     Returns a Tendency whose stacked array is a fresh one (nothing else
     refers to it); diagnose gives omega, Phi and T.
 

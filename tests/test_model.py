@@ -19,7 +19,7 @@ from moistpe.errors import ConstraintError, DataError, ParameterError
 from moistpe.fields import SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
-from moistpe.model import (FAITHFUL, ModelVariant, Workspace, barotropic_project, diagnose,
+from moistpe.model import (FAITHFUL, ModelVariant, Workspace, _pair, barotropic_project, diagnose,
                            diagnose_omega, diagnose_phi, divergence_residual,
                            hydrostatic_gradient_residual,
                            hydrostatic_residual, omega_top_residual,
@@ -217,6 +217,22 @@ def test_viscosity_positive_pairing(grid16, params):
         for out in (Av, Ath, Aq):
             pairing = grid16.volume * np.mean(out * f.data)
             assert pairing >= -1e-10 * max(1.0, abs(pairing))
+
+
+@pytest.mark.parametrize("shape", [(18, 18, 18), (24, 24, 24), (32, 32, 24)])
+def test_advection_does_no_work_on_a_state_that_fills_the_ball(shape, params):
+    # <u, A(u)> = 0 for the dealiased advection A of a projected state with
+    # content up to the ball's edge on every axis: on sides divisible by 3
+    # a radius of n//3 let aliased products through (7.0e-3 at 18^3)
+    g = Grid(*shape, P0, P1)
+    state = random_smooth(g, 3, amplitude=1.0)
+    U = state.data
+    assert in_ball(g, U)
+    assert all(np.any(U * (j == k)) for j, k in zip(g.mode_index, g.ball))
+    advection = ModelVariant(coriolis=False, pressure=False, viscosity=False)
+    A = tendency(state, params, variant=advection).data
+    pairing = _pair(g, U, A) / math.sqrt(_pair(g, U, U) * _pair(g, A, A))
+    assert abs(pairing) <= 1e-14
 
 
 @pytest.mark.parametrize("distinct", [False, True])

@@ -215,6 +215,12 @@ def test_invariants_run_faithful_passes():
         assert c.ok, (c.name, c.value, c.bound)
 
 
+def test_invariants_run_faithful_passes_on_a_side_divisible_by_3():
+    # a radius of n//3 kept aliased products at 24^3: energy_budget read 2.0e-5
+    for c in invariants_run(n=24):
+        assert c.ok, (c.name, c.value, c.bound)
+
+
 def test_invariants_run_reports_a_blowup_as_its_one_failed_check():
     check, = invariants_run(amplitude=1e5)
     assert check.name == "completes" and not check.ok

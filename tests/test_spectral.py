@@ -198,6 +198,17 @@ def test_dealias_removes_modes_beyond_two_thirds(grid16):
     assert np.abs(dealias(f).data).max() == 0.0
 
 
+def test_the_ball_is_the_largest_radius_orszag_allows():
+    # the reference for the 2/3 rule, written out here rather than read
+    # from Grid: a kept radius K needs n >= 3K + 1 (Orszag 1971), so that
+    # the alias image of a product of two kept modes lies beyond K, and the
+    # ball keeps the largest such K on each axis
+    for n in range(8, 97, 2):
+        g = Grid(n, n + 2, n + 4, P0, P1)
+        for size, K in zip(g.shape, g.ball):
+            assert 3 * K + 1 <= size < 3 * (K + 1) + 1
+
+
 def _hermitian_table(seed, band, n_modes=6):
     """Random Hermitian-complete coefficient table {(jx,jy,jp): c}."""
     r = np.random.default_rng(seed)

@@ -7,16 +7,18 @@ whole operator, and every step of the scheme acts diagonally on a single
 harmonic.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from moistpe.errors import BlowupError, ConfigError
-from moistpe.fields import Field3D
+from moistpe.fields import Field3D, in_ball
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.manufactured import ManufacturedSolution, get_case
 from moistpe.model import FAITHFUL, project_state, tendency
-from moistpe.norms import parseval_sum
+from moistpe.norms import parseval_sum, sobolev_norm
 from moistpe.params import PhysParams, Profile
 from moistpe.state import State
 from moistpe import stepper
@@ -216,6 +218,20 @@ def test_zero_span_run_records_exactly_the_initial_sample():
     assert traj.samples[0].t == 0.0
 
 
+def test_a_default_random_draw_fills_the_ball_on_every_axis():
+    # on a grid whose sides differ the default band is each axis's radius,
+    # so the truncation at the start of a run keeps the whole draw and its
+    # prescribed H2 size (a band of nx//3 on every axis started this run at
+    # H2 = 0.69)
+    g = Grid(32, 32, 16, P0, P1)
+    st = random_smooth(g, 7, amplitude=1.0)
+    assert in_ball(g, st.data)
+    assert all(np.any(st.data * (j == k)) for j, k in zip(g.mode_index, g.ball))
+    traj = run(st, PhysParams(), StepConfig(dt=1e-3, t_end=0.0))
+    h2 = math.sqrt(sum(sobolev_norm(f, 2) ** 2 for f in traj.final_state.fields))
+    assert h2 == pytest.approx(1.0, rel=1e-12)
+
+
 def _divergent_case():
     st = random_smooth(_grid(8), 8, amplitude=200.0, band=2)
     return st, PhysParams(), StepConfig(dt=0.2, t_end=50.0)
@@ -367,11 +383,12 @@ def test_state_stacks_its_fields():
 def test_a_forced_erk4_run_on_a_streamed_grid_keeps_its_checksum():
     # the tendency's inverse streams its groups on this grid
     # (Workspace.streamed); the checksums are those the whole-stack inverse
-    # gave (numpy 2.4.6, scipy 1.17.1, x86-64), so both take the same bits
+    # gave (numpy 2.4.6, scipy 1.17.1, x86-64), so both take the same bits.
+    # The ball's radius on the 48-point axes is 15 = (48 - 1)//3
     g = Grid(32, 48, 48, P0, P1)
     pr = PhysParams()
     assert Workspace(g, pr).streamed
     ms = ManufacturedSolution(get_case("brisk"), g, pr)
     config = StepConfig(dt=1e-4, t_end=2e-4, scheme="erk4_fully_explicit")
     traj = run(ms.initial_state(), pr, config, forcing=ms.forcing, record_every=2)
-    assert [s.checksum for s in traj.samples] == ["cf0c06d8b3eee451", "9e5d5cfec77698b0"]
+    assert [s.checksum for s in traj.samples] == ["cf0c06d8b3eee451", "b9dd7ce96d1e33d8"]
