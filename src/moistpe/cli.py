@@ -113,9 +113,8 @@ def _build_initial(cfg, grid, args):
         state = rest(grid)
     elif kind == "random_smooth":
         seed = args.seed if args.seed is not None else init["seed"]
-        symmetry = "mirror" if cfg.initial_symmetry == "paper_parity" else "none"
         state = random_smooth(grid, seed, amplitude=init["amplitude"],
-                              band=init["band"], symmetry=symmetry)
+                              band=init["band"], symmetry=cfg.initial_symmetry)
     else:
         try:
             _, state = checkpoint_mod.read_checkpoint(init["path"])

@@ -6,6 +6,12 @@ typos corrupt experiments).  Omitted keys take the documented defaults, and
 serialization always writes every key, so parse -> serialize -> parse is the
 identity.
 
+RunConfig declares the format: each of its fields carries its dotted key, its
+type (int, float or str, which parses the value; floats are written with
+repr) and its default, and KEYMAP is derived from the fields.  PhysParams
+holds the physics and domain defaults and StepConfig the scheme's, and
+RunConfig reads them from there.
+
 Sections and keys:
 
   grid.nx, grid.ny, grid.np          even integers >= 8
@@ -47,54 +53,63 @@ step_count), so each grid, physics and step rule is written once, in its
 constructor; a constructor's ParameterError becomes a ConfigError.  Every
 error names its dotted key.  Only the tokens no constructor reads (phi_s,
 the forcing and initial kinds, the symmetry and the output cadences) are
-checked in this module.
+checked in this module; the symmetry against initial.SYMMETRY_CHOICES.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError, ParameterError
 from .grid import Grid
+from .initial import SYMMETRY_CHOICES
 from .model import Coefficients
 from .params import PhysParams, Profile
 from .stepper import StepConfig, step_count
 
-SYMMETRY_TOKENS = ("none", "paper_parity")
+
+def _key(key: str, default=None, of: type | None = None):
+    """A RunConfig field read from and written to the dotted key; with of
+    (PhysParams or StepConfig), the default is that of of's field named by
+    the key's last part."""
+    if of is not None:
+        default = getattr(of, key.rpartition(".")[2])
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    nx: int = 32
-    ny: int = 32
-    np: int = 32
-    p0: float = 0.2
-    p1: float = 1.0
-    R: float = 1.0
-    cp: float = 3.5
-    g: float = 1.0
-    f_cor: float = 1.0
-    mu_v: float = 1e-2
-    nu_v: float = 1e-2
-    mu_theta: float = 1e-2
-    nu_theta: float = 1e-2
-    mu_q: float = 1e-2
-    nu_q: float = 1e-2
-    theta_bar: str = "constant:1.0"
-    theta_h: str = "constant:0.0"
-    phi_s: str = "zero"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    t0: float = 0.0
-    scheme: str = "imex_cnab2"
-    forcing_kind: str = "zero"
-    initial_kind: str = "rest"
-    initial_symmetry: str = "none"
-    norms_path: str = "none"
-    norms_every: int = 1
-    checkpoint_path: str = "none"
-    checkpoint_every: int = 0
+    """One field per config key (see _key), in the order serialize writes
+    them; each field's type parses its value."""
+
+    nx: int = _key("grid.nx", 32)
+    ny: int = _key("grid.ny", 32)
+    np: int = _key("grid.np", 32)
+    p0: float = _key("domain.p0", of=PhysParams)
+    p1: float = _key("domain.p1", of=PhysParams)
+    R: float = _key("physics.R", of=PhysParams)
+    cp: float = _key("physics.cp", of=PhysParams)
+    g: float = _key("physics.g", of=PhysParams)
+    f_cor: float = _key("physics.f_cor", of=PhysParams)
+    mu_v: float = _key("physics.mu_v", of=PhysParams)
+    nu_v: float = _key("physics.nu_v", of=PhysParams)
+    mu_theta: float = _key("physics.mu_theta", of=PhysParams)
+    nu_theta: float = _key("physics.nu_theta", of=PhysParams)
+    mu_q: float = _key("physics.mu_q", of=PhysParams)
+    nu_q: float = _key("physics.nu_q", of=PhysParams)
+    theta_bar: str = _key("physics.theta_bar", "constant:1.0")
+    theta_h: str = _key("physics.theta_h", "constant:0.0")
+    phi_s: str = _key("physics.phi_s", "zero")
+    dt: float = _key("time.dt", 1e-3)
+    t_end: float = _key("time.t_end", 1.0)
+    t0: float = _key("time.t0", 0.0)
+    scheme: str = _key("time.scheme", of=StepConfig)
+    forcing_kind: str = _key("forcing.kind", "zero")
+    initial_kind: str = _key("initial.kind", "rest")
+    initial_symmetry: str = _key("initial.symmetry", "none")
+    norms_path: str = _key("output.norms_path", "none")
+    norms_every: int = _key("output.norms_every", 1)
+    checkpoint_path: str = _key("output.checkpoint_path", "none")
+    checkpoint_every: int = _key("output.checkpoint_every", 0)
 
     def with_(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -115,38 +130,9 @@ def _retired_adapt(text: str) -> None:
                           "runs take fixed steps of time.dt")
 
 
-# dotted key -> (attribute, parse, format)
-KEYMAP = {
-    "grid.nx": ("nx", int, str),
-    "grid.ny": ("ny", int, str),
-    "grid.np": ("np", int, str),
-    "domain.p0": ("p0", float, repr),
-    "domain.p1": ("p1", float, repr),
-    "physics.R": ("R", float, repr),
-    "physics.cp": ("cp", float, repr),
-    "physics.g": ("g", float, repr),
-    "physics.f_cor": ("f_cor", float, repr),
-    "physics.mu_v": ("mu_v", float, repr),
-    "physics.nu_v": ("nu_v", float, repr),
-    "physics.mu_theta": ("mu_theta", float, repr),
-    "physics.nu_theta": ("nu_theta", float, repr),
-    "physics.mu_q": ("mu_q", float, repr),
-    "physics.nu_q": ("nu_q", float, repr),
-    "physics.theta_bar": ("theta_bar", str, str),
-    "physics.theta_h": ("theta_h", str, str),
-    "physics.phi_s": ("phi_s", str, str),
-    "time.dt": ("dt", float, repr),
-    "time.t_end": ("t_end", float, repr),
-    "time.t0": ("t0", float, repr),
-    "time.scheme": ("scheme", str, str),
-    "forcing.kind": ("forcing_kind", str, str),
-    "initial.kind": ("initial_kind", str, str),
-    "initial.symmetry": ("initial_symmetry", str, str),
-    "output.norms_path": ("norms_path", str, str),
-    "output.norms_every": ("norms_every", int, str),
-    "output.checkpoint_path": ("checkpoint_path", str, str),
-    "output.checkpoint_every": ("checkpoint_every", int, str),
-}
+# dotted key -> (attribute, parse, format), in RunConfig's order
+KEYMAP = {f.metadata["key"]: (f.name, f.type, repr if f.type is float else str)
+          for f in fields(RunConfig)}
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _, _) in KEYMAP.items()}
 
@@ -230,9 +216,9 @@ def validate(cfg: RunConfig) -> None:
         raise _key_error("phi_s", f"expected 'zero' or 'file:<path>', got {cfg.phi_s!r}")
     parse_forcing_kind(cfg.forcing_kind)
     parse_initial_kind(cfg.initial_kind)
-    if cfg.initial_symmetry not in SYMMETRY_TOKENS:
+    if cfg.initial_symmetry not in SYMMETRY_CHOICES:
         raise _key_error("initial_symmetry",
-                         f"expected one of {SYMMETRY_TOKENS}, got {cfg.initial_symmetry!r}")
+                         f"expected one of {SYMMETRY_CHOICES}, got {cfg.initial_symmetry!r}")
     if cfg.norms_every < 1:
         raise _key_error("norms_every", f"must be >= 1, got {cfg.norms_every}")
     if cfg.checkpoint_every < 0:
@@ -303,16 +289,12 @@ def _profile(cfg: RunConfig, attr: str) -> Profile:
 
 
 def build_params(cfg: RunConfig, phi_s=None) -> PhysParams:
-    return PhysParams(
-        R=cfg.R, cp=cfg.cp, g=cfg.g, f_cor=cfg.f_cor,
-        p0=cfg.p0, p1=cfg.p1,
-        mu_v=cfg.mu_v, nu_v=cfg.nu_v,
-        mu_theta=cfg.mu_theta, nu_theta=cfg.nu_theta,
-        mu_q=cfg.mu_q, nu_q=cfg.nu_q,
-        theta_bar=_profile(cfg, "theta_bar"),
-        theta_h=_profile(cfg, "theta_h"),
-        phi_s=phi_s,
-    )
+    """The PhysParams of cfg: each of its fields from RunConfig's field of
+    that name, the profiles parsed, and phi_s as given."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(PhysParams)}
+    values.update(theta_bar=_profile(cfg, "theta_bar"), theta_h=_profile(cfg, "theta_h"),
+                  phi_s=phi_s)
+    return PhysParams(**values)
 
 
 def build_step_config(cfg: RunConfig) -> StepConfig:

@@ -363,7 +363,7 @@ def _flip_p(data: np.ndarray) -> np.ndarray:
 _SIGN = {ParityClass.EVEN: 1.0, ParityClass.ODD: -1.0}
 
 
-def _parity_part(data: np.ndarray, sign) -> np.ndarray:
+def parity_part(data: np.ndarray, sign) -> np.ndarray:
     """0.5 (f + sign * reflected f): the even part for sign 1, the odd part
     for sign -1; sign may broadcast over a stack."""
     part = _flip_p(data)
@@ -381,7 +381,7 @@ def parity_project(field: Field3D, parity: ParityClass) -> Field3D:
     """
     if parity is ParityClass.NONE:
         return field
-    out = Field3D.physical(field.grid, _parity_part(field.as_physical().data, _SIGN[parity]))
+    out = Field3D.physical(field.grid, parity_part(field.as_physical().data, _SIGN[parity]))
     return out if field.rep == PHYSICAL else out.as_spectral()
 
 
@@ -389,7 +389,7 @@ def parity_deviation(data: np.ndarray, sign) -> np.ndarray:
     """max |f - P f| over the trailing three axes of physical samples (one
     field or a stack), P the projection onto the class of sign (1 even,
     -1 odd; it may broadcast over a stack)."""
-    dev = _parity_part(data, sign)
+    dev = parity_part(data, sign)
     np.subtract(data, dev, out=dev)
     return np.abs(dev, out=dev).max(axis=(-3, -2, -1))
 

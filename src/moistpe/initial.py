@@ -5,22 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import SPECTRAL, Field3D, ParityClass, parity_project, rfftn_norm
+from .fields import SPECTRAL, irfftn_norm, parity_part, rfftn_norm
 from .grid import Grid
 from .model import project_state
+from .norms import sobolev_norm
 from .state import State
 
-SYMMETRY_CHOICES = ("none", "mirror")
+# the initial.symmetry tokens of the config
+SYMMETRY_CHOICES = ("none", "paper_parity")
 
-# field -> reflection class about the mid-pressure level under the "mirror"
-# option (velocity and humidity even, potential temperature odd), in the
-# order the fields are drawn
-_MIRROR = {
-    "v1": ParityClass.EVEN,
-    "v2": ParityClass.EVEN,
-    "theta": ParityClass.ODD,
-    "q": ParityClass.EVEN,
-}
+# the reflection classes about the mid-pressure level of v1, v2, theta and q
+# under paper_parity (1 even, -1 odd): velocity and humidity even, potential
+# temperature odd; monitors.norm_report measures the deviation from them
+PARITY_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])[:, None, None, None]
 
 
 def rest(grid: Grid) -> State:
@@ -36,10 +33,11 @@ def random_smooth(
 ) -> State:
     """Reproducible smooth random data with prescribed total H2 size.
 
-    Gaussian noise is band-limited (to |j| <= band on every axis, by default
-    to the 2/3 ball, grid.ball), the velocity pair is projected to kill
-    the vertically-averaged divergence, the optional mirror symmetry is
-    imposed, and finally all four fields are rescaled together so the
+    Gaussian noise for v1, v2, theta and q (one draw of the stack) is
+    band-limited (to |j| <= band on every axis, by default to the 2/3 ball,
+    grid.ball), projected onto the PARITY_SIGNS classes under paper_parity,
+    the velocity pair is projected to kill the vertically-averaged
+    divergence, and finally all four fields are rescaled together so the
     combined H2 norm (square root of the sum of squares) equals amplitude.
     """
     if symmetry not in SYMMETRY_CHOICES:
@@ -49,18 +47,12 @@ def random_smooth(
     if not 0.0 < amplitude < np.inf:
         raise ConfigError(f"amplitude must be positive and finite, got {amplitude}")
     rng = np.random.default_rng(seed)
-    mask = grid.dealias_mask if band is None else grid.band_mask(band)
+    spec = rfftn_norm(grid, rng.standard_normal((4, *grid.shape)))
+    spec *= grid.dealias_mask if band is None else grid.band_mask(band)
+    if symmetry == "paper_parity":
+        spec = rfftn_norm(grid, parity_part(irfftn_norm(grid, spec), PARITY_SIGNS))
+    st = project_state(State.of(grid, spec, SPECTRAL))
 
-    def draw(name: str) -> Field3D:
-        noise = rng.standard_normal(grid.shape)
-        F = Field3D.spectral(grid, rfftn_norm(grid, noise) * mask)
-        if symmetry == "mirror":
-            F = parity_project(F.as_physical(), _MIRROR[name]).as_spectral()
-        return F
-
-    st = project_state(State(*(draw(name) for name in _MIRROR)))
-
-    from .norms import sobolev_norm
     total = np.sqrt(sum(sobolev_norm(f, 2) ** 2 for f in st.fields))
     if total == 0.0:
         raise ConfigError("degenerate random draw; change the seed")

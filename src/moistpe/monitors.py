@@ -54,6 +54,7 @@ from .model import (
 )
 from .norms import parseval_sum, sobolev_norm, spectral_weighted_sum
 from .grid import Grid
+from .initial import PARITY_SIGNS
 from .params import PhysParams
 from .state import State
 
@@ -222,11 +223,6 @@ def _context(state: State, params: PhysParams, ctx: SampleContext | None) -> Sam
 
 # --- norm panel -----------------------------------------------------------
 
-# the classes of v1, v2, theta and q about the mid-pressure level (1 even,
-# -1 odd), those of the mirror-symmetric data of the initial module
-_PARITY_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])[:, None, None, None]
-
-
 @dataclass(frozen=True)
 class NormReport:
     t: float
@@ -273,7 +269,7 @@ def norm_report(state: State, params: PhysParams,
     g = state.grid
     sq, W = ctx.sq, ctx.vertical
     v1, v2 = (Field3D(g, ctx.spec[i], SPECTRAL) for i in (0, 1))
-    parity = parity_deviation(ctx.phys, _PARITY_SIGNS)
+    parity = parity_deviation(ctx.phys, PARITY_SIGNS)
 
     def v(form):
         return math.sqrt(sq[form][0] + sq[form][1])

@@ -2,8 +2,9 @@
 
 Defaults are the nondimensional configuration used throughout the test
 suite: unit gas constant, unit gravity, unit rotation rate, cp chosen so the
-adiabatic exponent R/cp equals 2/7, pressure shell (0.2, 1.0), and all four
-viscosity pairs equal to 1e-2.
+adiabatic exponent R/cp equals 2/7, pressure shell (0.2, 1.0), and all six
+viscosities equal to 1e-2.  They are written here only: config.RunConfig
+reads its physics and domain defaults from PhysParams.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ class Profile:
       constant:a          -> a
       linear:a,b          -> a + b*p
       proportional:a      -> a*p
-    A custom callable profile is available to library code (not expressible
-    in the text config format).
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
-    fn: object = None
 
     @classmethod
     def constant(cls, a: float) -> "Profile":
@@ -54,8 +52,6 @@ class Profile:
             return self.a + self.b * p
         if self.kind == "proportional":
             return self.a * p
-        if self.kind == "custom":
-            return np.asarray(self.fn(p), dtype=np.float64)
         raise ParameterError(f"unknown profile kind {self.kind!r}")
 
     @classmethod

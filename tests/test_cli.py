@@ -181,6 +181,21 @@ def test_run_seed_override(tmp_path):
     assert base != other
 
 
+def test_run_paper_parity_draw_starts_in_its_classes(tmp_path):
+    # initial.symmetry reaches random_smooth as written: the first row's
+    # parity deviations are roundoff of each field's L2 norm
+    norms = tmp_path / "parity.ndjson"
+    cfg = _write_config(
+        tmp_path,
+        **{"grid.nx": 16, "grid.ny": 16, "grid.np": 16,
+           "initial.kind": "random_smooth:5,0.7", "initial.symmetry": "paper_parity",
+           "output.norms_path": norms})
+    assert main(["run", "--config", cfg, "--quiet"]) == 0
+    first = read_norms(str(norms))[0]
+    for name in ("v", "theta", "q"):
+        assert first[f"parity_dev_{name}"] <= 1e-13 * first[f"l2_{name}"]
+
+
 def test_run_norms_path_flag_override(tmp_path):
     cfg = _write_config(tmp_path)
     target = tmp_path / "flagged.ndjson"

@@ -1,7 +1,10 @@
 """Config text format, norm output files, and binary checkpoints."""
 
 import json
+import re
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 from moistpe import config as config_mod
 from moistpe.checkpoint import MAGIC, read_checkpoint, write_checkpoint
 from moistpe.config import (
+    KEYMAP,
+    RETIRED_KEYS,
     RunConfig,
     build_grid,
     build_params,
@@ -44,6 +49,118 @@ def test_custom_values_roundtrip():
                     initial_kind="random_smooth:9,0.5,2",
                     norms_path="/tmp/x.ndjson", checkpoint_every=7)
     assert parse(serialize(cfg)) == cfg
+
+
+# every checkpoint embeds this text, so its bytes are pinned
+DEFAULT_TEXT = """\
+grid.nx = 32
+grid.ny = 32
+grid.np = 32
+
+domain.p0 = 0.2
+domain.p1 = 1.0
+
+physics.R = 1.0
+physics.cp = 3.5
+physics.g = 1.0
+physics.f_cor = 1.0
+physics.mu_v = 0.01
+physics.nu_v = 0.01
+physics.mu_theta = 0.01
+physics.nu_theta = 0.01
+physics.mu_q = 0.01
+physics.nu_q = 0.01
+physics.theta_bar = constant:1.0
+physics.theta_h = constant:0.0
+physics.phi_s = zero
+
+time.dt = 0.001
+time.t_end = 1.0
+time.t0 = 0.0
+time.scheme = imex_cnab2
+
+forcing.kind = zero
+
+initial.kind = rest
+initial.symmetry = none
+
+output.norms_path = none
+output.norms_every = 1
+output.checkpoint_path = none
+output.checkpoint_every = 0
+"""
+
+# every key off its default
+OFF_DEFAULT = RunConfig(
+    nx=48, ny=40, np=24, p0=0.17, p1=1.3, R=1.5, cp=float("inf"), g=9.81, f_cor=-2.5,
+    mu_v=2e-3, nu_v=3e-3, mu_theta=4e-3, nu_theta=5e-3, mu_q=6e-3, nu_q=7e-3,
+    theta_bar="linear:1.0,0.5", theta_h="proportional:0.25", phi_s="file:phi.npy",
+    dt=2.5e-4, t_end=0.5, t0=0.25, scheme="erk4_fully_explicit",
+    forcing_kind="manufactured:gentle", initial_kind="random_smooth:9,0.5,2",
+    initial_symmetry="paper_parity", norms_path="/tmp/x.ndjson", norms_every=3,
+    checkpoint_path="ck.mpes", checkpoint_every=7)
+
+OFF_DEFAULT_TEXT = """\
+grid.nx = 48
+grid.ny = 40
+grid.np = 24
+
+domain.p0 = 0.17
+domain.p1 = 1.3
+
+physics.R = 1.5
+physics.cp = inf
+physics.g = 9.81
+physics.f_cor = -2.5
+physics.mu_v = 0.002
+physics.nu_v = 0.003
+physics.mu_theta = 0.004
+physics.nu_theta = 0.005
+physics.mu_q = 0.006
+physics.nu_q = 0.007
+physics.theta_bar = linear:1.0,0.5
+physics.theta_h = proportional:0.25
+physics.phi_s = file:phi.npy
+
+time.dt = 0.00025
+time.t_end = 0.5
+time.t0 = 0.25
+time.scheme = erk4_fully_explicit
+
+forcing.kind = manufactured:gentle
+
+initial.kind = random_smooth:9,0.5,2
+initial.symmetry = paper_parity
+
+output.norms_path = /tmp/x.ndjson
+output.norms_every = 3
+output.checkpoint_path = ck.mpes
+output.checkpoint_every = 7
+"""
+
+
+def test_serialized_default_text_is_pinned():
+    assert serialize(RunConfig()) == DEFAULT_TEXT
+
+
+def test_serialized_off_default_text_is_pinned():
+    assert all(getattr(OFF_DEFAULT, f.name) != f.default for f in fields(RunConfig))
+    assert serialize(OFF_DEFAULT) == OFF_DEFAULT_TEXT
+    assert parse(OFF_DEFAULT_TEXT) == OFF_DEFAULT
+
+
+def test_readme_config_table_names_exactly_the_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            named.update(re.findall(r"`([a-z]+\.[A-Za-z0-9_*]+)`", row.split("|")[1]))
+    # physics.mu_* and physics.nu_* stand for the six viscosities
+    for pattern in ("physics.mu_*", "physics.nu_*"):
+        named.discard(pattern)
+        named.update(pattern.replace("*", f) for f in ("v", "theta", "q"))
+    assert named == set(KEYMAP) | set(RETIRED_KEYS)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -164,9 +281,11 @@ def test_builders_materialize_config():
     assert params.theta_bar.b == 0.5
     step = build_step_config(cfg)
     assert step == StepConfig(dt=5e-4, t_end=0.1, scheme="erk4_fully_explicit")
-    # RunConfig and PhysParams each write the defaults down
+    # RunConfig reads its physics and domain defaults from PhysParams and its
+    # scheme default from StepConfig
     defaults = build_params(RunConfig())
     assert defaults == PhysParams()
+    assert build_step_config(RunConfig()).scheme == StepConfig(dt=1.0, t_end=1.0).scheme
     default_grid = build_grid(RunConfig())
     assert (default_grid.p0, default_grid.p1) == (defaults.p0, defaults.p1)
 

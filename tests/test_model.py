@@ -419,14 +419,25 @@ def test_reference_derivative_fourth_order(params):
         assert 11.0 <= ratio <= 21.0
 
 
+class _FnProfile:
+    """A reference profile given by a function of p: PhysParams reads a
+    profile only through evaluate(p)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate(self, p):
+        return np.asarray(self.fn(np.asarray(p, dtype=np.float64)), dtype=np.float64)
+
+
 def test_reference_viscosity_fourth_order():
     # reference profile chosen so the vertical coefficient is a band-1
     # trigonometric polynomial: both routes then converge to the same limit
     def tb(p):
         return p / np.sqrt(2.0 + np.cos(2 * np.pi * (p - P0) / LP))
 
-    pr = PhysParams(theta_bar=Profile("custom", fn=tb))
-    prt = PhysParams(cp=math.inf, theta_bar=Profile("custom", fn=tb))
+    pr = PhysParams(theta_bar=_FnProfile(tb))
+    prt = PhysParams(cp=math.inf, theta_bar=_FnProfile(tb))
     g = _grid(16)
     for seed in range(10):
         f = seeded_scalar(g, 60 + seed, band=4).as_physical()
@@ -469,7 +480,7 @@ def test_reference_phi_fourth_order():
         def th_h(p):
             return psi(p) * p * (P0 / p) ** kap / base.R
 
-        pr = PhysParams(theta_h=Profile("custom", fn=th_h))
+        pr = PhysParams(theta_h=_FnProfile(th_h))
         g = _grid(16)
         z = Field3D.zeros(g, "physical")
         phi = diagnose_phi(z, pr).data
