@@ -10,36 +10,8 @@ RunConfig declares the format: each of its fields carries its dotted key, its
 type (int, float or str, which parses the value; floats are written with
 repr) and its default, and KEYMAP is derived from the fields.  PhysParams
 holds the physics and domain defaults and StepConfig the scheme's, and
-RunConfig reads them from there.
-
-Sections and keys:
-
-  grid.nx, grid.ny, grid.np          even integers >= 8
-  domain.p0, domain.p1               pressure bounds, 0 < p0 < p1 < inf
-  physics.R, physics.g               positive and finite
-  physics.cp                         positive; inf is the kappa = 0 case
-  physics.f_cor                      finite
-  physics.mu_v,  physics.nu_v       }
-  physics.mu_theta, physics.nu_theta }  viscosities, positive and finite
-  physics.mu_q,  physics.nu_q       }
-  physics.theta_bar, physics.theta_h   profile tokens: constant:a |
-                                       linear:a,b | proportional:a;
-                                       on the pressure grid theta_bar is
-                                       positive and finite, theta_h finite
-  physics.phi_s                      zero | file:<path to .npy, shape nx x ny>
-  time.dt, time.t_end, time.t0       floats (t0 is the resume time);
-                                     t_end - t0 a whole number of dt
-  time.scheme                        imex_cnab2 | erk4_fully_explicit
-  forcing.kind                       zero | manufactured:<case> | file:<path>
-  initial.kind                       rest | random_smooth:<seed[,amplitude[,band]]>
-                                     | file:<path>; 0 < amplitude < inf
-  initial.symmetry                   none | paper_parity
-  output.norms_path                  none | <path> (NDJSON; a .csv mirror is
-                                     written next to it)
-  output.norms_every                 record every k-th step (k >= 1)
-  output.checkpoint_path             none | <path>
-  output.checkpoint_every            0 = final state only; k > 0 also every
-                                     k-th recorded sample (file is rolling)
+RunConfig reads them from there.  README's "Config format" table lists the
+keys with their rules; a test checks that it names exactly KEYMAP's keys.
 
 Retired keys (time.adapt, time.cfl_target) are accepted and ignored so that
 older checkpoints still load, but time.adapt = true is an error.

@@ -110,21 +110,24 @@ class Field3D:
 # Both take a ball flag.  A spectrum inside the 2/3-rule ball (in_ball) is
 # zero beyond the kept radius K = (n - 1)//3 of each axis (grid.ball, the
 # one place the rule is computed): on the p-planes above Kp and on the x and
-# y rows beyond Kx and Ky, so much of a 3-D transform works on zeros.  The
-# forward transform with ball computes only the planes up to Kp
-# (grid.planes(True) of them), which is all a masked product keeps: its x-y
-# stage runs on those planes alone.  The inverse with ball takes a spectrum
-# inside the ball: its x pass runs on the y rows |jy| <= Ky of those planes
-# alone (two slices), its y pass on those planes, and its p pass on
-# everything.  What is skipped is zero and stays zero, and the passes are the
-# full transform's in the same order (forward: p, x, y; inverse: x, y, p),
-# so every coefficient and sample the pruned transforms return is
-# bit-identical to the full transform's.  The forward transform runs unscaled
-# and is scaled by 1/N afterwards, a step the pruned transform repeats
-# exactly; the inverse needs no scaling.  The inverse's passes are also
-# callable apart (ifft_xy, then irfft_p), in place and with or without ball,
-# so a stack can finish its p pass in slices: one pass along p acts on each
-# line alone, and the slices get the same bits as the whole stack.
+# y rows beyond Kx and Ky.  Its nonzero coefficients lie in the box
+# |jx| <= Kx, |jy| <= Ky, jp <= Kp (grid.box, in four blocks of each plane,
+# grid.blocks), so much of a 3-D transform works on zeros.  The forward
+# transform with ball computes only that box, which is all a masked product
+# keeps: its x pass runs on the planes up to Kp (grid.planes(True) of them),
+# its y pass and scaling on the x rows |jx| <= Kx of those planes (two
+# slices), and the rest is set to zero.  The inverse with ball takes a
+# spectrum inside the ball: its x pass runs on the y rows |jy| <= Ky of
+# those planes alone (two slices), its y pass on those planes, and its p
+# pass on everything.  What is skipped is zero or masked, and the passes are
+# the full transform's in the same order (forward: p, x, y; inverse: x, y,
+# p), so every kept coefficient and every sample the pruned transforms
+# return is bit-identical to the full transform's.  The forward transform
+# runs unscaled and is scaled by 1/N afterwards, a step the pruned transform
+# repeats exactly; the inverse needs no scaling.  The inverse's passes are
+# also callable apart (ifft_xy, then irfft_p), in place and with or without
+# ball, so a stack can finish its p pass in slices: one pass along p acts
+# on each line alone, and the slices get the same bits as the whole stack.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
@@ -139,8 +142,10 @@ def in_ball(grid: Grid, A: np.ndarray) -> bool:
 def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
     """Forward real FFT over the trailing three axes, normalized coefficients.
 
-    With ball, only the p-planes of the 2/3 ball (grid.planes) are
-    computed; the others are returned as zeros.
+    With ball, only the box of the 2/3 ball is computed (grid.box): the x
+    pass on its p-planes (grid.planes), the y pass and the scaling on its x
+    rows.  Everything else is returned as zeros, so the result is the full
+    transform times grid.dealias_mask, bit for bit.
     """
     scale = 1.0 / (grid.nx * grid.ny * grid.np)
     if not ball:
@@ -148,12 +153,24 @@ def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
         out *= scale
         return out
     out = _fft.rfft(data, axis=-1, workers=_workers())
-    planes = grid.planes(True)
+    planes, bx = grid.planes(True), grid.ball[0]
     out[..., planes:] = 0.0
     kept = out[..., :planes]
-    _fft.fftn(kept, axes=(-3, -2), overwrite_x=True, workers=_workers())
-    kept *= scale
+    _fft.fft(kept, axis=-3, overwrite_x=True, workers=_workers())
+    for rows in (kept[..., :bx + 1, :, :], kept[..., grid.nx - bx:, :, :]):
+        _fft.fft(rows, axis=-2, overwrite_x=True, workers=_workers())
+        rows *= scale
+    clear_outside_box(grid, kept)
     return out
+
+
+def clear_outside_box(grid: Grid, A: np.ndarray) -> None:
+    """Zero what the spectra A (rfft layout, one field or a stack) hold
+    outside the box of the 2/3 ball on each p-plane: the x rows beyond Kx
+    and the y rows beyond Ky (grid.ball)."""
+    bx, by, _ = grid.ball
+    A[..., bx + 1:grid.nx - bx, :, :] = 0.0
+    A[..., by + 1:grid.ny - by, :] = 0.0
 
 
 def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
@@ -216,45 +233,39 @@ class HorizontalRows:
     mirror (-kx, -ky), whose coefficients are the conjugates of its own for
     a real field; the rows jy = 0 (and jy = ny/2) hold their own mirrors.
     indices and mirrors are their flat (kx, ky) indices in the rfft layout.
+    The rows and their mirrors fill the box grid.box(band): the rows its
+    y indices jy >= 0, the mirrors the others.
     """
 
     def __init__(self, grid: Grid, band: bool):
         nx, ny = grid.nx, grid.ny
-        bx, by = grid.ball[:2] if band else (nx // 2, ny // 2)
-        jx = np.flatnonzero(grid.mode_index[0].ravel() <= bx)
-        jy = np.arange(by + 1)
+        self.box = jx, ys = grid.box(band)
+        jy = ys[ys <= ny // 2]
         self.planes = grid.planes(band)
         self.grid = grid
         self.shape = (len(jx), len(jy))
         self.indices = (jx[:, None] * ny + jy).ravel()
         self.mirrors = ((-jx % nx)[:, None] * ny + (-jy % ny)).ravel()
-        # the rows whose mirror lies outside the set
-        self.outside = np.broadcast_to(2 * jy % ny != 0, self.shape).ravel()
-
-    @cached_property
-    def dst(self) -> np.ndarray:
-        """Flat indices into one rfft-layout field of what the inverse writes:
-        the kept planes of every row, then those of the mirrors outside the
-        set."""
-        targets = np.concatenate([self.indices, self.mirrors[self.outside]])
-        return (targets[:, None] * (self.grid.np // 2 + 1) + np.arange(self.planes)).ravel()
 
     @cached_property
     def src(self) -> np.ndarray:
         """Flat indices into the spectra along p of the rows, shape
-        (n_rows, np), of the values dst receives: kp itself on a row, -kp
-        (to be conjugated) on a mirror."""
-        n = self.grid.np
+        (n_rows, np), of the values of the box's kept planes, in the box's
+        layout: kp itself on a row, -kp (to be conjugated) on a mirror."""
+        g, (_, ys), (n_x, n_y) = self.grid, self.box, self.shape
+        ix = np.arange(n_x)[:, None]  # -ix % n_x is where the mirror of ix sits
+        own = ys < n_y
+        row = np.where(own, ix * n_y + ys, (-ix % n_x) * n_y + (-ys % g.ny))
         kp = np.arange(self.planes)
-        own = np.arange(len(self.indices))[:, None] * n
-        return np.concatenate([(own + kp).ravel(), (own[self.outside] + (-kp % n)).ravel()])
+        return row[:, :, None] * g.np + np.where(own[:, None], kp, -kp % g.np)
 
     def targets(self, Fhat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The coefficients at dst of the fields whose spectra along p on the
-        rows Fhat holds (shape (..., *shape, np)), shape (..., len(dst))."""
+        """The coefficients on the box's kept planes of the fields whose
+        spectra along p on the rows Fhat holds (shape (..., *shape, np)),
+        in the box's layout: shape (..., *src.shape)."""
         lead = Fhat.shape[:-3]
         out = np.take(Fhat.reshape(lead + (-1,)), self.src, axis=-1, out=out, mode="clip")
-        mirrored = out[..., len(self.indices) * self.planes:]
+        mirrored = out[..., self.shape[1]:, :]
         np.conjugate(mirrored, out=mirrored)
         return out
 

@@ -156,6 +156,22 @@ class Grid:
         the ball's radius with ball, all np//2 + 1 without."""
         return self.ball[2] + 1 if ball else self.np // 2 + 1
 
+    def box(self, ball: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y indices, ascending, of the box that holds the ball on
+        a p-plane, |jx| <= Kx and |jy| <= Ky, with ball; of every row
+        without.  Arrays restricted to them have the box's layout."""
+        radius = self.ball[:2] if ball else (self.nx // 2, self.ny // 2)
+        return tuple(np.flatnonzero(j.ravel() <= k) for j, k in zip(self.mode_index, radius))
+
+    def blocks(self, ball: bool) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
+        """The box as contiguous blocks of a plane: for each, its (x, y)
+        slices of the rfft layout and of the box's layout.  With ball, four
+        (j >= 0 and j < 0 on each axis); without, the whole plane."""
+        runs = [[(slice(0, n), slice(0, n))] if not ball else
+                [(slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1))]
+                for n, k in zip(self.shape[:2], self.ball[:2])]
+        return [((x, y), (xb, yb)) for x, xb in runs[0] for y, yb in runs[1]]
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: modes outside the ball in any direction are zeroed."""

@@ -21,13 +21,16 @@ five, so the product content at indices six and seven becomes a genuine
 spatial truncation residual, while any grid with K >= 7 (n >= 22, so 24 and
 32) reproduces the trajectory to the time-discretization floor.
 
-The stored arrays are band-exact: the profiles are zero outside mode index
-four and Q outside index eight, exactly rather than to roundoff (Q's
-content at index eight is itself roundoff).  So they are stored only on
-the box that holds their nonzero coefficients.  With K >= 8, from n = 26,
-the forcing, and so the forced trajectory, stays exactly inside the
-dealiased ball, where the tendency's transforms skip the empty p-planes;
-at n = 24 (K = 7) the roundoff at index eight takes it out of the ball.
+The stored arrays are band-exact, exactly rather than to roundoff: the
+profiles are zero outside mode index four, and Q outside index seven, the
+highest its products reach, except for the roundoff the transforms leave
+at index eight.  They are stored only on the box that holds them, per axis
+|j| <= max(K, 7).  On an axis whose ball holds index eight (K >= 8, from
+n = 26) that roundoff lies in the box and is kept, as the masked tendency
+keeps its own; on the others the box ends at seven and it is dropped.  So
+on every grid with K >= 7 (from n = 22, so 24, 32 and 64) the forcing, and
+so the forced trajectory, stays exactly inside the dealiased ball, where
+the tendency's transforms skip what lies outside it.
 """
 
 from __future__ import annotations
@@ -117,12 +120,13 @@ def _profiles(case: ManufacturedCase, grid: Grid) -> State:
 
 def _box(grid: Grid, band: int) -> tuple:
     """The index, in a state's spectral stack, of the box that holds every
-    nonzero coefficient of the stored arrays: per axis |j| <= max(K,
-    2 band), K the axis's radius of the 2/3 ball (grid.ball; the whole axis
-    where that reaches n/2).  The masked tendency keeps |j| <= K and Q is
-    band-exact at 2 band (see the module docstring).  x and y are index
+    coefficient of the stored arrays: per axis |j| <= max(K, 2 band - 1),
+    K the axis's radius of the 2/3 ball (grid.ball; the whole axis where
+    that reaches n/2).  The masked tendency keeps |j| <= K and Q is
+    band-exact at 2 band - 1, up to roundoff at 2 band that is kept only
+    where the ball holds it (see the module docstring).  x and y are index
     arrays that broadcast to the box's rows, p a slice of leading planes."""
-    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(k, 2 * band))
+    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(k, 2 * band - 1))
                   for j, k in zip(grid.mode_index, grid.ball))
     return (slice(None), jx[:, None], jy, slice(0, jp.size))
 
@@ -156,7 +160,8 @@ class ManufacturedSolution:
             advection=True, coriolis=False, pressure=False,
             viscosity=False, dealias=False)).data[box]
         # band-exact (see the module docstring): the transforms leave
-        # roundoff outside the band; a product of the profiles has twice it
+        # roundoff outside the band; a product of the profiles has under
+        # twice it, and the box cuts 2 band where the ball does not hold it
         self._Q = np.where(grid.band_mask(2 * case.band)[box[1:]], quad, 0.0)
         self._Uhat = np.where(grid.band_mask(case.band)[box[1:]], ustate.data[box], 0.0)
         self._last = None  # (t, forcing stack) of the latest forcing call

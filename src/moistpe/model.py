@@ -44,9 +44,9 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConstraintError, DataError, ParameterError
-from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, fft2_norm, fft_p,
-                     horizontal_spectra, ifft2_norm, ifft_p, ifft_xy, in_ball, irfft_p,
-                     irfftn_norm, rfftn_norm)
+from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, clear_outside_box,
+                     fft2_norm, fft_p, horizontal_spectra, ifft2_norm, ifft_p, ifft_xy, in_ball,
+                     irfft_p, irfftn_norm, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -379,10 +379,11 @@ class _VerticalBand:
     neg_inv_ikp  -1/(i kp), zero on the mean and Nyquist planes
     ramp         the spectrum of p1 - p on the full kp axis
     phi_s        fft2_norm(phi_s) on the rows
-    nu_mult      at the targets (rows.dst), per variable: nu i kp for v1,
-                 v2 and q, nu for theta
-    iKX, iKY     i kx and i ky at the targets, Hermitian on the kp = 0 and
-                 Nyquist planes (_hermitian_planes)
+    nu           along the kept planes, per variable: nu i kp for v1, v2
+                 and q, nu for theta
+    iKX, iKY     i kx and i ky on the box's kept planes (rows.box, in its
+                 layout), Hermitian on the kp = 0 and Nyquist planes
+                 (_hermitian_planes)
     """
 
     def __init__(self, grid: Grid, params: PhysParams, co: Coefficients, dealias: bool):
@@ -404,12 +405,12 @@ class _VerticalBand:
         half = _ramp_hat(grid, params)
         self.ramp = np.concatenate([half, np.conj(half[-2:0:-1])])
         self.phi_s = fft2_norm(co.phi_s).ravel()[rows.indices].reshape(rows.shape)
-        iKP = np.broadcast_to(ikp, grid.spectral_shape).ravel()[rows.dst]
-        self.nu_mult = np.empty((4, len(iKP)), dtype=np.complex128)
+        self.nu = np.empty((4, 1, 1, rows.planes), dtype=np.complex128)
         for i, which in enumerate(_VARIABLES):
             nu = _viscosities(params, which)[1]
-            self.nu_mult[i] = nu if which == "theta" else nu * iKP
-        self.iKX, self.iKY = (_hermitian_planes(grid, 1j * K).ravel()[rows.dst]
+            self.nu[i] = nu if which == "theta" else nu * ikp[:rows.planes]
+        jx, jy = rows.box
+        self.iKX, self.iKY = (_hermitian_planes(grid, 1j * K)[jx][:, jy, :rows.planes]
                               for K in (grid.KX, grid.KY))
 
     def outer_theta(self, s: np.ndarray) -> None:
@@ -526,11 +527,15 @@ ForcingFn = Callable[[float], np.ndarray]
 
 class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
-    variant): the coefficient profiles, the i*k multipliers, mu*|k_h|^2 of
-    each field and minus the dealias mask on the planes a masked product
-    keeps, the operators along p on the rows (band, a _VerticalBand), the
-    implicit multipliers lam of the IMEX split (stacked like a state), and
-    scratch buffers sized by the grid.
+    variant): the coefficient profiles, the i*k multipliers, the blocks of
+    the box that holds the 2/3 ball (grid.blocks, indexed by the ball
+    flag), the operators along p on the rows (band, a _VerticalBand), for
+    a variant with viscosity mu*|k_h|^2 of each field on the box's kept
+    planes (mu_box: complex, like the spectra it multiplies, and in the
+    box's layout, grid.box), the implicit multipliers lam of the IMEX
+    split (stacked like a state), and scratch buffers sized by the grid.
+    For a variant without dealiasing the box is the whole half spectrum,
+    one block.
 
     The band and its row scratch exist only for a variant with a term along
     p (pressure or viscosity); otherwise band is None.  An advection-only
@@ -558,11 +563,11 @@ class Workspace:
         self.grid = grid
         self.params = params
         self.variant = variant
-        # p-planes a masked product can occupy
+        # p-planes a masked product can occupy, and the box's blocks
         self.planes = grid.planes(variant.dealias)
-        # minus the dealias mask on those planes
-        self.neg_mask = -1.0 * grid.dealias_mask[..., :self.planes] if variant.dealias else -1.0
-        self.iK = (1j * grid.KX, 1j * grid.KY, 1j * grid.KP)
+        self.blocks = (grid.blocks(False), grid.blocks(True))
+        self.iK = tuple(np.broadcast_to(1j * K, grid.spectral_shape)
+                        for K in (grid.KX, grid.KY, grid.KP))
         kp2 = grid.KP**2
         mu_kh2, lam = {}, {}
         for which in ("v", "theta", "q"):
@@ -570,8 +575,6 @@ class Workspace:
             mu_kh2[which] = mu * grid.kh2
             lam[which] = (mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
                           else np.zeros(grid.spectral_shape))
-        # mu |k_h|^2 of v1, v2, theta and q on the kept planes
-        self.mu_kh2 = np.stack([mu_kh2[which][..., :self.planes] for which in _VARIABLES])
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
         # scratch of tendency: the spectral input of omega's inverse
@@ -594,23 +597,27 @@ class Workspace:
         self.band = _VerticalBand(grid, params, co, variant.dealias)
         # scratch of the operators on the rows: the rows gathered from the
         # state and their mirrors, six fields on the rows (four fluxes, the
-        # integrand, a temporary), one plane of them, the values at the
-        # targets of five results and of the tendency, and a temporary
+        # integrand, a temporary), one plane of them, and on the box's kept
+        # planes six fields (five results, and i ky times the last of them)
         rows = self.band.rows
-        n_rows, n_dst = rows.indices.size, rows.dst.size
-        self.rows_in = np.empty((2, 4, n_rows, grid.np // 2 + 1), dtype=np.complex128)
+        jx, jy = rows.box
+        self.rows_in = np.empty((2, 4, rows.indices.size, grid.np // 2 + 1), dtype=np.complex128)
         self.rows_work = np.empty((6,) + rows.shape + (grid.np,), dtype=np.complex128)
         self.rows_plane = np.empty(rows.shape, dtype=np.complex128)
-        self.dst_terms = np.empty((5, n_dst), dtype=np.complex128)
-        self.dst_tend = np.empty((4, n_dst), dtype=np.complex128)
-        self.dst_tmp = np.empty(n_dst, dtype=np.complex128)
+        self.box_terms = np.empty((6,) + rows.src.shape, dtype=np.complex128)
+        if variant.viscosity:
+            # mu |k_h|^2 of v1, v2, theta and q on the box, and a temporary
+            self.mu_box = np.stack([mu_kh2[which][jx][:, jy, :self.planes]
+                                    for which in _VARIABLES]).astype(np.complex128)
+            self.box_tmp = np.empty_like(self.mu_box)
 
 
 def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
-    """The terms along p of the spectral state U at the targets of the rows
-    (fields.HorizontalRows.dst), stacked: the viscous fluxes
+    """The terms along p of the spectral state U on the box's kept planes
+    (fields.HorizontalRows.targets), stacked: the viscous fluxes
     W = dealias(c df/dp) of v1 and v2, theta's outer viscous term
-    (_VerticalBand.outer_theta), W of q, and the spectrum of Phi."""
+    (_VerticalBand.outer_theta), W of q, and the spectrum of Phi, in the
+    first five fields of ws.box_terms, which is returned."""
     g, vb, X = ws.grid, ws.band, ws.rows_work
     horizontal_spectra(g, U, vb.rows, vb.factor, out=X[:4], work=ws.rows_in)
     np.multiply(X[2], vb.integrand, out=X[4])
@@ -619,30 +626,55 @@ def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
     vb.outer_theta(X[2])
     fft_p(X[2])
     vb.phi_hat(X[4], ws.rows_plane, X[5])
-    return vb.rows.targets(X[:5], out=ws.dst_terms)
+    vb.rows.targets(X[:5], out=ws.box_terms[:5])
+    return ws.box_terms
+
+
+def _derivatives(ws: Workspace, U: np.ndarray, out: np.ndarray, ball: bool) -> None:
+    """i kx U, i ky U and i kp U into out[..., 0, :, :, :], out[..., 1, ...]
+    and out[..., 2, ...], on the p-planes U holds (ball as for ifft_xy): on
+    the box's blocks, the rest of those planes zero with ball."""
+    n = U.shape[-1]
+    for (xs, ys), _ in ws.blocks[ball]:
+        for j, iK in enumerate(ws.iK):
+            np.multiply(iK[xs, ys, :n], U[..., xs, ys, :], out=out[..., j, xs, ys, :n])
+    if ball:
+        clear_outside_box(ws.grid, out[..., :n])
 
 
 def _sample_groups(ws: Workspace, Un: np.ndarray, ball: bool):
-    """The samples of the tendency's inverse transform, in the groups the
-    products take them: v1 and v2, then each field's x, y and p
-    derivatives, from Un, the state's leading p-planes (ball as for
+    """The samples of the tendency's inverse transforms, in the groups the
+    products take them: omega, then v1 and v2, then each field's x, y and
+    p derivatives, from Un, the state's leading p-planes (ball as for
     ifft_xy).
 
     The spectra take their x and y passes in ws.spec: all 14 at once, or
     where ws.streamed, each group just before it is asked for.  Each
     group's pass along p runs when it is asked for, and every sample has
-    the bits of irfftn_norm."""
+    the bits of irfftn_norm.  omega's divergence dx v1 + dy v2 (its
+    fluctuating part only; a projected state carries no vertical-mean
+    divergence) is the sum of two of the derivatives when they are all
+    there, and is built from Un on the box's blocks otherwise."""
     g, buf, n = ws.grid, ws.spec, Un.shape[-1]
+    D = ws.omega_hat[..., :n]
+    if ws.streamed:
+        for (xs, ys), _ in ws.blocks[ball]:
+            Db = D[xs, ys]
+            np.multiply(ws.iK[0][xs, ys, :n], Un[0, xs, ys], out=Db)
+            Db += np.multiply(ws.iK[1][xs, ys, :n], Un[1, xs, ys], out=buf[0, xs, ys, :n])
+        if ball:
+            clear_outside_box(g, D)
+    else:
+        _derivatives(ws, Un, buf[2:].reshape((4, 3) + buf.shape[1:]), ball)
+        np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)
+    yield _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
     buf[:2, ..., :n] = Un[:2]
     if ws.streamed:
         yield irfft_p(g, ifft_xy(g, buf[:2], ball))
         for u in Un:
-            for j, iK in enumerate(ws.iK):
-                np.multiply(iK[..., :n], u, out=buf[j, ..., :n])
+            _derivatives(ws, u, buf, ball)
             yield irfft_p(g, ifft_xy(g, buf, ball))
         return
-    for j, iK in enumerate(ws.iK):
-        np.multiply(iK[..., :n], Un, out=buf[2 + j::3, ..., :n])
     ifft_xy(g, buf, ball)
     yield irfft_p(g, buf[:2])
     for i in range(2, 14, 3):
@@ -661,7 +693,7 @@ def tendency(
     All operator terms are truncated by the 2/3 mask (variant permitting) and
     supplied forcing is added untruncated, so evolved states stay inside the
     dealiased ball only when the forcing does: manufactured forcing does on
-    grids with n >= 26, forcing read from a file in general does not.
+    grids with n >= 22, forcing read from a file in general does not.
     Returns a Tendency whose stacked array is a fresh one (nothing else
     refers to it); diagnose gives omega, Phi and T.
 
@@ -674,43 +706,49 @@ def tendency(
     group at a time on a large one (Workspace.streamed); its pass along p
     runs one group at a time.  So at most five of its 14 sample fields
     exist at once, and they carry the bits of irfftn_norm (fields.ifft_xy).
-    omega's divergence is taken from the state's spectra directly.
+    omega's divergence dx v1 + dy v2 is the sum of two of those
+    derivatives when the whole stack is there, and is built from the
+    state's spectra when it streams.
 
     The pressure gradient and the vertical viscosity act along p alone and
     are taken on the horizontal spectra of the rows the mask keeps
     (_row_terms): Phi as a spectrum, from the hydrostatic integral, and the
     gradient as i k times it; each viscous flux and theta's conjugated chain
-    by pairs of transforms along p.  They are added to the forward
-    transform of the products, masked.
+    by pairs of transforms along p.  Their values fill the box of the 2/3
+    ball (grid.box), the rows the part ky >= 0 and the mirrors the rest.
+
+    The spectral arithmetic runs on that box alone, block by block
+    (grid.blocks), with complex operands on both sides: the forward
+    transform H of the products is zero off the box, and on it the result
+    is -(H + mu |k_h|^2 U), then + nu d/dp(c dp f) and - i k_h Phi, each
+    element in that order.  Without dealiasing the box is the whole half
+    spectrum, one block, so both variants share the one tail.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
     when none is given.  The transforms prune what is zero (see
-    irfftn_norm): the forward one skips the p-planes beyond the 2/3 ball
-    (grid.ball, grid.planes) whenever the variant dealiases, and when the
-    state lies inside the ball (fields.in_ball) the inverse ones skip those
-    planes and the y rows beyond the ball's radius on y in their x pass,
-    bit for bit as the full transforms.
+    irfftn_norm): whenever the variant dealiases the forward one computes
+    the box alone, skipping the p-planes beyond the 2/3 ball (grid.ball,
+    grid.planes) and, in its y pass, the x rows beyond the ball's radius on
+    x.  When the state lies inside the ball (fields.in_ball) the i k
+    multiplies that feed the inverse ones run on the box alone, the rest of
+    their planes set to zero, and the inverses skip those planes and the y
+    rows beyond the ball's radius on y in their x pass, bit for bit as the
+    full transforms.
     """
     g = state.grid
     if ws is None:
         ws = Workspace(g, params, variant)
     elif ws.grid != g or ws.params is not params or ws.variant != variant:
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
-    buf, P, tmp = ws.spec, ws.phys, ws.tmp
+    P, tmp = ws.phys, ws.tmp
     U = state.as_spectral().data
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
     ball = in_ball(g, U)
     n = g.planes(ball)
 
-    Un = U[..., :n]
-    # vertical velocity from the divergence dx v1 + dy v2 (fluctuating part
-    # only; the projected state carries no vertical-mean divergence)
-    D = ws.omega_hat[..., :n]
-    np.multiply(ws.iK[0][..., :n], Un[0], out=D)
-    D += np.multiply(ws.iK[1][..., :n], Un[1], out=buf[0, ..., :n])
-    om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
-    groups = _sample_groups(ws, Un, ball)
+    groups = _sample_groups(ws, U[..., :n], ball)
+    om = next(groups)
     v1, v2 = next(groups)
     along_p = variant.pressure or variant.viscosity
     if along_p:
@@ -731,26 +769,24 @@ def tendency(
     P[1] += cor2
     del v1, v2, cor1, cor2  # before the forward transform's output arrives
 
-    # -(H + mu |k_h|^2 X) on the kept planes, masked; H's other planes are
-    # zero and its array becomes the result
+    # the products' spectrum, zero off the box; its array becomes the
+    # result.  On the box, block by block: -(H + mu |k_h|^2 U), then
+    # + nu d/dp(c dp f) (theta's conjugated) and - grad Phi
     H = rfftn_norm(g, P, variant.dealias)
-    Hk = H[..., :nk]
     if variant.viscosity:
-        for i in range(0, 4, len(buf)):  # as many fields at once as buf holds
-            j = min(i + len(buf), 4)
-            Hk[i:j] += np.multiply(ws.mu_kh2[i:j], U[i:j, ..., :nk], out=buf[:j - i, ..., :nk])
-    Hk *= ws.neg_mask
-    # + nu d/dp(c dp f) (theta's conjugated) - grad Phi at the targets
-    if along_p:
-        vb, T, tmp_t = ws.band, ws.dst_tend, ws.dst_tmp
-        Hflat = H.reshape(4, -1)
-        np.take(Hflat, vb.rows.dst, axis=-1, out=T, mode="clip")
+        np.multiply(ws.band.nu, terms[:4], out=terms[:4])
+    if variant.pressure:
+        np.multiply(ws.band.iKY, terms[4], out=terms[5])
+        np.multiply(ws.band.iKX, terms[4], out=terms[4])
+    for (xs, ys), (xb, yb) in ws.blocks[variant.dealias]:
+        Hb = H[:, xs, ys, :nk]
         if variant.viscosity:
-            T += np.multiply(vb.nu_mult, terms[:4], out=terms[:4])
+            Hb += np.multiply(ws.mu_box[:, xb, yb], U[:, xs, ys, :nk], out=ws.box_tmp[:, xb, yb])
+        np.negative(Hb, out=Hb)
+        if variant.viscosity:
+            Hb += terms[:4, xb, yb]
         if variant.pressure:
-            T[0] -= np.multiply(vb.iKX, terms[4], out=tmp_t)
-            T[1] -= np.multiply(vb.iKY, terms[4], out=tmp_t)
-        Hflat[:, vb.rows.dst] = T
+            Hb[:2] -= terms[4:, xb, yb]
     if forcing is not None:
         H += forcing(state.t)
 

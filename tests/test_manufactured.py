@@ -14,7 +14,7 @@ from moistpe.convergence import (
     temporal_study,
 )
 from moistpe.errors import ConfigError
-from moistpe.fields import SPECTRAL, Field3D
+from moistpe.fields import SPECTRAL, Field3D, in_ball
 from moistpe.grid import Grid
 from moistpe.manufactured import CASES, ManufacturedSolution, _profiles, get_case
 from moistpe.model import FAITHFUL, ModelVariant, Workspace, divergence_residual, tendency
@@ -171,16 +171,24 @@ def test_suite_grades_injected_studies():
 
 
 def test_stored_arrays_are_band_exact(grid24, params):
-    # exact states are zero outside the profiles' band, exactly.  Q is kept
-    # up to 2 band = 8, which the 24^3 ball (radius 7) does not hold: there
-    # the forcing carries only Q's roundoff beyond the ball
+    # exact states are zero outside the profiles' band, exactly.  Q reaches
+    # 2 band - 1 = 7, which the 24^3 ball (radius 7) holds, so there the
+    # forcing lies inside the ball, exactly
     ms = ManufacturedSolution(get_case("brisk"), grid24, params)
-    assert min(grid24.ball) < 2 * ms.case.band
+    assert min(grid24.ball) == 2 * ms.case.band - 1
     outside_band = ~grid24.band_mask(ms.case.band)
     for f in ms.exact_state(0.3).fields:
         assert not np.any(f.data[outside_band])
-    for f in ms.forcing(0.3):
-        assert np.abs(f[~grid24.dealias_mask]).max() <= 1e-15 * np.abs(f).max()
+    assert in_ball(grid24, ms.forcing(0.3))
+    # per axis the forcing reaches 2 band - 1, and beyond that only the
+    # ball's radius K: nothing lies past max(K, 2 band - 1)
+    reach = 2 * ms.case.band - 1
+    for shape in [(16, 16, 16), (24, 24, 24), (32, 48, 48)]:
+        grid = Grid(*shape, params.p0, params.p1)
+        f = ManufacturedSolution(get_case("brisk"), grid, params).forcing(0.3)
+        for j, k in zip(grid.mode_index, grid.ball):
+            assert np.any(f[:, np.broadcast_to(j == reach, grid.spectral_shape)])
+            assert not np.any(f[:, np.broadcast_to(j > max(k, reach), grid.spectral_shape)])
     # on the smallest cubic grid whose ball holds 2 band, the forcing lies
     # inside the ball, exactly, so forced steps stay in the ball
     grid = Grid(26, 26, 26, params.p0, params.p1)
@@ -234,9 +242,10 @@ def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
     assert not np.array_equal(ms.forcing(0.02)[0], copies[0])
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [14, 16, 32])
 def test_forcing_of_an_earlier_time_is_left_unchanged(n, params):
-    # at 16^3 the box of the stored arrays is the whole grid, at 32^3 not
+    # at 14^3 the box of the stored arrays, |j| <= 7 per axis, is the whole
+    # grid; at 16^3 and 32^3 it is not
     grid = Grid(n, n, n, params.p0, params.p1)
     ms = ManufacturedSolution(get_case("gentle"), grid, params)
     t1, t2 = 0.125, 0.25
@@ -250,7 +259,7 @@ def test_forcing_of_an_earlier_time_is_left_unchanged(n, params):
     # the arrays are stored on, and zero off it
     off_box = np.ones(first.shape, dtype=bool)
     off_box[ms._box] = False
-    assert np.any(off_box) == (n == 32)
+    assert np.any(off_box) == (n != 14)
     for t, f in ((t1, first), (t2, second)):
         m, mdot = ms.modulation(t)
         assert np.array_equal(f[ms._box], mdot * ms._Uhat - m * ms._L - (m * m) * ms._Q - ms._S)

@@ -335,7 +335,8 @@ def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
 def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft_log):
     # 3-D passes: v1, v2 and the 12 derivatives in, omega, the products
     # out; the transforms along p alone act on the rows of the 2/3 band,
-    # and the x pass of each inverse on the y rows of the band
+    # the x pass of each inverse on the y rows of the band, and the y pass
+    # of the forward one on its x rows
     g = grid16
     state = _ball_state(g)
     ws = Workspace(g, params)
@@ -352,6 +353,18 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     # the y rows of the x pass of each inverse: the 14-field stack, omega
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
     assert len(x_pass) == 4 and rows == {(14,): 2 * g.ball[1] + 1, (): 2 * g.ball[1] + 1}
+    _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
+
+
+def _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log):
+    # the products' forward transform: its x pass on the planes of the
+    # ball, its y pass on the 2 Kx + 1 x rows of the band (two slices)
+    forward = [(shape, axis) for name, shape, axis in fft_log if name == "fft" and axis != -1]
+    assert [axis for _, axis in forward] == [-3, -2, -2]
+    assert forward[0][0] == (4, g.nx, g.ny, g.planes(True))
+    y_pass = [shape for shape, _ in forward[1:]]
+    assert all(shape[:1] + shape[2:] == (4, g.ny, g.planes(True)) for shape in y_pass)
+    assert sum(shape[1] for shape in y_pass) == 2 * g.ball[0] + 1
 
 
 def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_log):
@@ -379,6 +392,7 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in leads}
     band = 2 * g.ball[1] + 1
     assert rows == {(2,): band, (3,): 4 * band, (): band}
+    _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), _STREAMED])
@@ -609,7 +623,7 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     tendency(_off_ball_state(grid16), params, ws=ws)
     assert np.array_equal(first.data, kept)
     for scratch in (ws.spec, ws.omega_hat, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
-                    ws.rows_plane, ws.dst_terms, ws.dst_tend, ws.dst_tmp):
+                    ws.rows_plane, ws.box_terms, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
 
 
