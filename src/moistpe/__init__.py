@@ -15,7 +15,7 @@ from .errors import (
     SamplingError,
     SimulationError,
 )
-from .fields import Field3D, ParityClass, dealias, derivative, parity_project
+from .fields import Field3D, dealias, derivative
 from .grid import Grid
 from .initial import random_smooth, rest
 from .manufactured import CASES, ManufacturedSolution, get_case
@@ -65,7 +65,6 @@ __all__ = [
     "ModelVariant",
     "NormReport",
     "ParameterError",
-    "ParityClass",
     "PhysParams",
     "Profile",
     "RunConfig",
@@ -86,7 +85,6 @@ __all__ = [
     "gronwall_series",
     "minkowski_probe",
     "norm_report",
-    "parity_project",
     "project_state",
     "random_smooth",
     "rest",

@@ -23,7 +23,7 @@ from . import convergence, output, probes
 from .errors import BlowupError, ConfigError, DataError, ParameterError, SimulationError
 from .initial import random_smooth, rest
 from .manufactured import ManufacturedSolution, get_case
-from .model import FAITHFUL
+from .model import FAITHFUL, Forcing
 from .stepper import run as run_trajectory
 
 CONFIG_ERRORS = (ConfigError, ParameterError, DataError)
@@ -151,13 +151,7 @@ def _build_forcing(cfg, grid, params):
             raise ConfigError(
                 f"forcing.kind: array {k} has shape {arr.shape}, expected {grid.shape}")
         arrays.append(_real_array("forcing.kind", f"array {k} of {arg!r}", arr))
-    static = rfftn_norm(grid, np.stack(arrays))
-    static.flags.writeable = False
-
-    def forcing(t):
-        return static
-
-    return forcing
+    return Forcing.static(grid, rfftn_norm(grid, np.stack(arrays)))
 
 
 def _check_output_dir(key: str, path: str) -> None:
@@ -181,7 +175,6 @@ def cmd_run(args) -> int:
     grid = config_mod.build_grid(cfg)
     params = _build_params(cfg, grid)
     step_cfg = config_mod.build_step_config(cfg)
-    state = _build_initial(cfg, grid, args)
     forcing = _build_forcing(cfg, grid, params)
 
     samples = []
@@ -194,8 +187,10 @@ def cmd_run(args) -> int:
 
     want_norms = cfg.norms_path != "none"
     try:
+        # the run makes its own copy of the initial state; nothing here
+        # keeps the one it was made from
         traj = run_trajectory(
-            state, params, step_cfg, forcing=forcing,
+            _build_initial(cfg, grid, args), params, step_cfg, forcing=forcing,
             record_every=cfg.norms_every,
             on_sample=on_sample,
             collect_budget=want_norms,

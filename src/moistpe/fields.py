@@ -10,7 +10,6 @@ at k = 0, and cos(2*pi*x) carries amplitude 1/2 in each conjugate slot.
 
 from __future__ import annotations
 
-import enum
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,14 +30,6 @@ def _workers() -> int:
         return max(1, int(os.environ.get("MOISTPE_THREADS", "1")))
     except ValueError:
         return 1
-
-
-class ParityClass(enum.Enum):
-    """Symmetry class about the mid-pressure level p_tilde = 0."""
-
-    EVEN = "even"
-    ODD = "odd"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -124,10 +115,12 @@ class Field3D:
 # p), so every kept coefficient and every sample the pruned transforms
 # return is bit-identical to the full transform's.  The forward transform
 # runs unscaled and is scaled by 1/N afterwards, a step the pruned transform
-# repeats exactly; the inverse needs no scaling.  The inverse's passes are
-# also callable apart (ifft_xy, then irfft_p), in place and with or without
-# ball, so a stack can finish its p pass in slices: one pass along p acts
-# on each line alone, and the slices get the same bits as the whole stack.
+# repeats exactly; the inverse needs no scaling.  Both transforms' passes
+# are also callable apart, with or without ball: the forward one's as
+# rfft_p, then fft_xy in place on its result; the inverse one's as ifft_xy
+# in place, then irfft_p.  A pass along p acts on each line alone, so a
+# stack can take it in slices (an x slab at a time, say), and the slices
+# get the same bits as the whole stack.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
@@ -147,12 +140,32 @@ def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
     rows.  Everything else is returned as zeros, so the result is the full
     transform times grid.dealias_mask, bit for bit.
     """
-    scale = 1.0 / (grid.nx * grid.ny * grid.np)
     if not ball:
         out = _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers())
+        out *= 1.0 / (grid.nx * grid.ny * grid.np)
+        return out
+    return fft_xy(grid, rfft_p(data), ball)
+
+
+def rfft_p(data: np.ndarray) -> np.ndarray:
+    """The first pass of rfftn_norm, along p, unscaled: a new array that
+    fft_xy finishes.  A slice of a stack takes it alone, with the bits the
+    whole stack would get."""
+    return _fft.rfft(data, axis=-1, workers=_workers())
+
+
+def fft_xy(grid: Grid, out: np.ndarray, ball: bool = False) -> np.ndarray:
+    """The x and y passes and the scaling of rfftn_norm, in place on out,
+    the spectra along p that rfft_p gives (one field or a stack), which is
+    returned.  With ball, as for rfftn_norm: only the box is computed and
+    the rest is set to zero, so what out holds on the p-planes beyond the
+    ball's (grid.planes) is never read."""
+    scale = 1.0 / (grid.nx * grid.ny * grid.np)
+    if not ball:
+        for axis in (-3, -2):
+            _fft.fft(out, axis=axis, overwrite_x=True, workers=_workers())
         out *= scale
         return out
-    out = _fft.rfft(data, axis=-1, workers=_workers())
     planes, bx = grid.planes(True), grid.ball[0]
     out[..., planes:] = 0.0
     kept = out[..., :planes]
@@ -371,9 +384,6 @@ def _flip_p(data: np.ndarray) -> np.ndarray:
     return np.roll(data[..., ::-1], 1, axis=-1)
 
 
-_SIGN = {ParityClass.EVEN: 1.0, ParityClass.ODD: -1.0}
-
-
 def parity_part(data: np.ndarray, sign) -> np.ndarray:
     """0.5 (f + sign * reflected f): the even part for sign 1, the odd part
     for sign -1; sign may broadcast over a stack."""
@@ -384,18 +394,6 @@ def parity_part(data: np.ndarray, sign) -> np.ndarray:
     return part
 
 
-def parity_project(field: Field3D, parity: ParityClass) -> Field3D:
-    """Project onto the even or odd class about p_tilde = 0.
-
-    The reflection is an exact index permutation of the p axis, so the
-    projection is exactly idempotent and even/odd parts sum to the input.
-    """
-    if parity is ParityClass.NONE:
-        return field
-    out = Field3D.physical(field.grid, parity_part(field.as_physical().data, _SIGN[parity]))
-    return out if field.rep == PHYSICAL else out.as_spectral()
-
-
 def parity_deviation(data: np.ndarray, sign) -> np.ndarray:
     """max |f - P f| over the trailing three axes of physical samples (one
     field or a stack), P the projection onto the class of sign (1 even,
@@ -404,9 +402,3 @@ def parity_deviation(data: np.ndarray, sign) -> np.ndarray:
     np.subtract(data, dev, out=dev)
     return np.abs(dev, out=dev).max(axis=(-3, -2, -1))
 
-
-def parity_violation(field: Field3D, parity: ParityClass) -> float:
-    """Max-modulus deviation of the field from its parity class."""
-    if parity is ParityClass.NONE:
-        return 0.0
-    return float(parity_deviation(field.as_physical().data, _SIGN[parity]))

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Field3D, SPECTRAL
 from .grid import Grid
-from .model import FAITHFUL, ModelVariant, tendency
+from .model import FAITHFUL, Forcing, ModelVariant, tendency
 from .params import PhysParams
 from .state import State
 
@@ -136,8 +136,10 @@ class ManufacturedSolution:
 
     The static response S, the linear response L, the quadratic response Q
     and the profiles U are stored on their box (_box): at 64^3 that is 30%
-    of a full stack, at 16^3 all of it.  forcing and exact_state return
-    full stacks, zero off the box.
+    of a full stack, at 16^3 all of it.  forcing is a model.Forcing on that
+    box: the tendency adds its values there, and forcing(t) gives the full
+    stack, zero off the box, read-only, a new array for each new time.
+    exact_state returns full stacks.
     """
 
     def __init__(self, case: ManufacturedCase, grid: Grid, params: PhysParams):
@@ -164,8 +166,9 @@ class ManufacturedSolution:
         # twice it, and the box cuts 2 band where the ball does not hold it
         self._Q = np.where(grid.band_mask(2 * case.band)[box[1:]], quad, 0.0)
         self._Uhat = np.where(grid.band_mask(case.band)[box[1:]], ustate.data[box], 0.0)
-        self._last = None  # (t, forcing stack) of the latest forcing call
-        self._scratch = None  # the products of forcing; never handed out
+        self.forcing = Forcing(grid, box, self._on_box)
+        self._t = None  # the time of the values in _values
+        self._values = self._scratch = None  # the forcing on the box, one field of it
 
     def modulation(self, t: float) -> tuple[float, float]:
         c, s = math.cos(self.case.sigma * t), math.sin(self.case.sigma * t)
@@ -174,28 +177,25 @@ class ManufacturedSolution:
         mdot = self.case.alpha * c - self.case.sigma * env * s
         return m, mdot
 
-    def forcing(self, t: float) -> np.ndarray:
-        """The forcing at time t, stacked like a state's array, read-only.
-
-        The latest (t, forcing) pair is kept: a Runge-Kutta step asks twice
-        for its midpoint, and the next step starts where this one ended.
-        Each new time gets a new array, so one returned earlier never
-        changes.
-        """
-        if self._last is not None and self._last[0] == t:
-            return self._last[1]
+    def _on_box(self, t: float) -> np.ndarray:
+        """The forcing at time t on the box, mdot U - m L - m^2 Q - S with
+        the operations in that order, in one array that the next new time
+        overwrites.  The latest time's values are kept: a Runge-Kutta step
+        asks twice for its midpoint, and the next step starts where this one
+        ended."""
+        if self._t == t:
+            return self._values
         m, mdot = self.modulation(t)
-        if self._scratch is None:
-            self._scratch = np.empty_like(self._L)
-        # mdot U - m L - m^2 Q - S on the box, operations in that order
-        box = np.multiply(mdot, self._Uhat)
-        box -= np.multiply(m, self._L, out=self._scratch)
-        box -= np.multiply(m * m, self._Q, out=self._scratch)
+        if self._values is None:
+            self._values = np.empty_like(self._L)
+            self._scratch = np.empty_like(self._L[0])
+        box = np.multiply(mdot, self._Uhat, out=self._values)
+        for f, L, Q in zip(box, self._L, self._Q):
+            f -= np.multiply(m, L, out=self._scratch)
+            f -= np.multiply(m * m, Q, out=self._scratch)
         box -= self._S
-        f = self._unboxed(box)
-        f.flags.writeable = False
-        self._last = (t, f)
-        return f
+        self._t = t
+        return box
 
     def _unboxed(self, box: np.ndarray) -> np.ndarray:
         """A new full stack holding box on the box and zero elsewhere."""

@@ -45,8 +45,8 @@ import scipy.fft
 
 from .errors import ConstraintError, DataError, ParameterError
 from .fields import (PHYSICAL, SPECTRAL, Field3D, HorizontalRows, _workers, clear_outside_box,
-                     fft2_norm, fft_p, horizontal_spectra, ifft2_norm, ifft_p, ifft_xy, in_ball,
-                     irfft_p, irfftn_norm, rfftn_norm)
+                     fft2_norm, fft_p, fft_xy, horizontal_spectra, ifft2_norm, ifft_p, ifft_xy,
+                     in_ball, irfft_p, irfftn_norm, rfft_p, rfftn_norm)
 from .grid import Grid
 from .norms import vector_sobolev_norm
 from .params import PhysParams
@@ -164,16 +164,23 @@ def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None,
     G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
     (default zero) is the value at p = p0.  Given a spectral work array to
     build G in, F may be a view of its leading p-planes.  With ball, F lies
-    inside the 2/3 ball and holds at least its planes (grid.planes), and
-    the transform prunes (see irfftn_norm).
+    inside the 2/3 ball and holds at least its planes (grid.planes): G is
+    divided on the box's blocks alone (grid.blocks), zero elsewhere, and the
+    transform prunes (see irfftn_norm).
     """
     n = F.shape[-1]
     G = np.empty_like(F) if work is None else work
     G[..., 0] = 0.0
-    np.divide(F[..., 1:], 1j * grid.kp[1:n], out=G[..., 1:n])
+    ikp = 1j * grid.kp[1:n]
+    if ball:
+        for (xs, ys), _ in grid.blocks(True):
+            np.divide(F[..., xs, ys, 1:], ikp, out=G[..., xs, ys, 1:n])
+        clear_outside_box(grid, G[..., :n])
+    else:
+        np.divide(F[..., 1:], ikp, out=G[..., 1:n])
     G = irfftn_norm(grid, G, ball)
-    top = G[..., :1] if base is None else base + G[..., :1]
-    return top - G
+    top = G[..., :1].copy() if base is None else base + G[..., :1]
+    return np.subtract(top, G, out=G)
 
 
 # --- vertical velocity ----------------------------------------------------
@@ -521,8 +528,44 @@ def coriolis_term(v1: np.ndarray, v2: np.ndarray, params: PhysParams,
 
 # --- full tendency --------------------------------------------------------
 
-# t -> the spectral forcing of v1, v2, theta and q, stacked like a state
-ForcingFn = Callable[[float], np.ndarray]
+
+class Forcing:
+    """A spectral forcing of v1, v2, theta and q that is zero off a box of
+    the spectral stack: the tendency adds it on the box alone.
+
+    box indexes the box in a state's stack (box[1:] in one field's
+    spectrum), and on_box(t) gives the forcing's values there, stacked; an
+    array of on_box holds until the next call with another time.  A
+    manufactured solution stores its forcing on the box that holds its
+    responses (manufactured._box); forcing read from a file is one stack at
+    every time, on the whole half spectrum (static).
+
+    Called with t, a Forcing gives the full stack, zero off the box and
+    read-only.  The latest (t, stack) pair is kept, and each new time gets
+    a new array, so a stack returned earlier never changes.
+    """
+
+    def __init__(self, grid: Grid, box: tuple, on_box: Callable[[float], np.ndarray]):
+        self.grid = grid
+        self.box = box
+        self.on_box = on_box
+        self._last = None  # (t, full stack) of the latest call
+
+    @classmethod
+    def static(cls, grid: Grid, stack: np.ndarray) -> "Forcing":
+        """The forcing that is the spectral stack at every time."""
+        values = stack.view()
+        values.flags.writeable = False
+        return cls(grid, (slice(None),) * 4, lambda t: values)
+
+    def __call__(self, t: float) -> np.ndarray:
+        if self._last is not None and self._last[0] == t:
+            return self._last[1]
+        f = np.zeros((4,) + self.grid.spectral_shape, dtype=np.complex128)
+        f[self.box] = self.on_box(t)
+        f.flags.writeable = False
+        self._last = (t, f)
+        return f
 
 
 class Workspace:
@@ -548,6 +591,11 @@ class Workspace:
     and the 12 derivatives) take their x and y passes in spec: all 14 at
     once, or, where that stack would pass STREAM_BYTES (streamed), one
     group at a time in a spec of three fields.  Both give the same bits.
+    With the whole stack (up to 32^3) the grid is one slab and prod holds
+    its four products.  Streamed, prod is None: the passes along p on
+    either side of each product run on x slabs (slabs), as wide as keeps
+    one group's samples on a slab within SLAB_BYTES (10 of the 64 x planes
+    at 64^3), and each product is formed in its group's samples.
     """
 
     # Where splitting the stack starts to pay: the time of a warm in-ball
@@ -557,6 +605,8 @@ class Workspace:
     # at 44 and 48, -10 to -12% at 64.  The 14-field stack is 3.9 MB at
     # 32^3 and 5.5 MB at 36^3.
     STREAM_BYTES = 4 << 20
+    # the samples of one group (three fields) on one x slab
+    SLAB_BYTES = 1 << 20
 
     def __init__(self, grid: Grid, params: PhysParams, variant: ModelVariant = FAITHFUL):
         co = Coefficients(grid, params)
@@ -578,15 +628,16 @@ class Workspace:
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
         # scratch of tendency: the spectral input of omega's inverse
-        # transform, that of the inverse of v1, v2 and the 12 derivatives
-        # (spec, see above), the physical input of the forward one, and a
-        # temporary
+        # transform, that of the inverse of v1, v2 and the 12 derivatives,
+        # and the products (spec, slabs and prod: see above)
         self.omega_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
         self.streamed = 14 * self.omega_hat.nbytes > self.STREAM_BYTES
         self.spec = np.zeros((3 if self.streamed else 14,) + grid.spectral_shape,
                              dtype=np.complex128)
-        self.phys = np.empty((4,) + grid.shape)
-        self.tmp = np.empty(grid.shape)
+        width = (max(1, self.SLAB_BYTES // (3 * grid.ny * grid.np * 8)) if self.streamed
+                 else grid.nx)
+        self.slabs = [slice(x, min(x + width, grid.nx)) for x in range(0, grid.nx, width)]
+        self.prod = None if self.streamed else np.empty((4,) + grid.shape)
         # scratch of the steps: a stage state or spectral temporary, and a
         # real temporary, each stacked like a state
         self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
@@ -642,20 +693,37 @@ def _derivatives(ws: Workspace, U: np.ndarray, out: np.ndarray, ball: bool) -> N
         clear_outside_box(ws.grid, out[..., :n])
 
 
-def _sample_groups(ws: Workspace, Un: np.ndarray, ball: bool):
-    """The samples of the tendency's inverse transforms, in the groups the
-    products take them: omega, then v1 and v2, then each field's x, y and
-    p derivatives, from Un, the state's leading p-planes (ball as for
-    ifft_xy).
+def _advect(v1: np.ndarray, v2: np.ndarray, om: np.ndarray, d: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """v1 dx + v2 dy + om dp into out, which is returned, from the samples
+    d = (dx, dy, dp) of one field's derivatives, which it overwrites."""
+    np.multiply(v1, d[0], out=out)
+    out += np.multiply(v2, d[1], out=d[1])
+    out += np.multiply(om, d[2], out=d[2])
+    return out
 
-    The spectra take their x and y passes in ws.spec: all 14 at once, or
-    where ws.streamed, each group just before it is asked for.  Each
-    group's pass along p runs when it is asked for, and every sample has
-    the bits of irfftn_norm.  omega's divergence dx v1 + dy v2 (its
-    fluctuating part only; a projected state carries no vertical-mean
-    divergence) is the sum of two of the derivatives when they are all
-    there, and is built from Un on the box's blocks otherwise."""
-    g, buf, n = ws.grid, ws.spec, Un.shape[-1]
+
+def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
+    """The products of advection and rotation after the forward transform's
+    pass along p (fields.rfft_p), in a new stack that fft_xy finishes: its
+    leading ws.planes p-planes, what lies beyond them undefined.  Un is the
+    state's leading p-planes (ball as for ifft_xy).
+
+    The inverse transforms run in groups: omega, v1 and v2, then each
+    field's x, y and p derivatives.  The spectra take their x and y passes
+    in ws.spec, all 14 at once or, where ws.streamed, one group at a time;
+    omega, v1 and v2 take their pass along p whole.  On the whole stack the
+    four products are formed in ws.prod, group by group, and take one
+    forward pass.  Streamed, each group takes its pass along p, its product
+    (with the Coriolis term for v1 and v2) and that product's forward pass
+    one x slab (ws.slabs) at a time.  Every sample has the bits of
+    irfftn_norm, and every product and its pass those of the whole grid.
+    omega's divergence dx v1 + dy v2 (its fluctuating part only; a
+    projected state carries no vertical-mean divergence) is the sum of two
+    of the derivatives when they are all there, and is built from Un on the
+    box's blocks otherwise."""
+    g, buf, n, m = ws.grid, ws.spec, Un.shape[-1], ws.planes
+    params, variant = ws.params, ws.variant
     D = ws.omega_hat[..., :n]
     if ws.streamed:
         for (xs, ys), _ in ws.blocks[ball]:
@@ -667,48 +735,68 @@ def _sample_groups(ws: Workspace, Un: np.ndarray, ball: bool):
     else:
         _derivatives(ws, Un, buf[2:].reshape((4, 3) + buf.shape[1:]), ball)
         np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)
-    yield _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
+    om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
     buf[:2, ..., :n] = Un[:2]
-    if ws.streamed:
-        yield irfft_p(g, ifft_xy(g, buf[:2], ball))
-        for u in Un:
+    if not ws.streamed:
+        v1, v2 = irfft_p(g, ifft_xy(g, buf, ball)[:2])
+        for i, Pi in enumerate(ws.prod):
+            if variant.advection:
+                _advect(v1, v2, om, irfft_p(g, buf[2 + 3 * i:5 + 3 * i]), Pi)
+            else:
+                Pi.fill(0.0)
+        cor1, cor2 = coriolis_term(v1, v2, params, variant)
+        ws.prod[0] += cor1
+        ws.prod[1] += cor2
+        del v1, v2, cor1, cor2, om  # before the forward pass's output arrives
+        return rfft_p(ws.prod)
+    H = np.empty((4,) + g.spectral_shape, dtype=np.complex128)
+    v1, v2 = irfft_p(g, ifft_xy(g, buf[:2], ball))
+    for i, u in enumerate(Un):
+        if variant.advection:
             _derivatives(ws, u, buf, ball)
-            yield irfft_p(g, ifft_xy(g, buf, ball))
-        return
-    ifft_xy(g, buf, ball)
-    yield irfft_p(g, buf[:2])
-    for i in range(2, 14, 3):
-        yield irfft_p(g, buf[i:i + 3])
+            ifft_xy(g, buf, ball)
+        for xs in ws.slabs:
+            if variant.advection:
+                d = irfft_p(g, buf[:, xs])
+                Pi = _advect(v1[xs], v2[xs], om[xs], d, d[0])
+            else:
+                Pi = np.zeros(v1[xs].shape)
+            if i < 2:
+                Pi += coriolis_term(v1[xs], v2[xs], params, variant)[i]
+            H[i, xs, :, :m] = rfft_p(Pi)[..., :m]
+    return H
 
 
 def tendency(
     state: State,
     params: PhysParams,
-    forcing: ForcingFn | None = None,
+    forcing: Forcing | None = None,
     variant: ModelVariant = FAITHFUL,
     ws: Workspace | None = None,
 ) -> Tendency:
     """Evaluate the semi-discrete right-hand side at the state's time.
 
     All operator terms are truncated by the 2/3 mask (variant permitting) and
-    supplied forcing is added untruncated, so evolved states stay inside the
-    dealiased ball only when the forcing does: manufactured forcing does on
-    grids with n >= 22, forcing read from a file in general does not.
-    Returns a Tendency whose stacked array is a fresh one (nothing else
-    refers to it); diagnose gives omega, Phi and T.
+    supplied forcing is added untruncated, on its box (Forcing), so evolved
+    states stay inside the dealiased ball only when the forcing does:
+    manufactured forcing does on grids with n >= 22, forcing read from a
+    file in general does not.  Returns a Tendency whose stacked array is a
+    fresh one (nothing else refers to it); diagnose gives omega, Phi and T.
 
     Advection and rotation are products of physical samples, taken through
     3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
     state), omega, and 4 fields out.  The 14-field inverse runs in groups:
-    v1 and v2, then each field's three derivatives, multiplied into the
-    products as they arrive (_sample_groups).  Its x and y passes run in
-    place in the workspace, over the whole stack on a small grid and one
-    group at a time on a large one (Workspace.streamed); its pass along p
-    runs one group at a time.  So at most five of its 14 sample fields
-    exist at once, and they carry the bits of irfftn_norm (fields.ifft_xy).
-    omega's divergence dx v1 + dy v2 is the sum of two of those
-    derivatives when the whole stack is there, and is built from the
-    state's spectra when it streams.
+    v1 and v2, then each field's three derivatives (_products).  Its x and
+    y passes run in place in the workspace, over the whole stack on a small
+    grid and one group at a time on a large one (Workspace.streamed).  The
+    passes along p on either side of the products run one x slab at a time
+    (Workspace.slabs): a group's samples, its products, and the forward
+    transform's first pass, written into the result, whose x and y passes
+    (fields.fft_xy) then run on the whole of it.  So no group's samples and
+    no product exist on the whole grid beyond one slab, and every value
+    carries the bits of the whole-grid transforms.  omega's divergence
+    dx v1 + dy v2 is the sum of two of the derivatives when the whole
+    stack is there, and is built from the state's spectra when it streams.
 
     The pressure gradient and the vertical viscosity act along p alone and
     are taken on the horizontal spectra of the rows the mask keeps
@@ -740,39 +828,19 @@ def tendency(
         ws = Workspace(g, params, variant)
     elif ws.grid != g or ws.params is not params or ws.variant != variant:
         raise DataError("tendency: the workspace belongs to another grid, params or variant")
-    P, tmp = ws.phys, ws.tmp
     U = state.as_spectral().data
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes
     ball = in_ball(g, U)
     n = g.planes(ball)
 
-    groups = _sample_groups(ws, U[..., :n], ball)
-    om = next(groups)
-    v1, v2 = next(groups)
-    along_p = variant.pressure or variant.viscosity
-    if along_p:
-        terms = _row_terms(ws, U)
-
-    # advection and rotation, assembled in P
-    for Pi in P:
-        if variant.advection:
-            dx, dy, dp = next(groups)
-            np.multiply(v1, dx, out=Pi)
-            Pi += np.multiply(v2, dy, out=tmp)
-            Pi += np.multiply(om, dp, out=tmp)
-            del dx, dy, dp  # before the next group's samples arrive
-        else:
-            Pi.fill(0.0)
-    cor1, cor2 = coriolis_term(v1, v2, params, variant)
-    P[0] += cor1
-    P[1] += cor2
-    del v1, v2, cor1, cor2  # before the forward transform's output arrives
-
     # the products' spectrum, zero off the box; its array becomes the
     # result.  On the box, block by block: -(H + mu |k_h|^2 U), then
     # + nu d/dp(c dp f) (theta's conjugated) and - grad Phi
-    H = rfftn_norm(g, P, variant.dealias)
+    H = _products(ws, U[..., :n], ball)
+    if variant.pressure or variant.viscosity:
+        terms = _row_terms(ws, U)
+    fft_xy(g, H, variant.dealias)
     if variant.viscosity:
         np.multiply(ws.band.nu, terms[:4], out=terms[:4])
     if variant.pressure:
@@ -788,7 +856,7 @@ def tendency(
         if variant.pressure:
             Hb[:2] -= terms[4:, xb, yb]
     if forcing is not None:
-        H += forcing(state.t)
+        H[forcing.box] += forcing.on_box(state.t)
 
     return Tendency.of(g, H, SPECTRAL, state.t)
 

@@ -140,23 +140,47 @@ def _quadratic_forms(k: MonitorConstants, A: np.ndarray) -> dict:
     return dict(zip(_FORMS, values.T))
 
 
-def _w_sums(k: MonitorConstants, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+# The horizontal spectra _w_sums forms at once: every field of
+# SampleContext.vertical in one chunk at 16^3 and 32^3, one field per chunk
+# at 64^3 (2.2 MB each).
+_W_CHUNK_BYTES = 2 << 20
+
+
+def _w_sums(k: MonitorConstants, n: int, field, pair=None) -> np.ndarray:
     """|M| * mean over p of c(p) sum_kh kh2^r Re(conj(b_kh) a_kh), r = 0, 1, 2,
-    for the fields a of the spectral stack A and b of B (default a).
+    for n fields a and b, shape (n, 3): field(i, out) writes the spectrum of
+    the i-th a into out, and pair that of the i-th b (default: b = a).
 
     The fields go to the mixed representation (horizontal modes at each
     p-level, see horizontal_spectra), where Parseval in x and y turns the
     weighted collocation integral into a sum over the modes and horizontal
     derivatives into multipliers.  For r = 0 and b = a this is ||f||_w^2.
     The multipliers treat the horizontal Nyquist rows like the others; a
-    field inside the 2/3 ball has nothing there.
+    field inside the 2/3 ball has nothing there.  The fields are built and
+    taken in chunks of about _W_CHUNK_BYTES of horizontal spectra; each
+    field's sums have the bits of a single pass over all of them.
     """
     g = k.grid
-    # Re(conj(b) a) summed against c(p) on the real and imaginary parts
-    a = horizontal_spectra(g, A, k.rows).view(np.float64)
-    b = a if B is None else horizontal_spectra(g, B, k.rows).view(np.float64)
-    prod = np.multiply(a, b, out=a).reshape(len(A), -1, 2 * g.np)
-    return (k.kh2_half @ prod) @ k.c_mean2
+    size = max(1, min(n, _W_CHUNK_BYTES // (k.rows.indices.size * g.np * 16)))
+    spec = np.empty((size,) + g.spectral_shape, dtype=np.complex128)
+    sums = np.empty((n, 3))
+    for start in range(0, n, size):
+        chunk = range(start, min(start + size, n))
+        # Re(conj(b) a) summed against c(p) on the real and imaginary parts
+        a = _chunk_spectra(k, field, chunk, spec)
+        b = a if pair is None else _chunk_spectra(k, pair, chunk, spec)
+        prod = np.multiply(a, b, out=a).reshape(len(chunk), -1, 2 * g.np)
+        sums[start:chunk.stop] = (k.kh2_half @ prod) @ k.c_mean2
+    return sums
+
+
+def _chunk_spectra(k: MonitorConstants, write, chunk: range, spec: np.ndarray) -> np.ndarray:
+    """The horizontal spectra of the fields chunk of write (see _w_sums),
+    built in spec, as real and imaginary parts."""
+    A = spec[:len(chunk)]
+    for i, out in zip(chunk, A):
+        write(i, out)
+    return horizontal_spectra(k.grid, A, k.rows).view(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,11 +208,14 @@ class SampleContext:
     @cached_property
     def vertical(self) -> np.ndarray:
         """_w_sums of dp v1, dp v2, dp q, dp^2 v1 and dp^2 v2, in that order."""
-        k = self.constants
-        A = np.empty((5,) + self.spec.shape[1:], dtype=np.complex128)
-        np.multiply(k.iKP, self.spec[[0, 1, 3]], out=A[:3])
-        np.multiply(k.iKP, A[:2], out=A[3:])
-        return _w_sums(k, A)
+        iKP, spec = self.constants.iKP, self.spec
+
+        def field(i, out):
+            np.multiply(iKP, spec[(0, 1, 3, 0, 1)[i]], out=out)
+            if i >= 3:
+                np.multiply(iKP, out, out=out)
+
+        return _w_sums(self.constants, 5, field)
 
 
 def sample_context(state: State, params: PhysParams,
@@ -356,12 +383,18 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     if ctx.in_ball:
         pairs = ctx.vertical[:3, 0]
     else:
-        dp = k.iKP * U[[0, 1, 3]]
-        pairs = _w_sums(k, dp, dp * k.mask)[:, 0]
+        def dp(i, out):
+            np.multiply(k.iKP, U[(0, 1, 3)[i]], out=out)
+
+        def dp_masked(i, out):
+            dp(i, out)
+            np.multiply(out, k.mask, out=out)
+
+        pairs = _w_sums(k, 3, dp, dp_masked)[:, 0]
     # dealias(rfft((p0/p)^kappa theta))
     s_hat = rfftn_norm(g, k.co.pk * ctx.phys[2])
     s_hat *= k.mask
-    pair_theta = _w_sums(k, k.iKP * s_hat[None])[0, 0]
+    pair_theta = _w_sums(k, 1, lambda i, out: np.multiply(k.iKP, s_hat, out=out))[0, 0]
 
     # -<v, grad Phi> = <div v, Phi>.  The spectrum of Phi is that of Phi
     # minus its ramp (phi_s included) plus that of the ramp gbar (p1 - p),
@@ -374,10 +407,14 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     heat_flux = -float(g.volume * np.mean(ctx.it.gfield * om))
 
     if forcing is not None:
-        fv1, fv2, fth, fq = forcing(state.t)
-        w_f_v = _pair(g, V1, fv1) + _pair(g, V2, fv2)
-        w_f_th = _pair(g, TH, fth)
-        w_f_q = _pair(g, Q, fq)
+        # each field's forcing, zero off its box, in one buffer in turn
+        f = np.zeros(g.spectral_shape, dtype=np.complex128)
+        work = []
+        for u, values in zip(U, forcing.on_box(state.t)):
+            f[forcing.box[1:]] = values
+            work.append(_pair(g, u, f))
+        w_f_v = work[0] + work[1]
+        w_f_th, w_f_q = work[2:]
     else:
         w_f_v = w_f_th = w_f_q = 0.0
 

@@ -35,12 +35,11 @@ from .fields import SPECTRAL
 from .grid import Grid
 from .model import (
     FAITHFUL,
-    ForcingFn,
+    Forcing,
     ModelVariant,
     PhysParams,
     Workspace,
     _project_in_place,
-    project_state,
     tendency,
 )
 from .norms import parseval_sum
@@ -103,7 +102,7 @@ def _explicit_part(F: np.ndarray, u: np.ndarray, ws: Workspace) -> np.ndarray:
 
 
 def imex_euler_step(state: State, dt: float, ws: Workspace,
-                    forcing: ForcingFn | None = None) -> State:
+                    forcing: Forcing | None = None) -> State:
     """One projected first-order IMEX Euler step: backward Euler on the
     constant-coefficient split, forward Euler on the remainder.  Keeps the
     implicit part unconditionally dissipative, which the bootstrap relies on."""
@@ -117,7 +116,7 @@ def imex_euler_step(state: State, dt: float, ws: Workspace,
 
 
 def imex_step(state: State, n_prev, dt: float, ws: Workspace,
-              forcing: ForcingFn | None = None):
+              forcing: Forcing | None = None):
     """One CNAB2 step.  n_prev is the previous explicit part (or None on the
     first call, which triggers the bootstrap).  Returns (state, n_cur).
     """
@@ -145,7 +144,7 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
 
 
 def erk4_step(state: State, dt: float, ws: Workspace,
-              forcing: ForcingFn | None = None) -> State:
+              forcing: Forcing | None = None) -> State:
     """Classical four-stage Runge-Kutta step of the model of ws.
 
     Stage states are projected as well as the result, so the scheme is
@@ -225,7 +224,7 @@ def run(
     state: State,
     params: PhysParams,
     config: StepConfig,
-    forcing: ForcingFn | None = None,
+    forcing: Forcing | None = None,
     variant: ModelVariant = FAITHFUL,
     record_every: int = 1,
     on_sample=None,
@@ -261,10 +260,11 @@ def run(
     if config.scheme == "erk4_fully_explicit":
         check_erk4_stability(ws, config.dt)
 
+    # one array of the run's own: the run never writes into the caller's
+    # arrays, and holds none of them once it has its copy
     st = state.as_spectral()
-    if variant.dealias:
-        st = State.of(g, st.data * g.dealias_mask, SPECTRAL, st.t)
-    st = project_state(st)  # a copy: the run never writes into the caller's arrays
+    st = _projected(g, st.data * g.dealias_mask if variant.dealias else st.data.copy(), st.t)
+    del state
 
     def l2_norms(s: State) -> np.ndarray:
         return np.sqrt(g.volume * parseval_sum(g, s.data))

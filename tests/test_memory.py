@@ -1,5 +1,5 @@
-"""Memory held by a forced step, by a workspace, by the manufactured forcing
-and by a checkpoint read.
+"""Memory held by a forced step, by a record of the monitors, by a workspace,
+by the manufactured forcing and by a checkpoint read.
 
 tracemalloc sees every NumPy data buffer and Python object, and nothing of
 pocketfft's internal scratch, so these counts are the same on every run.
@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from moistpe import checkpoint, config
+from moistpe import checkpoint, config, monitors
 from moistpe.grid import Grid
 from moistpe.manufactured import ManufacturedSolution, get_case
 from moistpe.model import Workspace
@@ -49,6 +49,57 @@ def test_forced_erk4_step_holds_few_stacks_at_once(params):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * _stack_bytes(g.spectral_shape)
+
+
+def test_a_forced_erk4_step_on_a_streamed_grid_holds_its_two_tendencies_and_slabs(params):
+    # past Workspace.STREAM_BYTES a step's peak is the running sum, the
+    # tendency being built, omega, v1 and v2 on the whole grid, and one
+    # group's samples and product on an x slab: under 3.4 spectral stacks
+    # above what it starts with (3.52 when each group's samples, the four
+    # products and the forcing of each new time were whole)
+    g = Grid(48, 48, 48, params.p0, params.p1)
+    ms = ManufacturedSolution(get_case("gentle"), g, params)
+    ws = Workspace(g, params)
+    assert ws.streamed and len(ws.slabs) == 3
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = ms.initial_state()
+        for _ in range(2):
+            state = erk4_step(state, 1e-4, ws, ms.forcing)
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        erk4_step(state, 1e-4, ws, ms.forcing)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4 * _stack_bytes(g.spectral_shape)
+
+
+def test_a_forced_record_holds_few_stacks_at_once(params):
+    # one record point of a forced run at 48^3: the sample converted once,
+    # the budget and the norm panel.  The weighted sums take their fields
+    # in chunks and the forcing is paired field by field: under 5 spectral
+    # stacks (6.0 with the five vertical fields, their horizontal spectra
+    # and the forcing's full stack at once)
+    g = Grid(48, 48, 48, params.p0, params.p1)
+    ms = ManufacturedSolution(get_case("gentle"), g, params)
+    constants = monitors.MonitorConstants(g, params)
+    state = ms.exact_state(0.01)
+    ms.forcing(0.0)  # the latest forcing is of another time
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ctx = monitors.sample_context(state, params, constants)
+        monitors.budget_terms(state, params, ms.forcing, ctx=ctx)
+        monitors.norm_report(state, params, ctx=ctx)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ctx.in_ball
+    assert peak <= 5 * _stack_bytes(g.spectral_shape)
 
 
 def test_a_streamed_workspace_holds_a_3_field_inverse_scratch(params):

@@ -19,7 +19,7 @@ from moistpe.errors import ConstraintError, DataError, ParameterError
 from moistpe.fields import SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
-from moistpe.model import (FAITHFUL, ModelVariant, Workspace, _pair, barotropic_project, diagnose,
+from moistpe.model import (FAITHFUL, Forcing, ModelVariant, Workspace, _pair, barotropic_project, diagnose,
                            diagnose_omega, diagnose_phi, divergence_residual,
                            hydrostatic_gradient_residual,
                            hydrostatic_residual, omega_top_residual,
@@ -342,8 +342,7 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     ws = Workspace(g, params)
     fft_log.clear()
     tendency(state, params, ws=ws)
-    three_d = sum(int(np.prod(shape[:-3])) for name, shape, _ in fft_log
-                  if name in ("rfft", "irfft", "rfftn", "irfftn"))
+    three_d = _fields_moved(g, fft_log)
     along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
     x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
     assert three_d == 19
@@ -353,7 +352,33 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     # the y rows of the x pass of each inverse: the 14-field stack, omega
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
     assert len(x_pass) == 4 and rows == {(14,): 2 * g.ball[1] + 1, (): 2 * g.ball[1] + 1}
+    _assert_the_forward_p_pass_runs_per_slab(ws, fft_log)
     _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
+
+
+def _fields_moved(g, fft_log):
+    # the 3-D fields the passes along p of the 3-D transforms move, a stack
+    # counting each of its fields and an x slab its share of a field
+    return sum(int(np.prod(shape[:-3])) * shape[-3] / g.nx for name, shape, _ in fft_log
+               if name in ("rfft", "irfft", "rfftn", "irfftn"))
+
+
+def _assert_the_forward_p_pass_runs_per_slab(ws, fft_log):
+    # the products' forward transform splits: its pass along p runs one x
+    # slab at a time (on the whole grid, the four products in one call;
+    # streamed, each product alone), and then one x-y pass takes the stack
+    g = ws.grid
+    names = [name for name, _, _ in fft_log]
+    p_pass = [shape for name, shape, _ in fft_log if name == "rfft"]
+    widths = [xs.stop - xs.start for xs in ws.slabs]
+    if ws.streamed:
+        assert p_pass == [(w, g.ny, g.np) for _ in range(4) for w in widths]
+    else:
+        assert widths == [g.nx] and p_pass == [(4,) + g.shape]
+    assert "rfftn" not in names
+    x_pass = [i for i, (name, _, axis) in enumerate(fft_log) if name == "fft" and axis == -3]
+    assert len(x_pass) == 1 and x_pass[0] > max(i for i, name in enumerate(names)
+                                                 if name in ("rfft", "irfft"))
 
 
 def _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log):
@@ -374,11 +399,10 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     state = _ball_state(g)
     assert in_ball(g, state.data)
     ws = Workspace(g, params)
-    assert ws.streamed and ws.spec.shape[0] == 3
+    assert ws.streamed and ws.spec.shape[0] == 3 and len(ws.slabs) == 2
     fft_log.clear()
     tendency(state, params, ws=ws)
-    three_d = sum(int(np.prod(shape[:-3])) for name, shape, _ in fft_log
-                  if name in ("rfft", "irfft", "rfftn", "irfftn"))
+    three_d = _fields_moved(g, fft_log)
     along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
     x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
     assert three_d == 19
@@ -392,6 +416,7 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in leads}
     band = 2 * g.ball[1] + 1
     assert rows == {(2,): band, (3,): 4 * band, (): band}
+    _assert_the_forward_p_pass_runs_per_slab(ws, fft_log)
     _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
 
 
@@ -575,7 +600,7 @@ def test_tendency_off_the_ball_transforms_every_plane(grid16, params, dealias):
     viscous = VISCOUS.with_(dealias=dealias)
     ws = Workspace(g, params, viscous)
     tendency(_ball_state(g), params, variant=viscous, ws=ws)
-    tend = tendency(state, params, forcing=lambda t: forced, variant=viscous, ws=ws)
+    tend = tendency(state, params, forcing=Forcing.static(g, forced), variant=viscous, ws=ws)
     want = tendency_3d(state, params, forcing=lambda t: forced, variant=viscous)
     for got, w in zip(tend.data, want):
         diff = sobolev_norm(Field3D.spectral(g, got - w), 0)
@@ -622,7 +647,7 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     tendency(_ball_state(grid16, seed=3), params, ws=ws)
     tendency(_off_ball_state(grid16), params, ws=ws)
     assert np.array_equal(first.data, kept)
-    for scratch in (ws.spec, ws.omega_hat, ws.phys, ws.tmp, ws.rows_in, ws.rows_work,
+    for scratch in (ws.spec, ws.omega_hat, ws.prod, ws.rows_in, ws.rows_work,
                     ws.rows_plane, ws.box_terms, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
 

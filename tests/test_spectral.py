@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
-from moistpe.fields import (Field3D, ParityClass, dealias, derivative, fft_p,
-                            HorizontalRows, horizontal_spectra, ifft_xy, in_ball, irfft_p,
-                            irfftn_norm, parity_project, parity_violation, rfftn_norm)
+from moistpe.fields import (Field3D, dealias, derivative, fft_p, HorizontalRows,
+                            horizontal_spectra, ifft_xy, in_ball, irfft_p, irfftn_norm,
+                            parity_deviation, parity_part, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -352,33 +352,29 @@ def test_l2_inner_requires_physical(grid8):
 # --- parity -----------------------------------------------------------------
 
 def test_parity_projection_is_idempotent(grid16):
-    f = _random_physical(grid16, 31)
-    even = parity_project(f, ParityClass.EVEN)
-    again = parity_project(even, ParityClass.EVEN)
-    assert np.abs(even.data - again.data).max() <= 1e-13
+    f = _random_physical(grid16, 31).data
+    even = parity_part(f, 1.0)
+    again = parity_part(even, 1.0)
+    assert np.abs(even - again).max() <= 1e-13
 
 
 def test_parity_violation_vanishes_after_projection(grid16):
-    f = _random_physical(grid16, 32)
-    assert parity_violation(f, ParityClass.EVEN) > 0.1   # generic data
-    even = parity_project(f, ParityClass.EVEN)
-    assert parity_violation(even, ParityClass.EVEN) <= 1e-13
-    odd = parity_project(f, ParityClass.ODD)
-    assert parity_violation(odd, ParityClass.ODD) <= 1e-13
+    f = _random_physical(grid16, 32).data
+    assert parity_deviation(f, 1.0) > 0.1   # generic data
+    assert parity_deviation(parity_part(f, 1.0), 1.0) <= 1e-13
+    assert parity_deviation(parity_part(f, -1.0), -1.0) <= 1e-13
 
 
 def test_even_and_odd_parts_sum_to_input(grid16):
-    f = _random_physical(grid16, 34)
-    even = parity_project(f, ParityClass.EVEN)
-    odd = parity_project(f, ParityClass.ODD)
-    assert np.abs(even.data + odd.data - f.data).max() <= 1e-13
+    f = _random_physical(grid16, 34).data
+    assert np.abs(parity_part(f, 1.0) + parity_part(f, -1.0) - f).max() <= 1e-13
 
 
 def test_vertical_derivative_flips_parity(grid16):
-    f = parity_project(_random_physical(grid16, 33), ParityClass.EVEN)
-    d = derivative(f, "p")
-    scale = np.abs(d.data).max()
-    assert parity_violation(d, ParityClass.ODD) <= 1e-12 * scale
+    f = Field3D.physical(grid16, parity_part(_random_physical(grid16, 33).data, 1.0))
+    d = derivative(f, "p").data
+    scale = np.abs(d).max()
+    assert parity_deviation(d, -1.0) <= 1e-12 * scale
 
 
 def test_non_finite_input_rejected(grid8):
