@@ -12,24 +12,31 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .grid import Grid
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
+@cache
 def _workers() -> int:
-    # thread count is the only environment-variable control in the package
+    """The transform worker count: MOISTPE_THREADS (default 1), the only
+    environment variable the package reads, parsed once per process on
+    first use.  Anything but an integer >= 1 is a ConfigError."""
+    raw = os.environ.get("MOISTPE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MOISTPE_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ConfigError(f"MOISTPE_THREADS: need an integer >= 1, got {raw!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -98,29 +105,31 @@ class Field3D:
 
 # --- raw-array transforms used by the hot paths ---------------------------
 #
-# Both take a ball flag.  A spectrum inside the 2/3-rule ball (in_ball) is
-# zero beyond the kept radius K = (n - 1)//3 of each axis (grid.ball, the
-# one place the rule is computed): on the p-planes above Kp and on the x and
-# y rows beyond Kx and Ky.  Its nonzero coefficients lie in the box
-# |jx| <= Kx, |jy| <= Ky, jp <= Kp (grid.box, in four blocks of each plane,
-# grid.blocks), so much of a 3-D transform works on zeros.  The forward
-# transform with ball computes only that box, which is all a masked product
-# keeps: its x pass runs on the planes up to Kp (grid.planes(True) of them),
-# its y pass and scaling on the x rows |jx| <= Kx of those planes (two
-# slices), and the rest is set to zero.  The inverse with ball takes a
-# spectrum inside the ball: its x pass runs on the y rows |jy| <= Ky of
-# those planes alone (two slices), its y pass on those planes, and its p
-# pass on everything.  What is skipped is zero or masked, and the passes are
-# the full transform's in the same order (forward: p, x, y; inverse: x, y,
-# p), so every kept coefficient and every sample the pruned transforms
-# return is bit-identical to the full transform's.  The forward transform
-# runs unscaled and is scaled by 1/N afterwards, a step the pruned transform
-# repeats exactly; the inverse needs no scaling.  Both transforms' passes
-# are also callable apart, with or without ball: the forward one's as
-# rfft_p, then fft_xy in place on its result; the inverse one's as ifft_xy
-# in place, then irfft_p.  A pass along p acts on each line alone, so a
-# stack can take it in slices (an x slab at a time, say), and the slices
-# get the same bits as the whole stack.
+# rfftn_norm and irfftn_norm are the plain full transforms, one call each.
+# The tendency runs their passes apart, on the one pruned route: the
+# forward transform as rfft_p, then fft_xy in place on its result; the
+# inverse as ifft_xy in place, then irfft_p.  A pass along p acts on each
+# line alone, so a stack can take it in slices (an x slab at a time, say),
+# and the slices get the same bits as the whole stack.
+#
+# fft_xy and ifft_xy take a ball flag.  A spectrum inside the 2/3-rule
+# ball (in_ball) is zero beyond the kept radius K = (n - 1)//3 of each axis
+# (grid.ball, the one place the rule is computed): on the p-planes above Kp
+# and on the x and y rows beyond Kx and Ky.  Its nonzero coefficients lie in
+# the box |jx| <= Kx, |jy| <= Ky, jp <= Kp (grid.box, in four blocks of each
+# plane, grid.blocks), so much of a 3-D transform works on zeros.  fft_xy
+# with ball computes only that box, which is all a masked product keeps:
+# its x pass runs on the planes up to Kp (grid.planes(True) of them), its y
+# pass and scaling on the x rows |jx| <= Kx of those planes (two slices),
+# and the rest is set to zero.  ifft_xy with ball takes a spectrum inside
+# the ball: its x pass runs on the y rows |jy| <= Ky of those planes alone
+# (two slices) and its y pass on those planes; irfft_p then runs on
+# everything.  What is skipped is zero or masked, and the passes are the
+# full transform's in the same order (forward: p, x, y; inverse: x, y, p),
+# so every kept coefficient and every sample the route returns, with or
+# without ball, is bit-identical to the full transform's.  The forward
+# transform runs unscaled and is scaled by 1/N afterwards, a step fft_xy
+# repeats exactly; the inverse needs no scaling.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
@@ -132,19 +141,12 @@ def in_ball(grid: Grid, A: np.ndarray) -> bool:
                 or np.any(A[..., by + 1:grid.ny - by, :]))
 
 
-def rfftn_norm(grid: Grid, data: np.ndarray, ball: bool = False) -> np.ndarray:
-    """Forward real FFT over the trailing three axes, normalized coefficients.
-
-    With ball, only the box of the 2/3 ball is computed (grid.box): the x
-    pass on its p-planes (grid.planes), the y pass and the scaling on its x
-    rows.  Everything else is returned as zeros, so the result is the full
-    transform times grid.dealias_mask, bit for bit.
-    """
-    if not ball:
-        out = _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers())
-        out *= 1.0 / (grid.nx * grid.ny * grid.np)
-        return out
-    return fft_xy(grid, rfft_p(data), ball)
+def rfftn_norm(grid: Grid, data: np.ndarray) -> np.ndarray:
+    """Forward real FFT over the trailing three axes (one field or a
+    stack), normalized coefficients."""
+    out = _fft.rfftn(data, axes=(-3, -2, -1), workers=_workers())
+    out *= 1.0 / (grid.nx * grid.ny * grid.np)
+    return out
 
 
 def rfft_p(data: np.ndarray) -> np.ndarray:
@@ -157,9 +159,11 @@ def rfft_p(data: np.ndarray) -> np.ndarray:
 def fft_xy(grid: Grid, out: np.ndarray, ball: bool = False) -> np.ndarray:
     """The x and y passes and the scaling of rfftn_norm, in place on out,
     the spectra along p that rfft_p gives (one field or a stack), which is
-    returned.  With ball, as for rfftn_norm: only the box is computed and
-    the rest is set to zero, so what out holds on the p-planes beyond the
-    ball's (grid.planes) is never read."""
+    returned.  With ball, only the box of the 2/3 ball is computed
+    (grid.box): the x pass on its p-planes (grid.planes), the y pass and the
+    scaling on its x rows.  The rest is set to zero, so the result is
+    rfftn_norm's times grid.dealias_mask, bit for bit, and what out holds
+    on the p-planes beyond the ball's is never read."""
     scale = 1.0 / (grid.nx * grid.ny * grid.np)
     if not ball:
         for axis in (-3, -2):
@@ -186,25 +190,21 @@ def clear_outside_box(grid: Grid, A: np.ndarray) -> None:
     A[..., by + 1:grid.ny - by, :] = 0.0
 
 
-def irfftn_norm(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
+def irfftn_norm(grid: Grid, coeff: np.ndarray) -> np.ndarray:
     """Inverse of rfftn_norm; returns real samples on the collocation grid.
-
-    With ball, coeff is the work array, and what it holds on the p-planes
-    of the ball (grid.planes) must lie inside the 2/3 ball (in_ball): its
-    other planes are set to zero and those are overwritten.  Without,
-    coeff is left as it was.
-    """
-    if not ball:
-        return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",
-                           workers=_workers())
-    return irfft_p(grid, ifft_xy(grid, coeff, ball))
+    coeff is left as it was."""
+    return _fft.irfftn(coeff, s=grid.shape, axes=(-3, -2, -1), norm="forward",
+                       workers=_workers())
 
 
 def ifft_xy(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
     """The x and y passes of irfftn_norm, in place on coeff, which is
     returned; irfft_p of it finishes the transform, one slice of a stack
-    at a time if need be.  With ball, as for irfftn_norm: the planes beyond
-    the ball are set to zero and the x pass runs on the ball's y rows."""
+    at a time if need be.  With ball, what coeff holds on the p-planes of
+    the 2/3 ball (grid.planes) must lie inside the ball (in_ball): the
+    other planes are set to zero, the x pass runs on the ball's y rows of
+    its planes and the y pass on its planes, and the samples are
+    irfftn_norm's bit for bit."""
     if not ball:
         for axis in (-3, -2):
             _fft.ifft(coeff, axis=axis, norm="forward", overwrite_x=True, workers=_workers())

@@ -155,30 +155,19 @@ def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return 1j * grid.KX * V1 + 1j * grid.KY * V2
 
 
-def _integral_to_p1(grid: Grid, F: np.ndarray, base=None, work=None,
-                    ball: bool = False) -> np.ndarray:
+def _integral_to_p1(grid: Grid, F: np.ndarray, base=None) -> np.ndarray:
     """base + integral from p to p1 of the zero-p-mean part of F, sampled.
 
     F holds spectral coefficients (one field or a stack).  The antiderivative
     G = F / (i kp) is taken mode by mode with the p-mean plane dropped, and
     G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
-    (default zero) is the value at p = p0.  Given a spectral work array to
-    build G in, F may be a view of its leading p-planes.  With ball, F lies
-    inside the 2/3 ball and holds at least its planes (grid.planes): G is
-    divided on the box's blocks alone (grid.blocks), zero elsewhere, and the
-    transform prunes (see irfftn_norm).
+    (default zero) is the value at p = p0.  The tendency takes omega the
+    same way, in its first inverse group (_products).
     """
-    n = F.shape[-1]
-    G = np.empty_like(F) if work is None else work
+    G = np.empty_like(F)
     G[..., 0] = 0.0
-    ikp = 1j * grid.kp[1:n]
-    if ball:
-        for (xs, ys), _ in grid.blocks(True):
-            np.divide(F[..., xs, ys, 1:], ikp, out=G[..., xs, ys, 1:n])
-        clear_outside_box(grid, G[..., :n])
-    else:
-        np.divide(F[..., 1:], ikp, out=G[..., 1:n])
-    G = irfftn_norm(grid, G, ball)
+    np.divide(F[..., 1:], 1j * grid.kp[1:], out=G[..., 1:])
+    G = irfftn_norm(grid, G)
     top = G[..., :1].copy() if base is None else base + G[..., :1]
     return np.subtract(top, G, out=G)
 
@@ -270,10 +259,10 @@ def _ramp(grid: Grid, params: PhysParams, gbar: np.ndarray) -> np.ndarray:
     return gbar[:, :, None] * (params.p1 - grid.p)[None, None, :]
 
 
-def _phi(grid: Grid, params: PhysParams, co: Coefficients, it: _Integrand) -> np.ndarray:
-    """phi = phi_s + gbar*(p1 - p) + integral from p to p1 of the fluctuation of g."""
-    return _integral_to_p1(grid, it.fluct_hat,
-                           co.phi_s[:, :, None] + _ramp(grid, params, it.gbar))
+def _phi(grid: Grid, co: Coefficients, it: _Integrand, ramp: np.ndarray) -> np.ndarray:
+    """phi = phi_s + gbar*(p1 - p) + integral from p to p1 of the fluctuation
+    of g, given the ramp gbar*(p1 - p) (_ramp)."""
+    return _integral_to_p1(grid, it.fluct_hat, co.phi_s[:, :, None] + ramp)
 
 
 def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
@@ -281,7 +270,8 @@ def diagnose_phi(theta: Field3D, params: PhysParams) -> Field3D:
     theta.require(PHYSICAL, "diagnose_phi")
     g = theta.grid
     co = Coefficients(g, params)
-    return Field3D.physical(g, _phi(g, params, co, _integrand(g, params, co, theta.data)))
+    it = _integrand(g, params, co, theta.data)
+    return Field3D.physical(g, _phi(g, co, it, _ramp(g, params, it.gbar)))
 
 
 def _hydrostatic_residual(grid: Grid, Pper: np.ndarray, it: _Integrand) -> float:
@@ -324,7 +314,8 @@ def hydrostatic_gradient_residual(theta: Field3D, params: PhysParams) -> float:
     g = theta.grid
     co = Coefficients(g, params)
     it = _integrand(g, params, co, theta.data)
-    Pper = rfftn_norm(g, _phi(g, params, co, it) - _ramp(g, params, it.gbar))
+    ramp = _ramp(g, params, it.gbar)
+    Pper = rfftn_norm(g, _phi(g, co, it, ramp) - ramp)
     Gb = np.ascontiguousarray(np.broadcast_to(it.gbar[:, :, None], g.shape))
     Gbhat = rfftn_norm(g, Gb)
     Ghat = Gbhat + it.fluct_hat
@@ -587,10 +578,12 @@ class Workspace:
 
     The scratch holds intermediate values of one tendency call or one step;
     nothing a call returns refers to it.  A run builds one workspace and
-    passes it to every step.  The spectra of the tendency's inverse (v1, v2
-    and the 12 derivatives) take their x and y passes in spec: all 14 at
-    once, or, where that stack would pass STREAM_BYTES (streamed), one
-    group at a time in a spec of three fields.  Both give the same bits.
+    passes it to every step.  The spectra of the tendency's inverse (v1, v2,
+    omega's antiderivative and the 12 derivatives) take their x and y passes
+    in spec: all 15 at once, or, where 14 fields would pass STREAM_BYTES
+    (streamed), one group at a time in a spec of three fields, which holds
+    the first group (v1, v2 and omega's antiderivative) exactly.  Both give
+    the same bits.
     With the whole stack (up to 32^3) the grid is one slab and prod holds
     its four products.  Streamed, prod is None: the passes along p on
     either side of each product run on x slabs (slabs), as wide as keeps
@@ -602,8 +595,9 @@ class Workspace:
     # tendency, the two paths interleaved in one process (2-core AMD EPYC,
     # one FFT thread, two runs), streamed against whole at N^3: +8 to +10%
     # at 16, +3% at 24, +1 to +2% at 32, -1 to -2% at 36 and 40, -5 to -8%
-    # at 44 and 48, -10 to -12% at 64.  The 14-field stack is 3.9 MB at
-    # 32^3 and 5.5 MB at 36^3.
+    # at 44 and 48, -10 to -12% at 64.  The rule counts the 14 fields of v1,
+    # v2 and the derivatives, 3.9 MB at 32^3 and 5.5 MB at 36^3; omega's
+    # slot does not move it.
     STREAM_BYTES = 4 << 20
     # the samples of one group (three fields) on one x slab
     SLAB_BYTES = 1 << 20
@@ -627,12 +621,12 @@ class Workspace:
                           else np.zeros(grid.spectral_shape))
         self.lam = np.stack([lam[which] for which in _VARIABLES])
         self.lam_max = float(self.lam.max())
-        # scratch of tendency: the spectral input of omega's inverse
-        # transform, that of the inverse of v1, v2 and the 12 derivatives,
-        # and the products (spec, slabs and prod: see above)
-        self.omega_hat = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        self.streamed = 14 * self.omega_hat.nbytes > self.STREAM_BYTES
-        self.spec = np.zeros((3 if self.streamed else 14,) + grid.spectral_shape,
+        # scratch of tendency: the spectral input of the inverse of v1, v2,
+        # omega's antiderivative and the 12 derivatives, and the products
+        # (spec, slabs and prod: see above)
+        field_bytes = 16 * int(np.prod(grid.spectral_shape))
+        self.streamed = 14 * field_bytes > self.STREAM_BYTES
+        self.spec = np.zeros((3 if self.streamed else 15,) + grid.spectral_shape,
                              dtype=np.complex128)
         width = (max(1, self.SLAB_BYTES // (3 * grid.ny * grid.np * 8)) if self.streamed
                  else grid.nx)
@@ -709,39 +703,46 @@ def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
     leading ws.planes p-planes, what lies beyond them undefined.  Un is the
     state's leading p-planes (ball as for ifft_xy).
 
-    The inverse transforms run in groups: omega, v1 and v2, then each
-    field's x, y and p derivatives.  The spectra take their x and y passes
-    in ws.spec, all 14 at once or, where ws.streamed, one group at a time;
-    omega, v1 and v2 take their pass along p whole.  On the whole stack the
-    four products are formed in ws.prod, group by group, and take one
-    forward pass.  Streamed, each group takes its pass along p, its product
-    (with the Coriolis term for v1 and v2) and that product's forward pass
-    one x slab (ws.slabs) at a time.  Every sample has the bits of
-    irfftn_norm, and every product and its pass those of the whole grid.
-    omega's divergence dx v1 + dy v2 (its fluctuating part only; a
-    projected state carries no vertical-mean divergence) is the sum of two
-    of the derivatives when they are all there, and is built from Un on the
-    box's blocks otherwise."""
+    The inverse transforms run in groups: v1, v2 and omega's antiderivative
+    G, then each field's x, y and p derivatives.  The spectra take their x
+    and y passes in ws.spec, all 15 at once or, where ws.streamed, one group
+    at a time; the first group takes its pass along p whole, and omega =
+    G(p0) - G follows in its samples.  On the whole stack the four products
+    are formed in ws.prod, group by group, and take one forward pass.
+    Streamed, each group takes its pass along p, its product (with the
+    Coriolis term for v1 and v2) and that product's forward pass one x slab
+    (ws.slabs) at a time.  Every sample has the bits of irfftn_norm, and
+    every product and its pass those of the whole grid.
+
+    G = (dx v1 + dy v2) / (i kp) is divided on the box's blocks, its p-mean
+    plane zero (a projected state carries no vertical-mean divergence) and
+    the rest of its planes cleared with ball.  The divergence is the sum of
+    two of the derivatives when they are all there, and is built from Un on
+    the box's blocks otherwise."""
     g, buf, n, m = ws.grid, ws.spec, Un.shape[-1], ws.planes
     params, variant = ws.params, ws.variant
-    D = ws.omega_hat[..., :n]
+    G = buf[2, ..., :n]
     if ws.streamed:
         for (xs, ys), _ in ws.blocks[ball]:
-            Db = D[xs, ys]
-            np.multiply(ws.iK[0][xs, ys, :n], Un[0, xs, ys], out=Db)
-            Db += np.multiply(ws.iK[1][xs, ys, :n], Un[1, xs, ys], out=buf[0, xs, ys, :n])
-        if ball:
-            clear_outside_box(g, D)
+            Gb = G[xs, ys]
+            np.multiply(ws.iK[0][xs, ys, :n], Un[0, xs, ys], out=Gb)
+            Gb += np.multiply(ws.iK[1][xs, ys, :n], Un[1, xs, ys], out=buf[0, xs, ys, :n])
     else:
-        _derivatives(ws, Un, buf[2:].reshape((4, 3) + buf.shape[1:]), ball)
-        np.add(buf[2, ..., :n], buf[6, ..., :n], out=D)
-    om = _integral_to_p1(g, D, work=ws.omega_hat, ball=ball)
+        _derivatives(ws, Un, buf[3:].reshape((4, 3) + buf.shape[1:]), ball)
+        np.add(buf[3, ..., :n], buf[7, ..., :n], out=G)
+    G[..., 0] = 0.0
+    ikp = 1j * g.kp[1:n]
+    for (xs, ys), _ in ws.blocks[ball]:
+        G[xs, ys, 1:] /= ikp
+    if ball:
+        clear_outside_box(g, G)
     buf[:2, ..., :n] = Un[:2]
+    v1, v2, om = irfft_p(g, ifft_xy(g, buf, ball)[:3])
+    np.subtract(om[..., :1].copy(), om, out=om)
     if not ws.streamed:
-        v1, v2 = irfft_p(g, ifft_xy(g, buf, ball)[:2])
         for i, Pi in enumerate(ws.prod):
             if variant.advection:
-                _advect(v1, v2, om, irfft_p(g, buf[2 + 3 * i:5 + 3 * i]), Pi)
+                _advect(v1, v2, om, irfft_p(g, buf[3 + 3 * i:6 + 3 * i]), Pi)
             else:
                 Pi.fill(0.0)
         cor1, cor2 = coriolis_term(v1, v2, params, variant)
@@ -750,7 +751,6 @@ def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
         del v1, v2, cor1, cor2, om  # before the forward pass's output arrives
         return rfft_p(ws.prod)
     H = np.empty((4,) + g.spectral_shape, dtype=np.complex128)
-    v1, v2 = irfft_p(g, ifft_xy(g, buf[:2], ball))
     for i, u in enumerate(Un):
         if variant.advection:
             _derivatives(ws, u, buf, ball)
@@ -784,19 +784,20 @@ def tendency(
     fresh one (nothing else refers to it); diagnose gives omega, Phi and T.
 
     Advection and rotation are products of physical samples, taken through
-    3-D transforms: 14 fields in (v1, v2 and the 12 derivatives of the
-    state), omega, and 4 fields out.  The 14-field inverse runs in groups:
-    v1 and v2, then each field's three derivatives (_products).  Its x and
-    y passes run in place in the workspace, over the whole stack on a small
-    grid and one group at a time on a large one (Workspace.streamed).  The
-    passes along p on either side of the products run one x slab at a time
-    (Workspace.slabs): a group's samples, its products, and the forward
-    transform's first pass, written into the result, whose x and y passes
-    (fields.fft_xy) then run on the whole of it.  So no group's samples and
-    no product exist on the whole grid beyond one slab, and every value
-    carries the bits of the whole-grid transforms.  omega's divergence
-    dx v1 + dy v2 is the sum of two of the derivatives when the whole
-    stack is there, and is built from the state's spectra when it streams.
+    3-D transforms: 15 fields in (v1, v2, omega's antiderivative and the 12
+    derivatives of the state) and 4 fields out.  The inverse runs in groups:
+    v1, v2 and omega's antiderivative, then each field's three derivatives
+    (_products).  Its x and y passes run in place in the workspace, over the
+    whole stack on a small grid and one group at a time on a large one
+    (Workspace.streamed).  The passes along p on either side of the products
+    run one x slab at a time (Workspace.slabs): a group's samples, its
+    products, and the forward transform's first pass, written into the
+    result, whose x and y passes (fields.fft_xy) then run on the whole of
+    it.  So no group's samples and no product exist on the whole grid beyond
+    one slab, and every value carries the bits of the whole-grid transforms.
+    omega's divergence dx v1 + dy v2 is the sum of two of the derivatives
+    when the whole stack is there, and is built from the state's spectra
+    when it streams.
 
     The pressure gradient and the vertical viscosity act along p alone and
     are taken on the horizontal spectra of the rows the mask keeps
@@ -813,15 +814,15 @@ def tendency(
     spectrum, one block, so both variants share the one tail.
 
     ws is the Workspace of (grid, params, variant); a temporary one is built
-    when none is given.  The transforms prune what is zero (see
-    irfftn_norm): whenever the variant dealiases the forward one computes
-    the box alone, skipping the p-planes beyond the 2/3 ball (grid.ball,
-    grid.planes) and, in its y pass, the x rows beyond the ball's radius on
-    x.  When the state lies inside the ball (fields.in_ball) the i k
-    multiplies that feed the inverse ones run on the box alone, the rest of
-    their planes set to zero, and the inverses skip those planes and the y
-    rows beyond the ball's radius on y in their x pass, bit for bit as the
-    full transforms.
+    when none is given.  The transforms prune what is zero (fields.fft_xy
+    and fields.ifft_xy): whenever the variant dealiases the forward one
+    computes the box alone, skipping the p-planes beyond the 2/3 ball
+    (grid.ball, grid.planes) and, in its y pass, the x rows beyond the
+    ball's radius on x.  When the state lies inside the ball
+    (fields.in_ball) the i k multiplies that feed the inverse ones run on
+    the box alone, the rest of their planes set to zero, and the inverses
+    skip those planes and the y rows beyond the ball's radius on y in their
+    x pass, bit for bit as the full transforms.
     """
     g = state.grid
     if ws is None:

@@ -231,9 +231,9 @@ def sample_context(state: State, params: PhysParams,
     spec = state.as_spectral().data
     phys = state.as_physical().data
     it = _integrand(g, params, co, phys[2])
-    phi = _phi(g, params, co, it)
+    ramp = _ramp(g, params, it.gbar)
     periodic_and_T = np.empty((2,) + g.shape)
-    np.subtract(phi, _ramp(g, params, it.gbar), out=periodic_and_T[0])
+    np.subtract(_phi(g, co, it, ramp), ramp, out=periodic_and_T[0])
     periodic_and_T[1] = it.T
     hats = rfftn_norm(g, periodic_and_T)
     return SampleContext(state, constants, spec, phys, _quadratic_forms(constants, spec),

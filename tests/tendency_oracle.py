@@ -13,7 +13,7 @@ import numpy as np
 
 from moistpe.fields import irfftn_norm, rfftn_norm
 from moistpe.model import (FAITHFUL, Coefficients, _divergence_hat, _integral_to_p1,
-                           _integrand, _phi, _viscosities, coriolis_term)
+                           _integrand, _phi, _ramp, _viscosities, coriolis_term)
 
 VARIABLES = ("v", "v", "theta", "q")
 
@@ -52,7 +52,8 @@ def tendency_3d(state, params, forcing=None, variant=FAITHFUL):
     grads = [irfftn_norm(g, np.stack([iKX * u, iKY * u, iKP * u])) for u in U]
     v1, v2, th = phys[0], phys[1], phys[2]
     om = _integral_to_p1(g, _divergence_hat(g, U[0], U[1]))
-    Phat = rfftn_norm(g, _phi(g, params, co, _integrand(g, params, co, th)))
+    it = _integrand(g, params, co, th)
+    Phat = rfftn_norm(g, _phi(g, co, it, _ramp(g, params, it.gbar)))
     dxphi, dyphi = irfftn_norm(g, np.stack([iKX * Phat, iKY * Phat]))
 
     P = np.zeros((4,) + g.shape)

@@ -10,6 +10,7 @@ import pytest
 
 import moistpe
 from moistpe import config as config_mod
+from moistpe import fields
 from moistpe import probes
 from moistpe.checkpoint import read_checkpoint, write_checkpoint
 from moistpe.cli import MUTATIONS, PROBE_KINDS, _build_forcing, main
@@ -562,3 +563,31 @@ def test_probe_gronwall_seed(monkeypatch):
     for extra in (["--seed", "0"], ["--seed", "4"], []):
         assert main(["probe", "gronwall", "--quiet", *extra]) == 0
     assert [c.get("seed", 11) for c in calls] == [0, 4, 11]
+
+
+# --- the thread count -----------------------------------------------------
+
+
+@pytest.fixture
+def fresh_workers():
+    """The worker count read from the environment again, and once more
+    after the test."""
+    fields._workers.cache_clear()
+    yield
+    fields._workers.cache_clear()
+
+
+def test_thread_count_is_read_once(monkeypatch, fresh_workers):
+    monkeypatch.setenv("MOISTPE_THREADS", "2")
+    assert fields._workers() == 2
+    monkeypatch.setenv("MOISTPE_THREADS", "3")
+    assert fields._workers() == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_run_rejects_a_malformed_thread_count(tmp_path, capsys, monkeypatch, fresh_workers,
+                                              value):
+    monkeypatch.setenv("MOISTPE_THREADS", value)
+    assert main(["run", "--config", _write_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "MOISTPE_THREADS" in err

@@ -333,10 +333,10 @@ def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
 
 
 def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft_log):
-    # 3-D passes: v1, v2 and the 12 derivatives in, omega, the products
-    # out; the transforms along p alone act on the rows of the 2/3 band,
-    # the x pass of each inverse on the y rows of the band, and the y pass
-    # of the forward one on its x rows
+    # 3-D passes: v1, v2, omega's antiderivative and the 12 derivatives in,
+    # the products out; the transforms along p alone act on the rows of the
+    # 2/3 band, the x pass of the inverse on the y rows of the band, and the
+    # y pass of the forward one on its x rows
     g = grid16
     state = _ball_state(g)
     ws = Workspace(g, params)
@@ -349,9 +349,9 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     assert along_p and all(shape[-3:] == (11, 6, 16) for shape in along_p)
     assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
     assert all(shape[-3] == g.nx and shape[-1] == g.planes(True) for shape in x_pass)
-    # the y rows of the x pass of each inverse: the 14-field stack, omega
-    rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in ((14,), ())}
-    assert len(x_pass) == 4 and rows == {(14,): 2 * g.ball[1] + 1, (): 2 * g.ball[1] + 1}
+    # the y rows of the x pass of the inverse: the 15-field stack
+    assert len(x_pass) == 2 and all(shape[:-3] == (15,) for shape in x_pass)
+    assert sum(shape[-2] for shape in x_pass) == 2 * g.ball[1] + 1
     _assert_the_forward_p_pass_runs_per_slab(ws, fft_log)
     _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
 
@@ -394,7 +394,8 @@ def _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log):
 
 def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_log):
     # the 19 fields and band rows of the 16^3 pin above, but each x and y
-    # pass takes one group: v1 and v2, then each field's three derivatives
+    # pass takes one group: v1, v2 and omega's antiderivative, then each
+    # field's three derivatives
     g = Grid(*_STREAMED, P0, P1)
     state = _ball_state(g)
     assert in_ball(g, state.data)
@@ -410,12 +411,9 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     assert along_p and all(shape[-3:] == band_rows for shape in along_p)
     assert not any(name in ("ifftn", "irfftn") for name, _, _ in fft_log)
     assert all(shape[-3] == g.nx and shape[-1] == g.planes(True) for shape in x_pass)
-    # the y rows of the x passes: v1 and v2, four groups of three, omega
-    leads = ((2,), (3,), ())
-    assert len(x_pass) == 12 and {shape[:-3] for shape in x_pass} == set(leads)
-    rows = {lead: sum(shape[-2] for shape in x_pass if shape[:-3] == lead) for lead in leads}
-    band = 2 * g.ball[1] + 1
-    assert rows == {(2,): band, (3,): 4 * band, (): band}
+    # the y rows of the x passes: five groups of three
+    assert len(x_pass) == 10 and all(shape[:-3] == (3,) for shape in x_pass)
+    assert sum(shape[-2] for shape in x_pass) == 5 * (2 * g.ball[1] + 1)
     _assert_the_forward_p_pass_runs_per_slab(ws, fft_log)
     _assert_the_forward_y_pass_takes_the_band_x_rows(g, fft_log)
 
@@ -647,7 +645,7 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     tendency(_ball_state(grid16, seed=3), params, ws=ws)
     tendency(_off_ball_state(grid16), params, ws=ws)
     assert np.array_equal(first.data, kept)
-    for scratch in (ws.spec, ws.omega_hat, ws.prod, ws.rows_in, ws.rows_work,
+    for scratch in (ws.spec, ws.prod, ws.rows_in, ws.rows_work,
                     ws.rows_plane, ws.box_terms, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
 

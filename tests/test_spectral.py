@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moistpe.errors import DataError, ParameterError
-from moistpe.fields import (Field3D, dealias, derivative, fft_p, HorizontalRows,
+from moistpe.fields import (Field3D, dealias, derivative, fft_p, fft_xy, HorizontalRows,
                             horizontal_spectra, ifft_xy, in_ball, irfft_p, irfftn_norm,
-                            parity_deviation, parity_part, rfftn_norm)
+                            parity_deviation, parity_part, rfft_p, rfftn_norm)
 from moistpe.grid import Grid
 from moistpe.norms import (l2_inner, sobolev_norm, spectral_weighted_sum,
                            weight_profile, weighted_norm_w)
@@ -80,28 +80,33 @@ def test_parseval(grid16):
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (24, 24, 24), (32, 32, 32), (16, 24, 20),
-                                   (18, 18, 18), (32, 48, 48)],
-                         ids=["16", "24", "32", "16x24x20", "18", "32x48x48"])
+                                   (18, 18, 18), (32, 48, 48), (64, 64, 64)],
+                         ids=["16", "24", "32", "16x24x20", "18", "32x48x48", "64"])
 def test_pruned_transforms_are_the_full_ones_in_the_ball(shape):
-    # the forward transform restricted to the box of the 2/3 ball (its
-    # y pass to the box's x rows) must give bit for bit the full one,
-    # masked; the inverse of a stack of spectra inside the ball, restricted
-    # to its p-planes and, in its x pass, to its y rows, the full inverse
+    # the passes the tendency runs: the forward transform restricted to the
+    # box of the 2/3 ball (its y pass to the box's x rows) must give bit for
+    # bit the full one, masked; the inverse of a stack of spectra inside
+    # the ball, restricted to its p-planes and, in its x pass, to its y
+    # rows, the full inverse; and off the ball, the inverse's passes run
+    # apart the full one-call inverse
     g = Grid(*shape, P0, P1)
     keep = g.planes(True)
     data = np.random.default_rng(sum(shape)).standard_normal((3,) + g.shape)
     full = rfftn_norm(g, data)
-    pruned = rfftn_norm(g, data, ball=True)
+    pruned = fft_xy(g, rfft_p(data), True)
     assert np.any(full[..., :keep][:, ~g.dealias_mask[..., :keep]])
     assert np.array_equal(pruned, full * g.dealias_mask)
 
     coeff = full * g.dealias_mask
     assert in_ball(g, coeff)
     samples = irfftn_norm(g, coeff)
+    assert not in_ball(g, full)
+    off_ball = irfftn_norm(g, full)
     for stack in (slice(None), 0):
         work = coeff[stack].copy()
         work[..., keep:] = 7.0  # whatever the work array holds beyond the planes
-        assert np.array_equal(irfftn_norm(g, work, ball=True), samples[stack])
+        assert np.array_equal(irfft_p(g, ifft_xy(g, work, True)), samples[stack])
+        assert np.array_equal(irfft_p(g, ifft_xy(g, full[stack].copy())), off_ball[stack])
 
 
 @pytest.mark.parametrize("kind", ["ball", "off-ball"])
