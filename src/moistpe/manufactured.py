@@ -24,13 +24,20 @@ spatial truncation residual, while any grid with K >= 7 (n >= 22, so 24 and
 The stored arrays are band-exact, exactly rather than to roundoff: the
 profiles are zero outside mode index four, and Q outside index seven, the
 highest its products reach, except for the roundoff the transforms leave
-at index eight.  They are stored only on the box that holds them, per axis
+at index eight.  The forcing lives on the box that holds them, per axis
 |j| <= max(K, 7).  On an axis whose ball holds index eight (K >= 8, from
 n = 26) that roundoff lies in the box and is kept, as the masked tendency
 keeps its own; on the others the box ends at seven and it is dropped.  So
 on every grid with K >= 7 (from n = 22, so 24, 32 and 64) the forcing, and
 so the forced trajectory, stays exactly inside the dealiased ball, where
 the tendency's transforms skip what lies outside it.
+
+Each array is stored on its own support inside that box: L, dense with
+the transforms' roundoff, on the whole box; U on |j| <= 4 (9 x 9 x 5 modes
+a field); Q on |j| <= 8, where the box holds it (17 x 17 x 9 from n = 26);
+and S, which is zero unless the surface geopotential phi_s is given, only
+when it is not zero.  At 64^3 they take 2.8 MB, against 10.4 MB with all
+four on the box.
 """
 
 from __future__ import annotations
@@ -118,27 +125,33 @@ def _profiles(case: ManufacturedCase, grid: Grid) -> State:
                    for fn in (v1, v2, theta, q)))
 
 
-def _box(grid: Grid, band: int) -> tuple:
-    """The index, in a state's spectral stack, of the box that holds every
-    coefficient of the stored arrays: per axis |j| <= max(K, 2 band - 1),
-    K the axis's radius of the 2/3 ball (grid.ball; the whole axis where
-    that reaches n/2).  The masked tendency keeps |j| <= K and Q is
-    band-exact at 2 band - 1, up to roundoff at 2 band that is kept only
-    where the ball holds it (see the module docstring).  x and y are index
+def _box(grid: Grid, reach, within=None) -> tuple:
+    """The index of the box |j| <= reach (one reach per axis) in a state's
+    spectral stack, or, given within (a reach per axis, none below
+    reach's), in the layout of the box |j| <= within.  x and y are index
     arrays that broadcast to the box's rows, p a slice of leading planes."""
-    jx, jy, jp = (np.flatnonzero(j.ravel() <= max(k, 2 * band - 1))
-                  for j, k in zip(grid.mode_index, grid.ball))
+    index = []
+    for j, r, w in zip(grid.mode_index, reach, within or (math.inf,) * 3):
+        j = j.ravel()
+        index.append(np.flatnonzero(j[j <= w] <= r))
+    jx, jy, jp = index
     return (slice(None), jx[:, None], jy, slice(0, jp.size))
 
 
 class ManufacturedSolution:
     """Precomputed forcing and exact states for one case on one grid.
 
-    The static response S, the linear response L, the quadratic response Q
-    and the profiles U are stored on their box (_box): at 64^3 that is 30%
-    of a full stack, at 16^3 all of it.  forcing is a model.Forcing on that
-    box: the tendency adds its values there, and forcing(t) gives the full
-    stack, zero off the box, read-only, a new array for each new time.
+    The forcing's box holds every coefficient of the stored arrays: per
+    axis |j| <= max(K, 2 band - 1), K the axis's radius of the 2/3 ball
+    (grid.ball; the whole axis where that reaches n/2).  The masked
+    tendency keeps |j| <= K, and Q is band-exact at 2 band - 1, up to
+    roundoff at 2 band that is kept only where the ball holds it (see the
+    module docstring).  The linear response L is stored on that box, the
+    profiles U on |j| <= band, the quadratic response Q on |j| <= 2 band
+    within the box, and the static response S on the box when it is not
+    zero (None otherwise).  forcing is a model.Forcing on the box: the
+    tendency adds its values there, and forcing(t) gives the full stack,
+    zero off the box, read-only, a new array for each new time.
     exact_state returns full stacks.
     """
 
@@ -151,24 +164,32 @@ class ManufacturedSolution:
         self.grid = grid
         self.params = params
         ustate = _profiles(case, grid)
-        self._box = box = _box(grid, case.band)
+        band = case.band
+        reach = tuple(max(k, 2 * band - 1) for k in grid.ball)
+        u_reach = (band,) * 3
+        q_reach = tuple(min(2 * band, r) for r in reach)
+        self._box = box = _box(grid, reach)
+        # where U and Q lie in the box's layout
+        self._ubox, self._qbox = _box(grid, u_reach, reach), _box(grid, q_reach, reach)
 
-        # stacked like a state, on the box: the static response S, the
-        # linear response L and the quadratic response Q of the profiles
-        self._S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data[box]
-        self._L = tendency(ustate, params,
-                           variant=FAITHFUL.with_(advection=False)).data[box] - self._S
-        quad = tendency(ustate, params, variant=ModelVariant(
-            advection=True, coriolis=False, pressure=False,
-            viscosity=False, dealias=False)).data[box]
+        # stacked like a state: the static response S and the linear
+        # response L on the box, the quadratic response Q and the profiles
+        # U on their boxes
+        S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data[box]
+        self._L = tendency(ustate, params, variant=FAITHFUL.with_(advection=False)).data[box] - S
+        # S is subtracted last, and subtracting +0 changes no bit
+        self._S = S if S.view(np.uint64).any() else None
         # band-exact (see the module docstring): the transforms leave
         # roundoff outside the band; a product of the profiles has under
         # twice it, and the box cuts 2 band where the ball does not hold it
-        self._Q = np.where(grid.band_mask(2 * case.band)[box[1:]], quad, 0.0)
-        self._Uhat = np.where(grid.band_mask(case.band)[box[1:]], ustate.data[box], 0.0)
+        self._Q = tendency(ustate, params, variant=ModelVariant(
+            advection=True, coriolis=False, pressure=False,
+            viscosity=False, dealias=False)).data[_box(grid, q_reach)]
+        self._u_index = _box(grid, u_reach)  # U's box in a state's stack
+        self._U = ustate.data[self._u_index]
         self.forcing = Forcing(grid, box, self._on_box)
         self._t = None  # the time of the values in _values
-        self._values = self._scratch = None  # the forcing on the box, one field of it
+        self._values = None  # the forcing on the box
 
     def modulation(self, t: float) -> tuple[float, float]:
         c, s = math.cos(self.case.sigma * t), math.sin(self.case.sigma * t)
@@ -180,32 +201,33 @@ class ManufacturedSolution:
     def _on_box(self, t: float) -> np.ndarray:
         """The forcing at time t on the box, mdot U - m L - m^2 Q - S with
         the operations in that order, in one array that the next new time
-        overwrites.  The latest time's values are kept: a Runge-Kutta step
-        asks twice for its midpoint, and the next step starts where this one
-        ended."""
+        overwrites.  Each term is taken on its own support, with the bits
+        of the four terms on the whole box: off U's box, mdot U is mdot
+        times a complex zero, and m^2 Q and S are +0 where they are not
+        stored, which no subtraction of them changes.  The latest time's
+        values are kept: a Runge-Kutta step asks twice for its midpoint,
+        and the next step starts where this one ended."""
         if self._t == t:
             return self._values
         m, mdot = self.modulation(t)
         if self._values is None:
             self._values = np.empty_like(self._L)
-            self._scratch = np.empty_like(self._L[0])
-        box = np.multiply(mdot, self._Uhat, out=self._values)
-        for f, L, Q in zip(box, self._L, self._Q):
-            f -= np.multiply(m, L, out=self._scratch)
-            f -= np.multiply(m * m, Q, out=self._scratch)
-        box -= self._S
+        box = np.multiply(m, self._L, out=self._values)
+        on_u = np.multiply(mdot, self._U)
+        on_u -= box[self._ubox]
+        np.subtract(np.multiply(mdot, np.zeros((), dtype=np.complex128)), box, out=box)
+        box[self._ubox] = on_u
+        box[self._qbox] -= np.multiply(m * m, self._Q)
+        if self._S is not None:
+            box -= self._S
         self._t = t
         return box
 
-    def _unboxed(self, box: np.ndarray) -> np.ndarray:
-        """A new full stack holding box on the box and zero elsewhere."""
-        out = np.zeros((4,) + self.grid.spectral_shape, dtype=np.complex128)
-        out[self._box] = box
-        return out
-
     def exact_state(self, t: float) -> State:
         m, _ = self.modulation(t)
-        return State.of(self.grid, self._unboxed(m * self._Uhat), SPECTRAL, t)
+        out = np.zeros((4,) + self.grid.spectral_shape, dtype=np.complex128)
+        out[self._u_index] = m * self._U
+        return State.of(self.grid, out, SPECTRAL, t)
 
     def initial_state(self) -> State:
         return self.exact_state(0.0)

@@ -589,6 +589,18 @@ class Workspace:
     either side of each product run on x slabs (slabs), as wide as keeps
     one group's samples on a slab within SLAB_BYTES (10 of the 64 x planes
     at 64^3), and each product is formed in its group's samples.
+
+    The scratch of the tendency's three phases, spec (the inverse),
+    rows_work (the operators on the rows) and box_tmp (the tail on the
+    box), are views of one buffer, scratch, as large as the largest of them
+    (spec, on the cubic grids from 16^3 to 64^3).  The phases run one after
+    the other: _products is done with spec before _row_terms fills
+    rows_work, rows_work is dead once its targets are in box_terms, and
+    only then does the tail write box_tmp.  Each phase writes every element
+    it reads before reading it, so what another phase left there is never
+    read.  rows_in and box_terms are live beside rows_work and keep their
+    own buffers.  At 64^3 the workspace holds 36.0 MB, 44.4 MB with a
+    buffer for each phase.
     """
 
     # Where splitting the stack starts to pay: the time of a warm in-ball
@@ -626,8 +638,7 @@ class Workspace:
         # (spec, slabs and prod: see above)
         field_bytes = 16 * int(np.prod(grid.spectral_shape))
         self.streamed = 14 * field_bytes > self.STREAM_BYTES
-        self.spec = np.zeros((3 if self.streamed else 15,) + grid.spectral_shape,
-                             dtype=np.complex128)
+        shapes = {"spec": (3 if self.streamed else 15,) + grid.spectral_shape}
         width = (max(1, self.SLAB_BYTES // (3 * grid.ny * grid.np * 8)) if self.streamed
                  else grid.nx)
         self.slabs = [slice(x, min(x + width, grid.nx)) for x in range(0, grid.nx, width)]
@@ -636,25 +647,32 @@ class Workspace:
         # real temporary, each stacked like a state
         self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
         self.real = np.empty((4,) + grid.spectral_shape)
-        if not (variant.pressure or variant.viscosity):
-            self.band = None  # no term along p: no operators on the rows
-            return
-        self.band = _VerticalBand(grid, params, co, variant.dealias)
-        # scratch of the operators on the rows: the rows gathered from the
-        # state and their mirrors, six fields on the rows (four fluxes, the
-        # integrand, a temporary), one plane of them, and on the box's kept
-        # planes six fields (five results, and i ky times the last of them)
-        rows = self.band.rows
-        jx, jy = rows.box
-        self.rows_in = np.empty((2, 4, rows.indices.size, grid.np // 2 + 1), dtype=np.complex128)
-        self.rows_work = np.empty((6,) + rows.shape + (grid.np,), dtype=np.complex128)
-        self.rows_plane = np.empty(rows.shape, dtype=np.complex128)
-        self.box_terms = np.empty((6,) + rows.src.shape, dtype=np.complex128)
-        if variant.viscosity:
-            # mu |k_h|^2 of v1, v2, theta and q on the box, and a temporary
-            self.mu_box = np.stack([mu_kh2[which][jx][:, jy, :self.planes]
-                                    for which in _VARIABLES]).astype(np.complex128)
-            self.box_tmp = np.empty_like(self.mu_box)
+        self.band = None  # without a term along p: no operators on the rows
+        if variant.pressure or variant.viscosity:
+            self.band = _VerticalBand(grid, params, co, variant.dealias)
+            # scratch of the operators on the rows: the rows gathered from
+            # the state and their mirrors, six fields on the rows (four
+            # fluxes, the integrand, a temporary), one plane of them, and on
+            # the box's kept planes six fields (five results, and i ky times
+            # the last of them)
+            rows = self.band.rows
+            jx, jy = rows.box
+            self.rows_in = np.empty((2, 4, rows.indices.size, grid.np // 2 + 1),
+                                    dtype=np.complex128)
+            shapes["rows_work"] = (6,) + rows.shape + (grid.np,)
+            self.rows_plane = np.empty(rows.shape, dtype=np.complex128)
+            self.box_terms = np.empty((6,) + rows.src.shape, dtype=np.complex128)
+            if variant.viscosity:
+                # mu |k_h|^2 of v1, v2, theta and q on the box, and a temporary
+                self.mu_box = np.stack([mu_kh2[which][jx][:, jy, :self.planes]
+                                        for which in _VARIABLES]).astype(np.complex128)
+                shapes["box_tmp"] = self.mu_box.shape
+        # spec, rows_work and box_tmp are views of the one buffer scratch
+        # (see above)
+        sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
+        self.scratch = np.empty(max(sizes.values()), dtype=np.complex128)
+        for name, shape in shapes.items():
+            setattr(self, name, self.scratch[:sizes[name]].reshape(shape))
 
 
 def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
@@ -857,7 +875,8 @@ def tendency(
         if variant.pressure:
             Hb[:2] -= terms[4:, xb, yb]
     if forcing is not None:
-        H[forcing.box] += forcing.on_box(state.t)
+        values = forcing.on_box(state.t)  # before H[box]'s copy is taken
+        H[forcing.box] += values
 
     return Tendency.of(g, H, SPECTRAL, state.t)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, SamplingError
 from .fields import (SPECTRAL, Field3D, HorizontalRows, fft2_norm, horizontal_spectra,
-                     in_ball, irfftn_norm, parity_deviation, rfftn_norm)
+                     ifft_xy, in_ball, irfft_p, irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
@@ -391,20 +391,38 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
             np.multiply(out, k.mask, out=out)
 
         pairs = _w_sums(k, 3, dp, dp_masked)[:, 0]
+    # Each whole-grid temporary below is dropped once its number exists,
+    # and built in place where that keeps the order of the operations.
     # dealias(rfft((p0/p)^kappa theta))
     s_hat = rfftn_norm(g, k.co.pk * ctx.phys[2])
     s_hat *= k.mask
     pair_theta = _w_sums(k, 1, lambda i, out: np.multiply(k.iKP, s_hat, out=out))[0, 0]
+    del s_hat
 
     # -<v, grad Phi> = <div v, Phi>.  The spectrum of Phi is that of Phi
     # minus its ramp (phi_s included) plus that of the ramp gbar (p1 - p),
     # a product of a horizontal and a vertical spectrum.
-    D = _divergence_hat(g, V1, V2)
-    Phat = ctx.hats[0] + fft2_norm(ctx.it.gbar)[:, :, None] * k.ramp_hat
+    D = np.multiply(1j * g.KX, V1)
+    D += 1j * g.KY * V2
+    Phat = np.multiply(fft2_norm(ctx.it.gbar)[:, :, None], k.ramp_hat)
+    np.add(ctx.hats[0], Phat, out=Phat)
     coupling = _pair(g, D, Phat)
+    del Phat
 
-    om = _integral_to_p1(g, D)
-    heat_flux = -float(g.volume * np.mean(ctx.it.gfield * om))
+    # omega = G(p0) - G, G = D / (i kp) without the p-mean plane; inside the
+    # ball on the pruned route, as the tendency takes it (fields.ifft_xy)
+    if ctx.in_ball:
+        planes = g.planes(True)
+        D[..., 0] = 0.0
+        D[..., 1:planes] /= 1j * g.kp[1:planes]
+        om = irfft_p(g, ifft_xy(g, D, True))
+        np.subtract(om[..., :1].copy(), om, out=om)
+    else:
+        om = _integral_to_p1(g, D)
+    del D
+    om *= ctx.it.gfield
+    heat_flux = -float(g.volume * np.mean(om))
+    del om
 
     if forcing is not None:
         # each field's forcing, zero off its box, in one buffer in turn
@@ -413,6 +431,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
         for u, values in zip(U, forcing.on_box(state.t)):
             f[forcing.box[1:]] = values
             work.append(_pair(g, u, f))
+        del f
         w_f_v = work[0] + work[1]
         w_f_th, w_f_q = work[2:]
     else:

@@ -204,10 +204,15 @@ def test_stored_arrays_are_band_exact(grid24, params):
         assert not np.any(f.data[..., grid.planes(True):])
 
 
-def test_forcing_on_the_box_is_the_forcing_of_the_full_stacks(params):
-    # the responses built on the whole grid have nothing off the box, so
-    # the stored box gives the forcing and the exact states bit for bit
-    grid = Grid(32, 32, 32, params.p0, params.p1)
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_the_forcing_of_the_full_stacks(grid, params):
+    # the responses built on the whole grid have nothing off the box, and U
+    # and Q nothing off their own boxes, so the stored arrays give the
+    # forcing and the exact states bit for bit (on the box with the sign of
+    # every zero)
     ms = ManufacturedSolution(get_case("brisk"), grid, params)
     band = ms.case.band
     u = _profiles(ms.case, grid)
@@ -218,11 +223,30 @@ def test_forcing_on_the_box_is_the_forcing_of_the_full_stacks(params):
                                                     dealias=False)).data
     Q = np.where(grid.band_mask(2 * band), quad, 0.0)
     U = np.where(grid.band_mask(band), u.data, 0.0)
-    assert ms._S.size < S.size
-    for t in (0.0, 0.3):
+    for t in (0.0, 0.3, 0.37):
         m, mdot = ms.modulation(t)
-        assert np.array_equal(ms.forcing(t), mdot * U - m * L - (m * m) * Q - S)
+        want = mdot * U - m * L - (m * m) * Q - S
+        assert np.array_equal(ms.forcing(t), want)
+        assert np.array_equal(_bits(ms.forcing(t)[ms._box]), _bits(want[ms._box]))
         assert np.array_equal(ms.exact_state(t).data, m * U)
+    return ms, S
+
+
+def test_forcing_on_the_box_is_the_forcing_of_the_full_stacks(params):
+    # without phi_s the static response S is zero and is not stored
+    grid = Grid(32, 32, 32, params.p0, params.p1)
+    ms, S = _assert_the_forcing_of_the_full_stacks(grid, params)
+    assert ms._S is None and not np.any(S)
+    assert ms._L.shape == (4, 21, 21, 11)  # the box, |j| <= K = 10
+    assert ms._U.shape == (4, 9, 9, 5) and ms._Q.shape == (4, 17, 17, 9)
+
+
+def test_forcing_with_phi_s_subtracts_its_static_response(params):
+    grid = Grid(32, 32, 32, params.p0, params.p1)
+    x, y = grid.x[:, None], grid.y[None, :]
+    params = params.with_(phi_s=np.sin(2 * np.pi * x) + 0.5 * np.cos(2 * np.pi * (x + y)))
+    ms, S = _assert_the_forcing_of_the_full_stacks(grid, params)
+    assert ms._S is not None and np.any(S)
 
 
 def test_forcing_is_kept_for_the_last_time_and_read_only(grid16, params):
@@ -256,11 +280,16 @@ def test_forcing_of_an_earlier_time_is_left_unchanged(n, params):
     assert np.array_equal(first, kept)
     assert not first.flags.writeable and not second.flags.writeable
     # the operations of mdot U - m L - m^2 Q - S, in that order, on the box
-    # the arrays are stored on, and zero off it
+    # L is stored on, U and Q zero off theirs and S zero, bit for bit; and
+    # zero off the box
     off_box = np.ones(first.shape, dtype=bool)
     off_box[ms._box] = False
     assert np.any(off_box) == (n != 14)
+    assert ms._S is None
+    U, Q = np.zeros_like(ms._L), np.zeros_like(ms._L)
+    U[ms._ubox], Q[ms._qbox] = ms._U, ms._Q
     for t, f in ((t1, first), (t2, second)):
         m, mdot = ms.modulation(t)
-        assert np.array_equal(f[ms._box], mdot * ms._Uhat - m * ms._L - (m * m) * ms._Q - ms._S)
+        want = mdot * U - m * ms._L - (m * m) * Q - np.zeros_like(U)
+        assert np.array_equal(_bits(f[ms._box]), _bits(want))
         assert not np.any(f[off_box])

@@ -80,9 +80,11 @@ def test_a_forced_erk4_step_on_a_streamed_grid_holds_its_two_tendencies_and_slab
 def test_a_forced_record_holds_few_stacks_at_once(params):
     # one record point of a forced run at 48^3: the sample converted once,
     # the budget and the norm panel.  The weighted sums take their fields
-    # in chunks and the forcing is paired field by field: under 5 spectral
-    # stacks (6.0 with the five vertical fields, their horizontal spectra
-    # and the forcing's full stack at once)
+    # in chunks, the forcing is paired field by field, and the budget drops
+    # each whole-grid temporary once its number exists: under 4.3 spectral
+    # stacks, set by a chunk of the weighted sums (4.4 when the budget held
+    # its temporaries to its end, 6.0 with the five vertical fields, their
+    # horizontal spectra and the forcing's full stack at once)
     g = Grid(48, 48, 48, params.p0, params.p1)
     ms = ManufacturedSolution(get_case("gentle"), g, params)
     constants = monitors.MonitorConstants(g, params)
@@ -99,13 +101,15 @@ def test_a_forced_record_holds_few_stacks_at_once(params):
     finally:
         tracemalloc.stop()
     assert ctx.in_ball
-    assert peak <= 5 * _stack_bytes(g.spectral_shape)
+    assert peak <= 4.3 * _stack_bytes(g.spectral_shape)
 
 
 def test_a_streamed_workspace_holds_a_3_field_inverse_scratch(params):
     # past Workspace.STREAM_BYTES the tendency's inverse runs one group at a
-    # time through 3 spectral fields, not all 14 of the whole stack: the
-    # workspace then holds ~28 spectral fields, ~39 with the whole stack
+    # time through 3 spectral fields, not all 15 of the whole stack, and the
+    # scratch of the operators on the rows and of the tail shares that
+    # buffer: the workspace then holds 4.05 spectral stacks (4.95 with a
+    # buffer of its own for each phase, 8.0 with the whole stack)
     g = Grid(32, 48, 48, params.p0, params.p1)
     Workspace(g, params)  # the grid's cached arrays
     gc.collect()
@@ -117,12 +121,14 @@ def test_a_streamed_workspace_holds_a_3_field_inverse_scratch(params):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert kept <= 7.5 * _stack_bytes(g.spectral_shape)
+    assert kept <= 4.2 * _stack_bytes(g.spectral_shape)
     assert ws.streamed
+    assert ws.scratch.size == ws.spec.size > max(ws.rows_work.size, ws.box_tmp.size)
 
 
 def test_manufactured_arrays_take_the_bytes_of_their_box(params):
-    # S, L, Q and U on the box; at 32^3 the box is 28% of the grid
+    # L on the forcing's box (28% of the grid at 32^3), U on |j| <= band and
+    # Q on |j| <= 2 band, and S, zero without phi_s, not at all
     g = _grid32(params)
     ManufacturedSolution(get_case("gentle"), g, params)  # the grid's cached arrays
     gc.collect()
@@ -134,11 +140,16 @@ def test_manufactured_arrays_take_the_bytes_of_their_box(params):
         kept = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    # per axis the modes |j| <= max(K, 2 band), K the radius of the ball
-    half = [max(k, 2 * ms.case.band) for k in g.ball]
-    box = _stack_bytes([np.count_nonzero(j.ravel() <= h) for j, h in zip(g.mode_index, half)])
-    assert 4 * box < 2 * _stack_bytes(g.spectral_shape)
-    assert kept <= 4 * box + 16 * 1024
+    def box(reach):  # the bytes of a stack on the modes |j| <= reach per axis
+        return _stack_bytes([np.count_nonzero(j.ravel() <= r) for j, r in zip(g.mode_index, reach)])
+
+    # the forcing's box: per axis |j| <= max(K, 2 band - 1), K the radius
+    # of the ball
+    band = ms.case.band
+    forcing_box = box([max(k, 2 * band - 1) for k in g.ball])
+    assert ms._S is None
+    assert 4 * forcing_box < 2 * _stack_bytes(g.spectral_shape)
+    assert kept <= forcing_box + box([band] * 3) + box([2 * band] * 3) + 16 * 1024
 
 
 def test_checkpoint_read_holds_about_one_payload(tmp_path, params):

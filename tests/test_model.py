@@ -17,6 +17,7 @@ import pytest
 
 from moistpe.errors import ConstraintError, DataError, ParameterError
 from moistpe.fields import SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
+from moistpe import model
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
 from moistpe.model import (FAITHFUL, Forcing, ModelVariant, Workspace, _pair, barotropic_project, diagnose,
@@ -648,6 +649,49 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     for scratch in (ws.spec, ws.prod, ws.rows_in, ws.rows_work,
                     ws.rows_plane, ws.box_terms, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
+
+
+# every scratch buffer of a workspace: scratch holds spec, rows_work and
+# box_tmp, which the tendency's phases take in turn
+_SCRATCH = ("scratch", "prod", "rows_in", "rows_plane", "box_terms", "stage", "real")
+
+
+@pytest.mark.parametrize("n", [16, 24, 40])
+@pytest.mark.parametrize("name", ["faithful", "no-dealias", "viscosity-only", "advection-only"])
+def test_no_phase_reads_scratch_it_did_not_write(n, name, params, monkeypatch):
+    # NaN in every scratch buffer before each call, and in the shared one
+    # again on either side of the operators on the rows: a phase that read
+    # what an earlier call or phase left there would carry NaN into the
+    # result.  24^3 takes the whole stack and 40^3 streams; in-ball and
+    # off-ball states alternate on one workspace
+    g = _grid(n)
+    variant = {"faithful": FAITHFUL, "no-dealias": FAITHFUL.with_(dealias=False),
+               "viscosity-only": ModelVariant(advection=False, coriolis=False, pressure=False),
+               "advection-only": ModelVariant(coriolis=False, pressure=False, viscosity=False),
+               }[name]
+    states = [_oracle_state(g, kind) for kind in ("ball", "off-ball", "ball")]
+    want = [tendency(state, params, variant=variant).data for state in states]
+    row_terms = model._row_terms
+
+    def poisoned_row_terms(ws, U):
+        ws.scratch.fill(np.nan)
+        terms = row_terms(ws, U)
+        ws.scratch.fill(np.nan)
+        return terms
+
+    monkeypatch.setattr(model, "_row_terms", poisoned_row_terms)
+    ws = Workspace(g, params, variant)
+    assert ws.streamed == (n == 40)
+    for shared in ("spec", "rows_work", "box_tmp"):
+        view = getattr(ws, shared, None)
+        assert view is None or view.base is ws.scratch
+    for state, w in zip(states, want):
+        for buffer in _SCRATCH:
+            if getattr(ws, buffer, None) is not None:
+                getattr(ws, buffer).fill(np.nan)
+        got = tendency(state, params, variant=variant, ws=ws).data
+        assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+    assert in_ball(g, states[0].data) and not in_ball(g, states[1].data)
 
 
 def test_tendency_rejects_a_workspace_of_other_params(grid16, params):

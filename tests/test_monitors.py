@@ -168,8 +168,12 @@ def test_one_record_from_one_context_is_cheap(grid16, params, fft_calls, monkeyp
     st.checksum(ctx)
     budget_terms(st, params, ctx=ctx)
     # [calls, fields]: [35, 44] when every monitor converted the state itself
-    # (one more 2-D call in omega_top_residual went through numpy.fft then)
-    assert fft_calls == [11, 20]
+    # (one more 2-D call in omega_top_residual went through numpy.fft then).
+    # The state lies in the ball, so the budget's omega takes the pruned
+    # inverse: two x-pass calls on the ball's y rows, the y pass and the
+    # pass along p, each moving one field, where one irfftn call was ([11, 20])
+    assert ctx.in_ball
+    assert fft_calls == [14, 23]
     assert builds[0] == 0
 
 

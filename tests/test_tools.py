@@ -1,6 +1,9 @@
 """The repository's own tools, loaded from their files."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,19 @@ def test_a_string_that_is_not_a_docstring_is_counted(code_lines):
     source = 'def f():\n    x = 1\n    """not a docstring"""\n    return x\n'
     assert code_lines(source) == 4
     assert code_lines('x = """a\nb"""\n') == 2
+
+
+def test_peak_rss_prints_one_positive_number_for_a_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.nx = 16\ngrid.ny = 16\ngrid.np = 16\n"
+                   "time.dt = 1e-3\ntime.t_end = 2e-3\n"
+                   "initial.kind = random_smooth:3,0.5\n")
+    src = str(TOOLS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, str(TOOLS / "peak_rss.py"), sys.executable, "-m",
+                           "moistpe", "run", "--config", str(cfg), "--quiet"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    words = done.stdout.split()
+    assert len(words) == 1 and float(words[0]) > 0.0
