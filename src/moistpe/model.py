@@ -152,7 +152,9 @@ def theta_from_temperature(T: Field3D, params: PhysParams) -> Field3D:
 
 
 def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    return 1j * grid.KX * V1 + 1j * grid.KY * V2
+    D = np.multiply(1j * grid.KX, V1)
+    D += 1j * grid.KY * V2
+    return D
 
 
 def _integral_to_p1(grid: Grid, F: np.ndarray, base=None) -> np.ndarray:

@@ -39,7 +39,6 @@ from .model import (
     ModelVariant,
     _divergence_hat,
     _hydrostatic_residual,
-    _integral_to_p1,
     _Integrand,
     _integrand,
     _pair,
@@ -402,24 +401,20 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     # -<v, grad Phi> = <div v, Phi>.  The spectrum of Phi is that of Phi
     # minus its ramp (phi_s included) plus that of the ramp gbar (p1 - p),
     # a product of a horizontal and a vertical spectrum.
-    D = np.multiply(1j * g.KX, V1)
-    D += 1j * g.KY * V2
+    D = _divergence_hat(g, V1, V2)
     Phat = np.multiply(fft2_norm(ctx.it.gbar)[:, :, None], k.ramp_hat)
     np.add(ctx.hats[0], Phat, out=Phat)
     coupling = _pair(g, D, Phat)
     del Phat
 
-    # omega = G(p0) - G, G = D / (i kp) without the p-mean plane; inside the
-    # ball on the pruned route, as the tendency takes it (fields.ifft_xy)
-    if ctx.in_ball:
-        planes = g.planes(True)
-        D[..., 0] = 0.0
-        D[..., 1:planes] /= 1j * g.kp[1:planes]
-        om = irfft_p(g, ifft_xy(g, D, True))
-        np.subtract(om[..., :1].copy(), om, out=om)
-    else:
-        om = _integral_to_p1(g, D)
+    # omega = G(p0) - G, G = D / (i kp) without the p-mean plane, in place
+    # in D and on the pruned route inside the ball, as the tendency takes it
+    planes = g.planes(ctx.in_ball)
+    D[..., 0] = 0.0
+    D[..., 1:planes] /= 1j * g.kp[1:planes]
+    om = irfft_p(g, ifft_xy(g, D, ctx.in_ball))
     del D
+    np.subtract(om[..., :1].copy(), om, out=om)
     om *= ctx.it.gfield
     heat_flux = -float(g.volume * np.mean(om))
     del om
