@@ -108,7 +108,8 @@ class Field3D:
 # rfftn_norm and irfftn_norm are the plain full transforms, one call each.
 # The tendency runs their passes apart, on the one pruned route: the
 # forward transform as rfft_p, then fft_xy in place on its result; the
-# inverse as ifft_xy in place, then irfft_p.  A pass along p acts on each
+# inverse as ifft_xy in place, then irfft_p, as the vertical integrals of
+# the diagnostics and monitors (model._integral_to_p1) also take it.  A pass along p acts on each
 # line alone, so a stack can take it in slices (an x slab at a time, say),
 # and the slices get the same bits as the whole stack.
 #

@@ -36,8 +36,7 @@ Each array is stored on its own support inside that box: L, dense with
 the transforms' roundoff, on the whole box; U on |j| <= 4 (9 x 9 x 5 modes
 a field); Q on |j| <= 8, where the box holds it (17 x 17 x 9 from n = 26);
 and S, which is zero unless the surface geopotential phi_s is given, only
-when it is not zero.  At 64^3 they take 2.8 MB, against 10.4 MB with all
-four on the box.
+when it is not zero.  At 64^3 they take 2.8 MB.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ class ManufacturedSolution:
     within the box, and the static response S on the box when it is not
     zero (None otherwise).  forcing is a model.Forcing on the box: the
     tendency adds its values there, and forcing(t) gives the full stack,
-    zero off the box, read-only, a new array for each new time.
+    zero off the box, read-only, a new array for each call.
     exact_state returns full stacks.
     """
 

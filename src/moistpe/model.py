@@ -160,16 +160,21 @@ def _divergence_hat(grid: Grid, V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
 def _integral_to_p1(grid: Grid, F: np.ndarray, base=None) -> np.ndarray:
     """base + integral from p to p1 of the zero-p-mean part of F, sampled.
 
-    F holds spectral coefficients (one field or a stack).  The antiderivative
-    G = F / (i kp) is taken mode by mode with the p-mean plane dropped, and
-    G(p0) - G(p) equals the integral from p to p1 by periodicity.  base
-    (default zero) is the value at p = p0.  The tendency takes omega the
-    same way, in its first inverse group (_products).
+    F holds spectral coefficients (one field or a stack) and is left as it
+    was.  The antiderivative G = F / (i kp) is taken mode by mode with the
+    p-mean plane dropped, on the p-planes F can occupy (in_ball, as tendency
+    reads it), and G(p0) - G(p) equals the integral from p to p1 by
+    periodicity.  Its samples take the inverse's passes apart, pruned inside
+    the ball, with irfftn_norm's bits either way.  base (default zero) is
+    the value at p = p0.  The tendency takes omega the same way, in its
+    first inverse group (_products).
     """
+    ball = in_ball(grid, F)
+    n = grid.planes(ball)
     G = np.empty_like(F)
     G[..., 0] = 0.0
-    np.divide(F[..., 1:], 1j * grid.kp[1:], out=G[..., 1:])
-    G = irfftn_norm(grid, G)
+    np.divide(F[..., 1:n], 1j * grid.kp[1:n], out=G[..., 1:n])
+    G = irfft_p(grid, ifft_xy(grid, G, ball))
     top = G[..., :1].copy() if base is None else base + G[..., :1]
     return np.subtract(top, G, out=G)
 
@@ -533,16 +538,14 @@ class Forcing:
     responses (manufactured._box); forcing read from a file is one stack at
     every time, on the whole half spectrum (static).
 
-    Called with t, a Forcing gives the full stack, zero off the box and
-    read-only.  The latest (t, stack) pair is kept, and each new time gets
-    a new array, so a stack returned earlier never changes.
+    Called with t, a Forcing gives the full stack, zero off the box, in a
+    new read-only array, so a stack returned earlier never changes.
     """
 
     def __init__(self, grid: Grid, box: tuple, on_box: Callable[[float], np.ndarray]):
         self.grid = grid
         self.box = box
         self.on_box = on_box
-        self._last = None  # (t, full stack) of the latest call
 
     @classmethod
     def static(cls, grid: Grid, stack: np.ndarray) -> "Forcing":
@@ -552,12 +555,9 @@ class Forcing:
         return cls(grid, (slice(None),) * 4, lambda t: values)
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._last is not None and self._last[0] == t:
-            return self._last[1]
         f = np.zeros((4,) + self.grid.spectral_shape, dtype=np.complex128)
         f[self.box] = self.on_box(t)
         f.flags.writeable = False
-        self._last = (t, f)
         return f
 
 
@@ -601,17 +601,19 @@ class Workspace:
     only then does the tail write box_tmp.  Each phase writes every element
     it reads before reading it, so what another phase left there is never
     read.  rows_in and box_terms are live beside rows_work and keep their
-    own buffers.  At 64^3 the workspace holds 36.0 MB, 44.4 MB with a
-    buffer for each phase.
+    own buffers.  At 64^3 the workspace holds 36.0 MB.
     """
 
     # Where splitting the stack starts to pay: the time of a warm in-ball
-    # tendency, the two paths interleaved in one process (2-core AMD EPYC,
-    # one FFT thread, two runs), streamed against whole at N^3: +8 to +10%
-    # at 16, +3% at 24, +1 to +2% at 32, -1 to -2% at 36 and 40, -5 to -8%
-    # at 44 and 48, -10 to -12% at 64.  The rule counts the 14 fields of v1,
-    # v2 and the derivatives, 3.9 MB at 32^3 and 5.5 MB at 36^3; omega's
-    # slot does not move it.
+    # tendency, the two paths interleaved in one process (one FFT thread),
+    # streamed against whole at N^3.  On a 2-core AMD EPYC (two runs): +8 to
+    # +10% at 16, +3% at 24, +1 to +2% at 32, -1 to -2% at 36 and 40, -5 to
+    # -8% at 44 and 48, -10 to -12% at 64.  On a 2-core Intel Xeon (ten
+    # runs of an unforced state, two sittings) the streamed/whole ratio was
+    # 1.16-1.18 at 16 and 1.07-1.24 at 24 (slower in 9-10 of 10), 0.93-0.97
+    # at 32 (faster in 7-10 of 10).  The rule counts the 14 fields of v1, v2
+    # and the derivatives, 3.9 MB at 32^3 and 5.5 MB at 36^3; omega's slot
+    # does not move it.
     STREAM_BYTES = 4 << 20
     # the samples of one group (three fields) on one x slab
     SLAB_BYTES = 1 << 20
@@ -884,12 +886,15 @@ def tendency(
 
 
 def diagnose(state: State, params: PhysParams) -> Diagnostics:
-    """Fresh omega, Phi and T for the given state (with the constraint check)."""
-    phys = state.as_physical()
+    """Fresh omega, Phi and T for the given state (with the constraint check),
+    those of diagnose_omega, diagnose_phi and temperature_from_theta, from
+    one set of profiles and one integrand."""
+    g, phys = state.grid, state.as_physical()
     omega = diagnose_omega(phys.v1, phys.v2)
-    phi = diagnose_phi(phys.theta, params)
-    temperature = temperature_from_theta(phys.theta, params)
-    return Diagnostics(omega, phi, temperature)
+    co = Coefficients(g, params)
+    it = _integrand(g, params, co, phys.theta.data)
+    phi = _phi(g, co, it, _ramp(g, params, it.gbar))
+    return Diagnostics(omega, Field3D.physical(g, phi), Field3D.physical(g, it.T))
 
 
 # --- energy pairings used by the budget monitor ---------------------------

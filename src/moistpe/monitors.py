@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DataError, SamplingError
 from .fields import (SPECTRAL, Field3D, HorizontalRows, fft2_norm, horizontal_spectra,
-                     ifft_xy, in_ball, irfft_p, irfftn_norm, parity_deviation, rfftn_norm)
+                     in_ball, irfftn_norm, parity_deviation, rfftn_norm)
 from .model import (
     FAITHFUL,
     Coefficients,
@@ -40,6 +40,7 @@ from .model import (
     _divergence_hat,
     _hydrostatic_residual,
     _Integrand,
+    _integral_to_p1,
     _integrand,
     _pair,
     _phi,
@@ -47,7 +48,6 @@ from .model import (
     _ramp_hat,
     _viscosities,
     coriolis_term,
-    diagnose_omega,
     divergence_residual,
     omega_top_residual,
 )
@@ -407,14 +407,9 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     coupling = _pair(g, D, Phat)
     del Phat
 
-    # omega = G(p0) - G, G = D / (i kp) without the p-mean plane, in place
-    # in D and on the pruned route inside the ball, as the tendency takes it
-    planes = g.planes(ctx.in_ball)
-    D[..., 0] = 0.0
-    D[..., 1:planes] /= 1j * g.kp[1:planes]
-    om = irfft_p(g, ifft_xy(g, D, ctx.in_ball))
+    # the heat flux: omega, the integral from p to p1 of D, times R T / p
+    om = _integral_to_p1(g, D)
     del D
-    np.subtract(om[..., :1].copy(), om, out=om)
     om *= ctx.it.gfield
     heat_flux = -float(g.volume * np.mean(om))
     del om
@@ -552,11 +547,9 @@ def minkowski_probe(v1: Field3D, v2: Field3D) -> tuple[float, float]:
     For a projected field, ||omega||_L2 <= sqrt(Lp) times the second value.
     """
     g = v1.grid
-    om = diagnose_omega(v1, v2, check=False)
-    lhs = sobolev_norm(om.as_spectral(), 0)
-    V1 = v1.as_spectral().data
-    V2 = v2.as_spectral().data
-    div = irfftn_norm(g, _divergence_hat(g, V1, V2))
+    D = _divergence_hat(g, v1.as_spectral().data, v2.as_spectral().data)
+    div = irfftn_norm(g, D)
+    lhs = sobolev_norm(Field3D.physical(g, _integral_to_p1(g, D)).as_spectral(), 0)
     level = np.sqrt(np.mean(div**2, axis=(0, 1)))
     rhs = float(np.mean(level) * g.Lp)
     return lhs, rhs

@@ -55,9 +55,7 @@ def norm_rows(samples) -> list[dict]:
 def write_norms(path: str, samples) -> None:
     """NDJSON at path plus a CSV mirror with swapped extension."""
     rows = norm_rows(samples)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    write_rows(path, rows)
     write_norms_csv(csv_mirror_path(path), rows)
 
 

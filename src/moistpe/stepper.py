@@ -69,13 +69,16 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     """The number of fixed steps of length dt from t0 to t_end.
 
     The span must be a whole number of steps to 1e-9 relative; any other end
-    time would be missed, so it raises ConfigError instead of rounding.
+    time would be missed, so it raises ConfigError instead of rounding.  A
+    span below zero by less than that tolerance is zero steps: a run's last
+    time t0 + n dt can land an ulp above the decimal t_end it was asked for,
+    and its checkpoint records both.
     """
     span = t_end - t0
     if not (dt > 0.0 and np.isfinite(span / dt)):
         raise ConfigError(f"time.dt = {dt!r} must be positive and time.t_end = {t_end!r}, "
                           f"time.t0 = {t0!r} finite")
-    if span < 0:
+    if span <= -1e-9 * dt:
         raise ConfigError(f"time.t_end = {t_end!r} precedes time.t0 = {t0!r}")
     n = round(span / dt)
     if abs(span - n * dt) > 1e-9 * max(span, dt):

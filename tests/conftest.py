@@ -35,19 +35,28 @@ def rng():
 
 @pytest.fixture
 def fft_fields(monkeypatch):
-    """A one-item list counting the 3-D fields moved through scipy.fft's
-    rfftn/irfftn; a stacked transform counts each field of the stack."""
-    moved = [0]
+    """start(grid): count from now on the 3-D fields of grid moved through
+    scipy.fft, in the one-item list it returns.  A field moves through
+    rfftn/irfftn or, its passes taken apart, through its pass along p
+    (rfft/irfft on 3-D input); a stack counts each of its fields, and an x
+    slab its share of one."""
+    def start(grid):
+        moved = [0.0]
 
-    def counting(fn):
-        def wrapped(x, *args, **kwargs):
-            moved[0] += int(np.prod(np.shape(x)[:-3]))
-            return fn(x, *args, **kwargs)
-        return wrapped
+        def counting(fn, along_p):
+            def wrapped(x, *args, **kwargs):
+                shape = np.shape(x)
+                if len(shape) >= 3:
+                    share = shape[-3] / grid.nx if along_p else 1
+                    moved[0] += int(np.prod(shape[:-3])) * share
+                return fn(x, *args, **kwargs)
+            return wrapped
 
-    for name in ("rfftn", "irfftn"):
-        monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name)))
-    return moved
+        for name, along_p in (("rfftn", False), ("irfftn", False), ("rfft", True),
+                              ("irfft", True)):
+            monkeypatch.setattr(fields._fft, name, counting(getattr(fields._fft, name), along_p))
+        return moved
+    return start
 
 
 # every entry point of scipy.fft the package can call

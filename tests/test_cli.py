@@ -229,6 +229,21 @@ def test_run_resumes_from_checkpoint(tmp_path):
     assert main(["run", "--config", cfg_c, "--quiet"]) == 1
 
 
+def test_run_resumes_from_a_checkpoint_an_ulp_past_its_end_time(tmp_path):
+    # the last time, 6 * 1e-4, is an ulp above t_end = 6e-4; the checkpoint
+    # records both
+    ck = tmp_path / "resume.mpes"
+    cfg_a = _write_config(tmp_path, "a.cfg", **{"time.dt": "1e-4", "time.t_end": "6e-4",
+                                                "output.checkpoint_path": ck})
+    assert main(["run", "--config", cfg_a, "--quiet"]) == 0
+    norms = tmp_path / "b.ndjson"
+    cfg_b = _write_config(tmp_path, "b.cfg", **{"time.dt": "1e-4", "time.t_end": "1e-3",
+                                                "initial.kind": f"file:{ck}",
+                                                "output.norms_path": norms})
+    assert main(["run", "--config", cfg_b, "--quiet"]) == 0
+    assert len(read_norms(str(norms))) == 5
+
+
 @pytest.mark.parametrize("size", [20, 22, 23])
 def test_run_truncated_checkpoint_header(tmp_path, capsys, size):
     ck = tmp_path / "full.mpes"

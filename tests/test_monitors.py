@@ -139,9 +139,9 @@ def test_report_field_names_cover_dict(grid16, params):
 def test_norm_report_builds_the_integrand_once(grid16, params, fft_fields):
     st = random_smooth(grid16, 5, amplitude=1.0).as_spectral()
     theta = st.as_physical().theta
-    fft_fields[0] = 0
+    moved = fft_fields(grid16)
     rep = norm_report(st, params)
-    assert fft_fields[0] == 10
+    assert moved[0] == 10
     # the shared integrand gives what the public functions give, bit for bit
     assert rep.hydro_residual == hydrostatic_residual(diagnose_phi(theta, params), theta, params)
     assert rep.l2_T == sobolev_norm(temperature_from_theta(theta, params), 0)
@@ -169,11 +169,13 @@ def test_one_record_from_one_context_is_cheap(grid16, params, fft_calls, monkeyp
     budget_terms(st, params, ctx=ctx)
     # [calls, fields]: [35, 44] when every monitor converted the state itself
     # (one more 2-D call in omega_top_residual went through numpy.fft then).
-    # The state lies in the ball, so the budget's omega takes the pruned
-    # inverse: two x-pass calls on the ball's y rows, the y pass and the
-    # pass along p, each moving one field, where one irfftn call was ([11, 20])
+    # The vertical integrals take the inverse's passes apart (one irfftn
+    # call each in [11, 20]).  The state lies in the ball, so the budget's
+    # omega takes the pruned inverse: two x-pass calls on the ball's y rows,
+    # the y pass and the pass along p ([14, 23]).  Phi's integrand does not,
+    # so its integral takes the x, y and p passes whole, each moving one field.
     assert ctx.in_ball
-    assert fft_calls == [14, 23]
+    assert fft_calls == [16, 25]
     assert builds[0] == 0
 
 

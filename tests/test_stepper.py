@@ -361,6 +361,14 @@ def test_step_count_takes_whole_spans_only():
         step_count(1.0, 0.5, 1e-3)
 
 
+def test_step_count_of_a_span_an_ulp_below_zero_is_zero():
+    # a run's last time t0 + 6 dt lands an ulp above the decimal t_end
+    assert 6 * 1e-4 > 6e-4
+    assert step_count(6 * 1e-4, 6e-4, 1e-4) == 0
+    with pytest.raises(ConfigError, match="precedes"):
+        step_count(6e-4 + 1e-12, 6e-4, 1e-4)
+
+
 # --- ownership of the stacked state ----------------------------------------
 
 @pytest.mark.parametrize("scheme", ["imex_cnab2", "erk4_fully_explicit"])

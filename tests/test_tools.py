@@ -11,12 +11,16 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.fixture(scope="module")
-def code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.code_lines
+    return module
+
+
+@pytest.fixture(scope="module")
+def code_lines():
+    return _load(TOOLS / "code_lines.py", "code_lines").code_lines
 
 
 def test_blank_lines_comments_and_docstrings_are_not_counted(code_lines):
@@ -69,3 +73,58 @@ def test_peak_rss_prints_one_positive_number_for_a_run(tmp_path):
     assert done.returncode == 0, done.stderr
     words = done.stdout.split()
     assert len(words) == 1 and float(words[0]) > 0.0
+
+
+def test_reach_lists_the_statements_a_traced_call_did_not_execute(tmp_path):
+    reach = _load(TOOLS / "reach.py", "reach")
+    source = '''"""A module docstring."""
+import math
+
+
+def deco(fn):
+    return fn
+
+
+def f(x):
+    """A function docstring,
+    over two lines."""
+    if x > 0:
+        return math.sqrt(x)
+    y = -x
+    return math.sqrt(y)
+
+
+@deco
+def g(a,
+      b):
+    return a + b
+
+
+class A:
+    """A class docstring."""
+
+    def method(self):
+        try:
+            return 1
+        except ValueError:
+            raise
+        finally:
+            self.done = True
+'''
+    path = tmp_path / "small.py"
+    path.write_text(source)
+
+    def call():
+        module = _load(path, "small")
+        module.f(4.0)
+        module.A().method()
+
+    hits = reach.traced(tmp_path, call)
+    assert set(hits) == {str(path)}
+    # docstrings are no statements; a decorated def spans its decorator and
+    # its signature, a compound statement its header
+    spans = reach.statements(source)
+    assert len(spans) == 16 and (18, 20) in spans and (12, 12) in spans
+    assert all(first not in (1, 10, 25) for first, _ in spans)
+    # the branch f did not take, g's body and the handler's raise
+    assert reach.unexecuted(source, hits[str(path)]) == [[14, 15], [21], [31]]
