@@ -358,6 +358,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
+        if args.out is not None:  # written when the work is done, so checked first
+            _check_output_dir("--out (output.norms_path)" if args.command == "run" else "--out",
+                              args.out)
         return args.cmd(args)
     except UsageError as exc:
         print(f"{exc.usage}{exc}", file=sys.stderr)

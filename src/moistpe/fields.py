@@ -109,37 +109,42 @@ class Field3D:
 # The tendency runs their passes apart, on the one pruned route: the
 # forward transform as rfft_p, then fft_xy in place on its result; the
 # inverse as ifft_xy in place, then irfft_p, as the vertical integrals of
-# the diagnostics and monitors (model._integral_to_p1) also take it.  A pass along p acts on each
-# line alone, so a stack can take it in slices (an x slab at a time, say),
-# and the slices get the same bits as the whole stack.
+# the diagnostics and monitors (model._integral_to_p1) also take it.  A
+# pass along p acts on each line alone, so a stack can take it in slices
+# (an x slab at a time, say), and the slices get the same bits as the
+# whole stack.
 #
-# fft_xy and ifft_xy take a ball flag.  A spectrum inside the 2/3-rule
-# ball (in_ball) is zero beyond the kept radius K = (n - 1)//3 of each axis
-# (grid.ball, the one place the rule is computed): on the p-planes above Kp
-# and on the x and y rows beyond Kx and Ky.  Its nonzero coefficients lie in
-# the box |jx| <= Kx, |jy| <= Ky, jp <= Kp (grid.box, in four blocks of each
-# plane, grid.blocks), so much of a 3-D transform works on zeros.  fft_xy
-# with ball computes only that box, which is all a masked product keeps:
-# its x pass runs on the planes up to Kp (grid.planes(True) of them), its y
-# pass and scaling on the x rows |jx| <= Kx of those planes (two slices),
-# and the rest is set to zero.  ifft_xy with ball takes a spectrum inside
-# the ball: its x pass runs on the y rows |jy| <= Ky of those planes alone
-# (two slices) and its y pass on those planes; irfft_p then runs on
-# everything.  What is skipped is zero or masked, and the passes are the
-# full transform's in the same order (forward: p, x, y; inverse: x, y, p),
-# so every kept coefficient and every sample the route returns, with or
-# without ball, is bit-identical to the full transform's.  The forward
-# transform runs unscaled and is scaled by 1/N afterwards, a step fft_xy
-# repeats exactly; the inverse needs no scaling.
+# fft_xy and ifft_xy take a ball flag and make one set of passes over the
+# box it names.  A spectrum inside the 2/3-rule ball (in_ball) is zero
+# beyond the kept radius K = (n - 1)//3 of each axis (grid.ball, the one
+# place the rule is computed): on the p-planes above Kp and on the x and y
+# rows beyond Kx and Ky.  Its nonzero coefficients lie in the box |jx| <=
+# Kx, |jy| <= Ky, jp <= Kp, so much of a 3-D transform works on zeros.
+# grid.runs(ball) is the one description of that box on a plane: two
+# contiguous runs of rows on x and on y with ball (j >= 0, then j < 0), one
+# run over the whole axis without; grid.blocks, grid.box and grid.gaps
+# (the rows between the runs) derive from it, and grid.planes(ball) counts
+# the box's p-planes.  fft_xy runs its x pass on those planes, its y pass
+# and scaling on the runs on x, and sets the rest to zero: with ball that
+# is all a masked product keeps.  ifft_xy takes a spectrum in the box,
+# runs its x pass on the runs on y of those planes and its y pass on the
+# planes; irfft_p then runs on everything.  Without ball each pass is one
+# call on the whole array, the full transform's.  What is skipped is zero
+# or masked, and the passes are the full transform's in the same order
+# (forward: p, x, y; inverse: x, y, p), so every kept coefficient and
+# every sample the route returns, with or without ball, is bit-identical
+# to the full transform's.  The forward transform runs unscaled and is
+# scaled by 1/N afterwards, a step fft_xy repeats exactly; the inverse
+# needs no scaling.
 
 
 def in_ball(grid: Grid, A: np.ndarray) -> bool:
     """Whether the spectra A (one field or a stack, rfft layout) are zero
-    outside the 2/3 ball: on the p-planes above its radius on p and on the
-    x and y rows beyond its radius on x and y (grid.ball)."""
-    bx, by, bp = grid.ball
-    return not (np.any(A[..., bp + 1:]) or np.any(A[..., bx + 1:grid.nx - bx, :, :])
-                or np.any(A[..., by + 1:grid.ny - by, :]))
+    outside the 2/3 ball: on the p-planes beyond grid.planes(True) and on
+    the x and y rows between the ball's runs (grid.gaps)."""
+    gx, gy = grid.gaps(True)
+    return not (np.any(A[..., grid.planes(True):]) or np.any(A[..., gx, :, :])
+                or np.any(A[..., gy, :]))
 
 
 def rfftn_norm(grid: Grid, data: np.ndarray) -> np.ndarray:
@@ -160,35 +165,29 @@ def rfft_p(data: np.ndarray) -> np.ndarray:
 def fft_xy(grid: Grid, out: np.ndarray, ball: bool = False) -> np.ndarray:
     """The x and y passes and the scaling of rfftn_norm, in place on out,
     the spectra along p that rfft_p gives (one field or a stack), which is
-    returned.  With ball, only the box of the 2/3 ball is computed
-    (grid.box): the x pass on its p-planes (grid.planes), the y pass and the
-    scaling on its x rows.  The rest is set to zero, so the result is
-    rfftn_norm's times grid.dealias_mask, bit for bit, and what out holds
-    on the p-planes beyond the ball's is never read."""
-    scale = 1.0 / (grid.nx * grid.ny * grid.np)
-    if not ball:
-        for axis in (-3, -2):
-            _fft.fft(out, axis=axis, overwrite_x=True, workers=_workers())
-        out *= scale
-        return out
-    planes, bx = grid.planes(True), grid.ball[0]
-    out[..., planes:] = 0.0
-    kept = out[..., :planes]
+    returned.  Only the box of grid.runs(ball) is computed: the x pass on
+    its p-planes (grid.planes), the y pass and the scaling on its runs on
+    x.  The rest is set to zero, so with ball the result is rfftn_norm's
+    times grid.dealias_mask, bit for bit, and what out holds on the
+    p-planes beyond the ball's is never read; without, it is rfftn_norm's."""
+    out[..., grid.planes(ball):] = 0.0
+    kept = out[..., :grid.planes(ball)]
     _fft.fft(kept, axis=-3, overwrite_x=True, workers=_workers())
-    for rows in (kept[..., :bx + 1, :, :], kept[..., grid.nx - bx:, :, :]):
+    for xs, _ in grid.runs(ball)[0]:
+        rows = kept[..., xs, :, :]
         _fft.fft(rows, axis=-2, overwrite_x=True, workers=_workers())
-        rows *= scale
-    clear_outside_box(grid, kept)
+        rows *= 1.0 / (grid.nx * grid.ny * grid.np)
+    clear_outside_box(grid, kept, ball)
     return out
 
 
-def clear_outside_box(grid: Grid, A: np.ndarray) -> None:
+def clear_outside_box(grid: Grid, A: np.ndarray, ball: bool) -> None:
     """Zero what the spectra A (rfft layout, one field or a stack) hold
-    outside the box of the 2/3 ball on each p-plane: the x rows beyond Kx
-    and the y rows beyond Ky (grid.ball)."""
-    bx, by, _ = grid.ball
-    A[..., bx + 1:grid.nx - bx, :, :] = 0.0
-    A[..., by + 1:grid.ny - by, :] = 0.0
+    outside the box of grid.runs(ball) on each p-plane: the x and y rows
+    between its runs (grid.gaps), none without ball."""
+    gx, gy = grid.gaps(ball)
+    A[..., gx, :, :] = 0.0
+    A[..., gy, :] = 0.0
 
 
 def irfftn_norm(grid: Grid, coeff: np.ndarray) -> np.ndarray:
@@ -201,20 +200,15 @@ def irfftn_norm(grid: Grid, coeff: np.ndarray) -> np.ndarray:
 def ifft_xy(grid: Grid, coeff: np.ndarray, ball: bool = False) -> np.ndarray:
     """The x and y passes of irfftn_norm, in place on coeff, which is
     returned; irfft_p of it finishes the transform, one slice of a stack
-    at a time if need be.  With ball, what coeff holds on the p-planes of
-    the 2/3 ball (grid.planes) must lie inside the ball (in_ball): the
-    other planes are set to zero, the x pass runs on the ball's y rows of
-    its planes and the y pass on its planes, and the samples are
-    irfftn_norm's bit for bit."""
-    if not ball:
-        for axis in (-3, -2):
-            _fft.ifft(coeff, axis=axis, norm="forward", overwrite_x=True, workers=_workers())
-        return coeff
-    planes, by = grid.planes(True), grid.ball[1]
-    coeff[..., planes:] = 0.0
-    kept = coeff[..., :planes]
-    for rows in (kept[..., :by + 1, :], kept[..., grid.ny - by:, :]):
-        _fft.ifft(rows, axis=-3, norm="forward", overwrite_x=True, workers=_workers())
+    at a time if need be.  What coeff holds on the p-planes of grid.planes(ball)
+    must lie in the box of grid.runs(ball) (with ball, inside the ball,
+    in_ball): the other planes are set to zero, the x pass runs on the
+    box's runs on y of its planes and the y pass on its planes, and the
+    samples are irfftn_norm's bit for bit."""
+    coeff[..., grid.planes(ball):] = 0.0
+    kept = coeff[..., :grid.planes(ball)]
+    for ys, _ in grid.runs(ball)[1]:
+        _fft.ifft(kept[..., ys, :], axis=-3, norm="forward", overwrite_x=True, workers=_workers())
     _fft.ifft(kept, axis=-2, norm="forward", overwrite_x=True, workers=_workers())
     return coeff
 

@@ -156,21 +156,38 @@ class Grid:
         the ball's radius with ball, all np//2 + 1 without."""
         return self.ball[2] + 1 if ball else self.np // 2 + 1
 
-    def box(self, ball: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y indices, ascending, of the box that holds the ball on
-        a p-plane, |jx| <= Kx and |jy| <= Ky, with ball; of every row
-        without.  Arrays restricted to them have the box's layout."""
-        radius = self.ball[:2] if ball else (self.nx // 2, self.ny // 2)
-        return tuple(np.flatnonzero(j.ravel() <= k) for j, k in zip(self.mode_index, radius))
+    def runs(self, ball: bool) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+        """The box that holds the ball on a p-plane, |jx| <= Kx and
+        |jy| <= Ky, with ball, or the whole plane without, as contiguous
+        runs of indices on x and on y: for each axis, the runs in ascending
+        order, each its slice of the rfft layout and of the box's layout.
+        With ball, two per axis (j >= 0, then j < 0); without, one.  Every
+        other description of the box derives from these."""
+        return self._runs[ball]
+
+    @cached_property
+    def _runs(self) -> dict[bool, tuple]:
+        return {ball: tuple(((slice(0, k + 1),) * 2, (slice(n - k, n), slice(k + 1, 2 * k + 1)))
+                            if ball else ((slice(0, n),) * 2,)
+                            for n, k in zip(self.shape[:2], self.ball[:2]))
+                for ball in (False, True)}
 
     def blocks(self, ball: bool) -> list[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-        """The box as contiguous blocks of a plane: for each, its (x, y)
-        slices of the rfft layout and of the box's layout.  With ball, four
-        (j >= 0 and j < 0 on each axis); without, the whole plane."""
-        runs = [[(slice(0, n), slice(0, n))] if not ball else
-                [(slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1))]
-                for n, k in zip(self.shape[:2], self.ball[:2])]
-        return [((x, y), (xb, yb)) for x, xb in runs[0] for y, yb in runs[1]]
+        """The box as contiguous blocks of a plane, the products of the runs
+        on x and on y: for each, its (x, y) slices of the rfft layout and of
+        the box's layout.  With ball, four; without, the whole plane."""
+        xs, ys = self.runs(ball)
+        return [((x, y), (xb, yb)) for x, xb in xs for y, yb in ys]
+
+    def gaps(self, ball: bool) -> tuple[slice, slice]:
+        """The x and y rows of the rfft layout between the runs: those
+        beyond the ball's radius with ball, none (empty slices) without."""
+        return tuple(slice(axis[0][0].stop, axis[-1][0].start) for axis in self.runs(ball))
+
+    def box(self, ball: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y indices of the runs, ascending.  Arrays restricted
+        to them have the box's layout."""
+        return tuple(np.r_[tuple(s for s, _ in axis)] for axis in self.runs(ball))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

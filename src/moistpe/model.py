@@ -563,13 +563,12 @@ class Forcing:
 
 class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
-    variant): the coefficient profiles, the i*k multipliers, the blocks of
-    the box that holds the 2/3 ball (grid.blocks, indexed by the ball
-    flag), the operators along p on the rows (band, a _VerticalBand), for
-    a variant with viscosity mu*|k_h|^2 of each field on the box's kept
-    planes (mu_box: complex, like the spectra it multiplies, and in the
-    box's layout, grid.box), the implicit multipliers lam of the IMEX
-    split (stacked like a state), and scratch buffers sized by the grid.
+    variant): the coefficient profiles, the i*k multipliers, the
+    operators along p on the rows (band, a _VerticalBand), for a variant
+    with viscosity mu*|k_h|^2 of each field on the box's kept planes
+    (mu_box: complex, like the spectra it multiplies, and in the box's
+    layout, grid.box), the implicit multipliers lam of the IMEX split
+    (stacked like a state), and scratch buffers sized by the grid.
     For a variant without dealiasing the box is the whole half spectrum,
     one block.
 
@@ -623,9 +622,8 @@ class Workspace:
         self.grid = grid
         self.params = params
         self.variant = variant
-        # p-planes a masked product can occupy, and the box's blocks
+        # p-planes a masked product can occupy
         self.planes = grid.planes(variant.dealias)
-        self.blocks = (grid.blocks(False), grid.blocks(True))
         self.iK = tuple(np.broadcast_to(1j * K, grid.spectral_shape)
                         for K in (grid.KX, grid.KY, grid.KP))
         kp2 = grid.KP**2
@@ -702,11 +700,10 @@ def _derivatives(ws: Workspace, U: np.ndarray, out: np.ndarray, ball: bool) -> N
     and out[..., 2, ...], on the p-planes U holds (ball as for ifft_xy): on
     the box's blocks, the rest of those planes zero with ball."""
     n = U.shape[-1]
-    for (xs, ys), _ in ws.blocks[ball]:
+    for (xs, ys), _ in ws.grid.blocks(ball):
         for j, iK in enumerate(ws.iK):
             np.multiply(iK[xs, ys, :n], U[..., xs, ys, :], out=out[..., j, xs, ys, :n])
-    if ball:
-        clear_outside_box(ws.grid, out[..., :n])
+    clear_outside_box(ws.grid, out[..., :n], ball)
 
 
 def _advect(v1: np.ndarray, v2: np.ndarray, om: np.ndarray, d: np.ndarray,
@@ -745,7 +742,7 @@ def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
     params, variant = ws.params, ws.variant
     G = buf[2, ..., :n]
     if ws.streamed:
-        for (xs, ys), _ in ws.blocks[ball]:
+        for (xs, ys), _ in g.blocks(ball):
             Gb = G[xs, ys]
             np.multiply(ws.iK[0][xs, ys, :n], Un[0, xs, ys], out=Gb)
             Gb += np.multiply(ws.iK[1][xs, ys, :n], Un[1, xs, ys], out=buf[0, xs, ys, :n])
@@ -754,10 +751,9 @@ def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
         np.add(buf[3, ..., :n], buf[7, ..., :n], out=G)
     G[..., 0] = 0.0
     ikp = 1j * g.kp[1:n]
-    for (xs, ys), _ in ws.blocks[ball]:
+    for (xs, ys), _ in g.blocks(ball):
         G[xs, ys, 1:] /= ikp
-    if ball:
-        clear_outside_box(g, G)
+    clear_outside_box(g, G, ball)
     buf[:2, ..., :n] = Un[:2]
     v1, v2, om = irfft_p(g, ifft_xy(g, buf, ball)[:3])
     np.subtract(om[..., :1].copy(), om, out=om)
@@ -869,7 +865,7 @@ def tendency(
     if variant.pressure:
         np.multiply(ws.band.iKY, terms[4], out=terms[5])
         np.multiply(ws.band.iKX, terms[4], out=terms[4])
-    for (xs, ys), (xb, yb) in ws.blocks[variant.dealias]:
+    for (xs, ys), (xb, yb) in g.blocks(variant.dealias):
         Hb = H[:, xs, ys, :nk]
         if variant.viscosity:
             Hb += np.multiply(ws.mu_box[:, xb, yb], U[:, xs, ys, :nk], out=ws.box_tmp[:, xb, yb])

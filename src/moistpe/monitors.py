@@ -459,13 +459,13 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     }
 
 
-def _check_uniform(times: np.ndarray) -> float:
-    if len(times) < 3:
-        raise SamplingError("energy budget needs at least three uniformly spaced samples")
+def _check_uniform(times: np.ndarray, need: int = 3) -> float:
+    if len(times) < need:
+        raise SamplingError(f"need at least {need} uniformly spaced samples, got {len(times)}")
     dts = np.diff(times)
     dt = float(np.mean(dts))
     if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise SamplingError("energy budget needs uniformly spaced samples")
+        raise SamplingError("need uniformly spaced samples")
     return dt
 
 
@@ -479,13 +479,16 @@ def energy_budget(samples, skip_startup: int = 2) -> list[BudgetSample]:
     multistep integrator changes character over its first two steps (Euler
     bootstrap, then a first step with flat history), and a centered
     difference across those junctions measures the startup transient rather
-    than the budget.  Pass skip_startup=0 to see them anyway.
+    than the budget.  Pass skip_startup=0 to see them anyway.  Fewer than
+    skip_startup + 3 samples with a budget, which leave no interior sample
+    past the startup, are a SamplingError.
     """
     recs = [s for s in samples if s.budget is not None]
     times = np.array([s.t for s in recs])
-    dt = _check_uniform(times)
+    skip = max(0, skip_startup)
+    dt = _check_uniform(times, skip + 3)
     out = []
-    for k in range(1 + max(0, skip_startup), len(recs) - 1):
+    for k in range(1 + skip, len(recs) - 1):
         for var in ("v", "theta", "q"):
             b_prev = recs[k - 1].budget[var]
             b = recs[k].budget[var]

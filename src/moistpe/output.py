@@ -15,6 +15,7 @@ import json
 import math
 import os
 
+from .errors import SamplingError
 from .monitors import energy_budget
 
 
@@ -22,21 +23,22 @@ def budget_residual_by_time(samples) -> dict:
     """t -> max over variables of |budget residual| at that sample, when defined.
 
     The centered difference needs uniform spacing, so only the leading
-    samples spaced like the first two enter.  A run always records its final
-    step, so when output.norms_every does not divide the step count the last
-    sample is off that grid and is left out.
+    samples spaced like the first two enter, and none when they are fewer
+    than energy_budget needs.  A run always records its final step, so when
+    output.norms_every does not divide the step count the last sample is
+    off that grid and is left out.
     """
     have = [s for s in samples if s.budget is not None]
     n = 2
     while n < len(have) and math.isclose(have[n].t - have[n - 1].t, have[1].t - have[0].t,
                                          rel_tol=1e-9):
         n += 1
-    if n < 3:
-        return {}
     out: dict[float, float] = {}
-    for row in energy_budget(have[:n]):
-        prev = out.get(row.t, 0.0)
-        out[row.t] = max(prev, abs(row.residual))
+    try:
+        for row in energy_budget(have[:n]):
+            out[row.t] = max(out.get(row.t, 0.0), abs(row.residual))
+    except SamplingError:  # a uniform prefix too short to reach past the startup
+        pass
     return out
 
 

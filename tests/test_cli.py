@@ -412,6 +412,20 @@ def test_run_out_flag_directory_missing(tmp_path, capsys):
     _assert_configuration_error(capsys, "output.norms_path")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "invariants"], ["probe", "minkowski"]],
+                         ids=["verify", "probe"])
+def test_out_flag_directory_missing_stops_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command started before --out was checked")
+
+    monkeypatch.setattr(probes, "invariants_run", must_not_run)
+    monkeypatch.setattr(probes, "minkowski_suite", must_not_run)
+    target = tmp_path / "missing" / "x.ndjson"
+    assert main(argv + ["--quiet", "--out", str(target)]) == 1
+    _assert_configuration_error(capsys, "--out", str(tmp_path / "missing"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

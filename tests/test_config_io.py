@@ -340,6 +340,19 @@ def test_budget_residuals_need_uniform_triples():
     assert budget_residual_by_time(ragged) == {}
 
 
+def test_budget_residuals_of_a_run_too_short_for_the_startup(tmp_path, params):
+    # 4 uniform samples reach no centered difference past the startup:
+    # every row carries a null residual
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    st = random_smooth(g, 2, amplitude=0.5, band=2)
+    traj = run(st, params, StepConfig(dt=1e-3, t_end=3e-3), collect_budget=True)
+    assert len(traj.samples) == 4 and budget_residual_by_time(traj.samples) == {}
+    path = tmp_path / "norms.ndjson"
+    write_norms(str(path), traj.samples)
+    assert [r["budget_residual"] for r in read_norms(str(path))] == [None] * 4
+
+
 def test_budget_residuals_when_the_interval_does_not_divide_the_steps(tmp_path, params):
     # 20 steps sampled every 3: t = 0, 0.003, ..., 0.018 and the final 0.02;
     # the uniform samples still carry residuals, the off-grid final one not

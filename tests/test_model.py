@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from moistpe.errors import ConstraintError, DataError, ParameterError
-from moistpe.fields import SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
+from moistpe.fields import PHYSICAL, SPECTRAL, Field3D, derivative, in_ball, irfftn_norm, rfftn_norm
 from moistpe import model
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
@@ -355,6 +355,40 @@ def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
     variant = _ORACLE_VARIANTS[name]
     got = tendency(state, params, variant=variant).data
     assert max(_relative_misfits(got, tendency_3d(state, params, variant=variant))) <= 1e-13
+
+
+def _quarter_turn(data):
+    # the plane turned by 90 degrees, (x, y) -> (-y, x): s'[i, j] = s[j, -i]
+    # on each field of a state's samples, and v' = (-v2, v1)
+    turned = np.roll(np.swapaxes(data, -3, -2)[..., ::-1, :, :], 1, axis=-3)
+    return np.stack([-turned[1], turned[0], turned[2], turned[3]])
+
+
+_MOVES = {"shift": lambda data: np.roll(data, 3, axis=-2), "turn": _quarter_turn}
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("name", ["faithful", "no-dealias", "coriolis-bug"])
+def test_tendency_commutes_with_a_shift_and_a_quarter_turn(n, name, params):
+    # oracle-free: the tendency of a moved state is the moved tendency, a
+    # shift of 3 grid points in y and a quarter turn of the plane.  The
+    # transcription slip of coriolis_bug, (v2, v1) for (-v2, v1), is a
+    # reflection and shows under the turn
+    g = Grid(n, n, n, params.p0, params.p1)
+    variant = _ORACLE_VARIANTS[name]
+    samples = _ball_state(g).as_physical().data
+
+    def rate(data):
+        return irfftn_norm(g, tendency(State.of(g, data, PHYSICAL), params, variant=variant).data)
+
+    want = rate(samples)
+    deviation = {move: np.abs(rate(fn(samples)) - fn(want)).max() / np.abs(want).max()
+                 for move, fn in _MOVES.items()}
+    assert deviation["shift"] <= 1e-13
+    if variant.coriolis_bug:
+        assert deviation["turn"] >= 1e-2
+    else:
+        assert deviation["turn"] <= 1e-13
 
 
 def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft_log):

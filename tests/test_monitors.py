@@ -438,6 +438,25 @@ def test_budget_needs_uniform_samples():
         energy_budget(samples)
 
 
+@pytest.mark.parametrize("steps", [2, 3])
+def test_budget_needs_samples_past_the_startup(params, steps):
+    # the default skip_startup=2 needs 5 samples: 3 or 4 leave it no
+    # interior sample, an error rather than an empty list
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    traj = run(random_smooth(g, 2, amplitude=0.5, band=2), params,
+               StepConfig(dt=1e-3, t_end=steps * 1e-3), collect_budget=True)
+    assert len(traj.samples) == steps + 1
+    with pytest.raises(SamplingError, match="at least 5"):
+        energy_budget(traj.samples)
+    assert len(energy_budget(traj.samples, skip_startup=steps - 2)) == 3
+
+
+def test_budget_needs_uniform_samples_even_when_there_are_enough():
+    samples = [TrajectorySample(t, "", None, {}) for t in (0.0, 0.1, 0.2, 0.35, 0.5, 0.6)]
+    with pytest.raises(SamplingError, match="need uniformly spaced"):
+        energy_budget(samples)
+
+
 # --- trilinear probe ------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moistpe.errors import BlowupError, ConfigError
+from moistpe.errors import BlowupError, ConfigError, SamplingError
 from moistpe.fields import Field3D
 from moistpe.grid import Grid
 from moistpe.initial import random_smooth
@@ -225,6 +225,12 @@ def test_invariants_run_reports_a_blowup_as_its_one_failed_check():
     check, = invariants_run(amplitude=1e5)
     assert check.name == "completes" and not check.ok
     assert check.detail.startswith("blowup at t = ")
+
+
+def test_invariants_run_too_short_for_the_budget_is_a_sampling_error():
+    # 3 steps give 4 samples, one short of a budget past the startup
+    with pytest.raises(SamplingError, match="at least 5"):
+        invariants_run(n=8, dt=1e-4, t_end=3e-4)
 
 
 # --- differential-inequality probe ----------------------------------------

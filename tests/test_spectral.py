@@ -109,6 +109,34 @@ def test_pruned_transforms_are_the_full_ones_in_the_ball(shape):
         assert np.array_equal(irfft_p(g, ifft_xy(g, full[stack].copy())), off_ball[stack])
 
 
+# the scipy.fft calls (entry point, operand shape, axis) fft_xy and then
+# ifft_xy make on one field, without and with the ball
+_XY_CALLS = {
+    ((16, 16, 16), False): [("fft", (16, 16, 9), -3), ("fft", (16, 16, 9), -2),
+                            ("ifft", (16, 16, 9), -3), ("ifft", (16, 16, 9), -2)],
+    ((16, 16, 16), True): [("fft", (16, 16, 6), -3), ("fft", (6, 16, 6), -2),
+                           ("fft", (5, 16, 6), -2), ("ifft", (16, 6, 6), -3),
+                           ("ifft", (16, 5, 6), -3), ("ifft", (16, 16, 6), -2)],
+    ((32, 48, 48), False): [("fft", (32, 48, 25), -3), ("fft", (32, 48, 25), -2),
+                            ("ifft", (32, 48, 25), -3), ("ifft", (32, 48, 25), -2)],
+    ((32, 48, 48), True): [("fft", (32, 48, 16), -3), ("fft", (11, 48, 16), -2),
+                           ("fft", (10, 48, 16), -2), ("ifft", (32, 16, 16), -3),
+                           ("ifft", (32, 15, 16), -3), ("ifft", (32, 48, 16), -2)],
+}
+
+
+@pytest.mark.parametrize("shape, ball", list(_XY_CALLS))
+def test_xy_passes_make_the_recorded_calls(shape, ball, fft_log):
+    # with the ball or without, one field or a stack: the same calls on the
+    # same operands as when each flag had a code path of its own
+    g = Grid(*shape, P0, P1)
+    for lead in ((), (2,)):
+        fft_log.clear()
+        ifft_xy(g, fft_xy(g, np.zeros(lead + g.spectral_shape, dtype=complex), ball), ball)
+        assert fft_log == [(name, lead + operand, axis) for name, operand, axis in
+                           _XY_CALLS[shape, ball]]
+
+
 @pytest.mark.parametrize("kind", ["ball", "off-ball"])
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_inverse_finished_in_groups_along_p_is_the_full_one(n, kind):

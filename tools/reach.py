@@ -15,7 +15,8 @@ package is imported from there, under the trace):
   * a run forced from a file, a resume from a checkpoint and a blowup;
   * verify --suite invariants under each --mutate;
   * the three probes;
-  * verify --suite convergence, its studies at reduced sizes (REDUCED).
+  * verify --suite convergence, its studies at reduced sizes (REDUCED);
+  * verify and a probe with --out in a missing directory (exit 1).
 
 Each command's exit code is printed, then, per module, the line numbers of
 the statements nothing executed (runs of them as first-last), docstrings
@@ -81,6 +82,10 @@ COMMANDS = [
     *(["probe", kind, "--config", "{dir}/probes.cfg", "--quiet",
        "--out", f"{{dir}}/{kind}.ndjson"] for kind in ("trilinear", "minkowski", "gronwall")),
     ["verify", "--suite", "convergence", "--quiet", "--out", "{dir}/convergence.ndjson"],
+    # --out into a missing directory: exit 1 before any work
+    ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}/missing/x.ndjson"],
+    ["probe", "minkowski", "--config", "{dir}/probes.cfg", "--quiet",
+     "--out", "{dir}/missing/x.ndjson"],
 ]
 
 # the convergence studies' arguments for verify --suite convergence
