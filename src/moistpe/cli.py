@@ -155,10 +155,13 @@ def _build_forcing(cfg, grid, params):
 
 
 def _check_output_dir(key: str, path: str) -> None:
-    """The directory an output file goes into must exist before the run
-    starts, not be found missing when the run is over."""
+    """The directory an output file goes into must exist, and the path must
+    not be a directory itself, before the run starts, not be found wrong
+    when the run is over."""
     if path == "none":
         return
+    if os.path.isdir(path):
+        raise ConfigError(f"{key}: {path!r} is a directory, not a file")
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise ConfigError(f"{key}: directory {folder!r} of {path!r} does not exist")

@@ -17,9 +17,10 @@ Three families live here:
     and four differential-inequality collectors whose left and right sides
     are emitted as time series for offline comparison.
 
-The per-sample monitors (norm panel, budget, Gronwall record, and the
-state's checksum) can share one SampleContext: the sample converted once,
-with the faithful constants of the run (MonitorConstants).
+The per-sample monitors (norm panel, budget, Gronwall record) take one
+SampleContext: the sample converted once, with the faithful constants of
+the run (MonitorConstants), which a run builds once.  The state's checksum
+reads the same context.
 """
 
 from __future__ import annotations
@@ -217,15 +218,12 @@ class SampleContext:
         return _w_sums(self.constants, 5, field)
 
 
-def sample_context(state: State, params: PhysParams,
-                   constants: MonitorConstants | None = None) -> SampleContext:
-    """The SampleContext of state; constants are those of (state.grid,
-    params), built here when not given."""
-    g = state.grid
-    if constants is None:
-        constants = MonitorConstants(g, params)
-    elif constants.grid != g or constants.params is not params:
-        raise DataError("sample_context: the constants belong to another grid or params")
+def sample_context(state: State, constants: MonitorConstants) -> SampleContext:
+    """The SampleContext of state, with the constants of its grid and the
+    params they were built with."""
+    g, params = state.grid, constants.params
+    if constants.grid != g:
+        raise DataError("sample_context: the constants belong to another grid")
     co = constants.co
     spec = state.as_spectral().data
     phys = state.as_physical().data
@@ -237,14 +235,6 @@ def sample_context(state: State, params: PhysParams,
     hats = rfftn_norm(g, periodic_and_T)
     return SampleContext(state, constants, spec, phys, _quadratic_forms(constants, spec),
                          in_ball(g, spec), it, hats)
-
-
-def _context(state: State, params: PhysParams, ctx: SampleContext | None) -> SampleContext:
-    if ctx is None:
-        return sample_context(state, params)
-    if ctx.state is not state or ctx.constants.params is not params:
-        raise DataError("the sample context belongs to another state or params")
-    return ctx
 
 
 # --- norm panel -----------------------------------------------------------
@@ -277,7 +267,6 @@ class NormReport:
     parity_dev_v: float
     parity_dev_theta: float
     parity_dev_q: float
-    budget_residual: float | None = None
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
@@ -287,12 +276,9 @@ class NormReport:
         return [f.name for f in dc_fields(cls)]
 
 
-def norm_report(state: State, params: PhysParams,
-                ctx: SampleContext | None = None) -> NormReport:
-    """The norm panel of state; ctx is its SampleContext when the caller
-    has one (see sample_context)."""
-    ctx = _context(state, params, ctx)
-    g = state.grid
+def norm_report(ctx: SampleContext) -> NormReport:
+    """The norm panel of the state of ctx."""
+    g = ctx.state.grid
     sq, W = ctx.sq, ctx.vertical
     v1, v2 = (Field3D(g, ctx.spec[i], SPECTRAL) for i in (0, 1))
     parity = parity_deviation(ctx.phys, PARITY_SIGNS)
@@ -304,7 +290,7 @@ def norm_report(state: State, params: PhysParams,
         return math.sqrt(sq[form][i])
 
     return NormReport(
-        t=state.t,
+        t=ctx.state.t,
         l2_v=v("l2"),
         h1_v=v("h1"),
         h2_v=v("h2"),
@@ -351,9 +337,9 @@ class BudgetSample:
     max_term: float
 
 
-def budget_terms(state: State, params: PhysParams, forcing=None,
-                 ctx: SampleContext | None = None) -> dict:
-    """Instantaneous energy pairings for each prognostic variable.
+def budget_terms(ctx: SampleContext, forcing=None) -> dict:
+    """Instantaneous energy pairings for each prognostic variable of the
+    state of ctx.
 
     Every entry is a contribution to d/dt (1/2)||u||_L2^2 with its sign, except
     diss_h / diss_v which are reported positive (they enter with minus signs).
@@ -368,11 +354,10 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
 
     diss_v is the pairing nu <dps, dealias(c dps)> of the faithful vertical
     viscosity, s = f for v and q and s = (p0/p)^kappa theta (dealiased) for
-    theta; inside the 2/3 ball it is nu ||ds/dp||_w^2.  ctx is the state's
-    SampleContext when the caller has one (see sample_context).
+    theta; inside the 2/3 ball it is nu ||ds/dp||_w^2.
     """
-    ctx = _context(state, params, ctx)
-    g, k = state.grid, ctx.constants
+    state, k = ctx.state, ctx.constants
+    g, params = state.grid, k.params
     V1, V2, TH, Q = U = ctx.spec
     sq = ctx.sq
     nu = {which: _viscosities(params, which)[1] for which in ("v", "theta", "q")}
@@ -435,7 +420,7 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
             "diss_v": nu["v"] * float(pairs[0] + pairs[1]),
             "coupling": coupling,
             "coupling_heat_flux": heat_flux,
-            "coriolis_work": coriolis_work(state, params, ctx=ctx),
+            "coriolis_work": _coriolis_work(g, ctx.phys, params, FAITHFUL),
             "forcing_work": w_f_v,
         },
         "theta": {
@@ -459,14 +444,24 @@ def budget_terms(state: State, params: PhysParams, forcing=None,
     }
 
 
+def uniform_prefix(times) -> int:
+    """The number of leading times spaced like the first two: each spacing
+    within 1e-9 max(1, dt) of the first, dt, which must be positive.  The
+    centered differences of energy_budget and gronwall_series take only
+    times that are all in it."""
+    dts = np.diff(times)
+    if len(dts) == 0 or not dts[0] > 0.0:
+        return min(len(times), 1)
+    off = np.abs(dts - dts[0]) > 1e-9 * max(1.0, dts[0])
+    return 1 + (int(np.argmax(off)) if off.any() else len(dts))
+
+
 def _check_uniform(times: np.ndarray, need: int = 3) -> float:
     if len(times) < need:
         raise SamplingError(f"need at least {need} uniformly spaced samples, got {len(times)}")
-    dts = np.diff(times)
-    dt = float(np.mean(dts))
-    if dt <= 0 or np.max(np.abs(dts - dt)) > 1e-9 * max(1.0, abs(dt)):
+    if uniform_prefix(times) < len(times):
         raise SamplingError("need uniformly spaced samples")
-    return dt
+    return float(np.mean(np.diff(times)))
 
 
 def energy_budget(samples, skip_startup: int = 2) -> list[BudgetSample]:
@@ -567,12 +562,9 @@ class GronwallRecord:
     scalars: dict
 
 
-def gronwall_record(state: State, params: PhysParams, forcing=None,
-                    ctx: SampleContext | None = None) -> GronwallRecord:
-    """The squared norms the a-priori forms are made of; ctx is the state's
-    SampleContext when the caller has one (see sample_context)."""
-    ctx = _context(state, params, ctx)
-    sq, W = ctx.sq, ctx.vertical
+def gronwall_record(ctx: SampleContext, forcing=None) -> GronwallRecord:
+    """The squared norms the a-priori forms are made of, of the state of ctx."""
+    t, sq, W = ctx.state.t, ctx.sq, ctx.vertical
 
     def v(form):
         return float(sq[form][0] + sq[form][1])
@@ -602,7 +594,7 @@ def gronwall_record(state: State, params: PhysParams, forcing=None,
     }
 
     if forcing is not None:
-        fq = _quadratic_forms(ctx.constants, np.asarray(forcing(state.t))[:3])
+        fq = _quadratic_forms(ctx.constants, np.asarray(forcing(t))[:3])
         scal["fv_h1s"] = float(fq["h1"][0] + fq["h1"][1])
         scal["dpfv_s"] = float(fq["dp"][0] + fq["dp"][1])
         scal["fth_h1s"] = float(fq["h1"][2])
@@ -610,7 +602,7 @@ def gronwall_record(state: State, params: PhysParams, forcing=None,
     else:
         scal["fv_h1s"] = scal["dpfv_s"] = scal["fth_h1s"] = scal["dpfth_s"] = 0.0
 
-    return GronwallRecord(t=state.t, scalars=scal)
+    return GronwallRecord(t=t, scalars=scal)
 
 
 GRONWALL_FORMS = ("vp", "thetap", "lapv", "laptheta")
@@ -670,8 +662,7 @@ def gronwall_series(records, params: PhysParams) -> dict:
 
 
 def coriolis_work(state: State, params: PhysParams,
-                  variant: ModelVariant = FAITHFUL,
-                  ctx: SampleContext | None = None) -> float:
+                  variant: ModelVariant = FAITHFUL) -> float:
     """Energy input of the rotation term exactly as the tendency applies it.
 
     The faithful term is f(-v2, v1) entering the velocity equation with a
@@ -679,6 +670,12 @@ def coriolis_work(state: State, params: PhysParams,
     implementation whose sign or component pairing differs does measurable
     work, which is what this check is for.
     """
-    v1, v2 = (state.as_physical().data if ctx is None else _context(state, params, ctx).phys)[:2]
+    return _coriolis_work(state.grid, state.as_physical().data, params, variant)
+
+
+def _coriolis_work(g: Grid, phys: np.ndarray, params: PhysParams,
+                   variant: ModelVariant) -> float:
+    """coriolis_work of the physical stack phys."""
+    v1, v2 = phys[:2]
     cor1, cor2 = coriolis_term(v1, v2, params, variant)
-    return float(state.grid.volume * np.mean(v1 * -cor1 + v2 * -cor2))
+    return float(g.volume * np.mean(v1 * -cor1 + v2 * -cor2))

@@ -1,8 +1,8 @@
 """Machine-readable run outputs.
 
 Norm series go out as NDJSON (one report object per line, keys fixed by
-NormReport plus the state checksum) with a CSV mirror written next to the
-NDJSON file for plotting.  The energy-budget residual column is filled in
+NormReport plus the budget residual and the state checksum) with a CSV
+mirror written next to the NDJSON file for plotting.  The energy-budget residual column is filled in
 after the run from the centered-difference budget, which needs both
 neighbors of a sample; samples without a defined value carry null (empty in
 CSV).
@@ -12,27 +12,23 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 
 from .errors import SamplingError
-from .monitors import energy_budget
+from .monitors import energy_budget, uniform_prefix
 
 
 def budget_residual_by_time(samples) -> dict:
     """t -> max over variables of |budget residual| at that sample, when defined.
 
     The centered difference needs uniform spacing, so only the leading
-    samples spaced like the first two enter, and none when they are fewer
-    than energy_budget needs.  A run always records its final step, so when
-    output.norms_every does not divide the step count the last sample is
-    off that grid and is left out.
+    samples spaced like the first two (monitors.uniform_prefix) enter, and
+    none when they are fewer than energy_budget needs.  A run always
+    records its final step, so when output.norms_every does not divide the
+    step count the last sample is off that grid and is left out.
     """
     have = [s for s in samples if s.budget is not None]
-    n = 2
-    while n < len(have) and math.isclose(have[n].t - have[n - 1].t, have[1].t - have[0].t,
-                                         rel_tol=1e-9):
-        n += 1
+    n = uniform_prefix([s.t for s in have])
     out: dict[float, float] = {}
     try:
         for row in energy_budget(have[:n]):
@@ -43,7 +39,8 @@ def budget_residual_by_time(samples) -> dict:
 
 
 def norm_rows(samples) -> list[dict]:
-    """NormReport dicts with checksum and back-filled budget residual."""
+    """NormReport dicts with the back-filled budget residual and the
+    checksum after their fields, in that order."""
     residuals = budget_residual_by_time(samples)
     rows = []
     for s in samples:

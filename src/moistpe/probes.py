@@ -86,12 +86,20 @@ def _seeded_table(seed: int, band: int, decay: float) -> tuple[np.ndarray, np.nd
     return C, counts
 
 
-def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) -> Field3D:
+# the band of the probes' random fields
+BAND = 5
+
+
+def _check_band(grid: Grid, band: int) -> None:
+    if band > min(grid.ball):
+        raise ConfigError(f"band {band} does not fit the dealiased ball of grid {grid.shape}")
+
+
+def seeded_scalar(grid: Grid, seed: int, band: int = BAND, amplitude: float = 1.0) -> Field3D:
     """A random trigonometric polynomial with ||f||_L2 = amplitude, identical
     (as a function) on every grid whose 2/3 ball (grid.ball) holds band on
     each axis."""
-    if band > min(grid.ball):
-        raise ConfigError(f"band {band} does not fit the dealiased ball of grid {grid.shape}")
+    _check_band(grid, band)
     C, counts = _seeded_table(seed, band, 2.0)
     terms = C.real * C.real + C.imag * C.imag
     terms[:, :, 1:] *= 2.0
@@ -106,7 +114,7 @@ def seeded_scalar(grid: Grid, seed: int, band: int = 5, amplitude: float = 1.0) 
     return Field3D.spectral(grid, A)
 
 
-def seeded_velocity(grid: Grid, seed: int, band: int = 5,
+def seeded_velocity(grid: Grid, seed: int, band: int = BAND,
                     amplitude: float = 1.0) -> tuple[Field3D, Field3D]:
     """A projected random velocity pair (constraint-satisfying by construction)."""
     v1 = seeded_scalar(grid, 2 * seed + 1, band, amplitude)
@@ -129,7 +137,7 @@ class RatioSample:
 
 
 def trilinear_suite(grid: Grid, n: int = 100, seed0: int = 0,
-                    band: int = 5) -> list[RatioSample]:
+                    band: int = BAND) -> list[RatioSample]:
     out = []
     for k in range(n):
         s = seed0 + k
@@ -154,7 +162,7 @@ class MinkowskiSample:
 
 
 def minkowski_suite(grid: Grid, n: int = 100, seed0: int = 0,
-                    band: int = 5) -> list[MinkowskiSample]:
+                    band: int = BAND) -> list[MinkowskiSample]:
     out = []
     root_lp = float(np.sqrt(grid.Lp))
     for k in range(n):
@@ -173,7 +181,7 @@ class SkewSample:
 
 
 def skew_suite(grid: Grid, n: int = 50, seed0: int = 0,
-               band: int = 5) -> list[SkewSample]:
+               band: int = BAND) -> list[SkewSample]:
     out = []
     for k in range(n):
         s = seed0 + k
@@ -221,6 +229,7 @@ def invariants_run(
         mu_v=viscosity, nu_v=viscosity, mu_theta=viscosity,
         nu_theta=viscosity, mu_q=viscosity, nu_q=viscosity)
     grid = Grid(n, n, n, params.p0, params.p1)
+    _check_band(grid, BAND)  # the suites' fields, before the run
     state0 = random_smooth(grid, seed, amplitude=amplitude)
     cfg = StepConfig(dt=dt, t_end=t_end)
     try:

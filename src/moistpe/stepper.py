@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import monitors
 from .errors import BlowupError, ConfigError
 from .fields import SPECTRAL
 from .grid import Grid
@@ -204,7 +205,7 @@ def check_erk4_stability(ws: Workspace, dt: float):
 class TrajectorySample:
     t: float
     checksum: str
-    report: "object"            # NormReport; typed loosely to avoid a cycle
+    report: monitors.NormReport
     budget: dict | None = None
 
 
@@ -254,8 +255,6 @@ def run(
     Each record point converts the state once (monitors.sample_context), and
     every monitor and the checksum read that one conversion.
     """
-    from . import monitors  # local import: monitors imports model, not stepper
-
     g = state.grid
     params.check_grid(g)
     n_steps = step_count(state.t, config.t_end, config.dt)
@@ -280,13 +279,13 @@ def run(
     constants = monitors.MonitorConstants(g, params)
 
     def record(s: State):
-        ctx = monitors.sample_context(s, params, constants)
-        budget = monitors.budget_terms(s, params, forcing, ctx=ctx) if collect_budget else None
-        rep = monitors.norm_report(s, params, ctx=ctx)
+        ctx = monitors.sample_context(s, constants)
+        budget = monitors.budget_terms(ctx, forcing) if collect_budget else None
+        rep = monitors.norm_report(ctx)
         sample = TrajectorySample(s.t, s.checksum(ctx), rep, budget)
         traj.samples.append(sample)
         if gron is not None:
-            gron.append(monitors.gronwall_record(s, params, forcing, ctx=ctx))
+            gron.append(monitors.gronwall_record(ctx, forcing))
         del ctx  # its arrays are not kept through the callback
         if on_sample is not None:
             on_sample(s, sample)

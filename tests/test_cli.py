@@ -426,6 +426,39 @@ def test_out_flag_directory_missing_stops_before_the_work(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "invariants"], ["probe", "minkowski"]],
+                         ids=["verify", "probe"])
+def test_out_flag_naming_a_directory_stops_before_the_work(tmp_path, capsys, monkeypatch,
+                                                           argv):
+    # the rows used to be written only after the whole suite, into an
+    # IsADirectoryError traceback
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command started before --out was checked")
+
+    monkeypatch.setattr(probes, "invariants_run", must_not_run)
+    monkeypatch.setattr(probes, "minkowski_suite", must_not_run)
+    folder = tmp_path / "out"
+    folder.mkdir()
+    assert main(argv + ["--quiet", "--out", str(folder)]) == 1
+    _assert_configuration_error(capsys, "--out", str(folder), "is a directory")
+    assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+
+
+def test_run_checkpoint_path_naming_a_directory_stops_before_the_run(tmp_path, capsys,
+                                                                     monkeypatch):
+    folder = tmp_path / "out"
+    folder.mkdir()
+    cfg = _write_config(tmp_path, **{"output.checkpoint_path": folder})
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr("moistpe.cli.run_trajectory", must_not_step)
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "output.checkpoint_path", str(folder), "is a directory")
+    assert list(folder.iterdir()) == []
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

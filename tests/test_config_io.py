@@ -25,10 +25,11 @@ from moistpe.config import (
 )
 from moistpe.errors import ConfigError, DataError
 from moistpe.initial import random_smooth
-from moistpe.monitors import NormReport
+from moistpe.monitors import NormReport, energy_budget
 from moistpe.output import (
     budget_residual_by_time,
     csv_mirror_path,
+    norm_rows,
     read_norms,
     write_norms,
 )
@@ -306,8 +307,7 @@ def test_norms_roundtrip_and_mirror(tmp_path, short_trajectory):
     write_norms(str(path), short_trajectory.samples)
     rows = read_norms(str(path))
     assert len(rows) == len(short_trajectory.samples)
-    expected_keys = set(NormReport.field_names()) | {"checksum"}
-    assert set(rows[0]) == expected_keys
+    assert list(rows[0]) == NormReport.field_names() + ["budget_residual", "checksum"]
 
     # endpoints have no centered difference, so their residual is null
     assert rows[0]["budget_residual"] is None
@@ -368,6 +368,20 @@ def test_budget_residuals_when_the_interval_does_not_divide_the_steps(tmp_path, 
     residuals = [r["budget_residual"] for r in rows]
     assert all(r is not None for r in residuals[3:6])
     assert residuals[:3] == [None] * 3 and residuals[6:] == [None] * 2
+
+
+def test_budget_residuals_of_a_run_far_from_t0_zero(params):
+    # at t = 1e4 the spacings of t0 + k dt differ in the last bits of t;
+    # energy_budget accepts them, and so does the column (a relative
+    # spacing rule of its own left every row null)
+    from moistpe.grid import Grid
+    g = Grid(8, 8, 8, params.p0, params.p1)
+    st = random_smooth(g, 2, amplitude=0.5, band=2).with_time(1e4)
+    traj = run(st, params, StepConfig(dt=1e-4, t_end=1e4 + 8e-4), collect_budget=True)
+    residuals = [r["budget_residual"] for r in norm_rows(traj.samples)]
+    assert residuals[:3] == [None] * 3 and residuals[8] is None
+    assert all(r is not None for r in residuals[3:8])
+    assert len(energy_budget(traj.samples)) == 3 * 5
 
 
 # --- checkpoints ----------------------------------------------------------

@@ -94,9 +94,9 @@ def test_a_forced_record_holds_few_stacks_at_once(params):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        ctx = monitors.sample_context(state, params, constants)
-        monitors.budget_terms(state, params, ms.forcing, ctx=ctx)
-        monitors.norm_report(state, params, ctx=ctx)
+        ctx = monitors.sample_context(state, constants)
+        monitors.budget_terms(ctx, ms.forcing)
+        monitors.norm_report(ctx)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -45,13 +45,18 @@ def _zero(grid):
     return Field3D.spectral(grid, np.zeros(grid.spectral_shape, complex))
 
 
+def _ctx(st, params):
+    """The SampleContext of st, with constants of its own."""
+    return sample_context(st, MonitorConstants(st.grid, params))
+
+
 # --- norm panel -----------------------------------------------------------
 
 
 def test_report_of_rest_state_is_all_zero(grid16, params):
-    rep = norm_report(State.zeros(grid16, SPECTRAL), params)
+    rep = norm_report(_ctx(State.zeros(grid16, SPECTRAL), params))
     for name, value in rep.to_dict().items():
-        if name in ("t", "budget_residual"):
+        if name == "t":
             continue
         assert value == 0.0, name
 
@@ -63,7 +68,7 @@ def test_report_single_harmonics_match_hand_values(grid16, params):
     th = _harmonic(g, lambda x, y, p: np.sin(TAU * y) + 0.0 * p)
     q = _harmonic(g, lambda x, y, p: np.cos(TAU * (p - params.p0) / Lp) + 0.0 * x)
     st = State(v1, _zero(g), th, q)
-    rep = norm_report(st, params)
+    rep = norm_report(_ctx(st, params))
 
     kp = TAU / Lp
     assert rep.l2_v == pytest.approx(math.sqrt(Lp / 4.0), rel=1e-12)
@@ -86,7 +91,7 @@ def test_report_single_harmonics_match_hand_values(grid16, params):
 
 def test_report_matches_public_primitives(grid16, params):
     st = random_smooth(grid16, 42, amplitude=1.5)
-    rep = norm_report(st, params)
+    rep = norm_report(_ctx(st, params))
     sp = st.as_spectral()
     dp = {name: derivative(f, "p") for name, f in
           zip(("v1", "v2", "theta", "q"), sp.fields)}
@@ -118,7 +123,7 @@ def test_report_matches_public_primitives(grid16, params):
 
 def test_report_norm_orderings(grid16, params):
     st = random_smooth(grid16, 3, amplitude=1.0)
-    rep = norm_report(st, params)
+    rep = norm_report(_ctx(st, params))
     assert rep.l2_v <= rep.h1_v <= rep.h2_v
     assert rep.l2_theta <= rep.h1_theta <= rep.h2_theta
     assert rep.l2_q <= rep.h1_q <= rep.h2_q
@@ -130,17 +135,18 @@ def test_report_norm_orderings(grid16, params):
 
 def test_report_field_names_cover_dict(grid16, params):
     names = NormReport.field_names()
-    rep = norm_report(State.zeros(grid16, SPECTRAL), params)
+    rep = norm_report(_ctx(State.zeros(grid16, SPECTRAL), params))
     assert list(rep.to_dict().keys()) == names
     assert names[0] == "t"
-    assert "budget_residual" in names
+    # the NDJSON column is output's, filled from the trajectory's budget
+    assert "budget_residual" not in names
 
 
 def test_norm_report_builds_the_integrand_once(grid16, params, fft_fields):
     st = random_smooth(grid16, 5, amplitude=1.0).as_spectral()
     theta = st.as_physical().theta
     moved = fft_fields(grid16)
-    rep = norm_report(st, params)
+    rep = norm_report(_ctx(st, params))
     assert moved[0] == 10
     # the shared integrand gives what the public functions give, bit for bit
     assert rep.hydro_residual == hydrostatic_residual(diagnose_phi(theta, params), theta, params)
@@ -163,10 +169,10 @@ def test_one_record_from_one_context_is_cheap(grid16, params, fft_calls, monkeyp
 
     monkeypatch.setattr(Coefficients, "__init__", counting_init)
     fft_calls[:] = [0, 0]
-    ctx = sample_context(st, params, constants)
-    norm_report(st, params, ctx=ctx)
+    ctx = sample_context(st, constants)
+    norm_report(ctx)
     st.checksum(ctx)
-    budget_terms(st, params, ctx=ctx)
+    budget_terms(ctx)
     # [calls, fields]: [35, 44] when every monitor converted the state itself
     # (one more 2-D call in omega_top_residual went through numpy.fft then).
     # The vertical integrals take the inverse's passes apart (one irfftn
@@ -177,17 +183,6 @@ def test_one_record_from_one_context_is_cheap(grid16, params, fft_calls, monkeyp
     assert ctx.in_ball
     assert fft_calls == [16, 25]
     assert builds[0] == 0
-
-
-def _monitors(st, params, forcing=None, ctx=None):
-    """Every number the monitors record for st, and its checksum."""
-    numbers = dict(norm_report(st, params, ctx=ctx).to_dict())
-    numbers.pop("budget_residual")
-    for var, terms in budget_terms(st, params, forcing, ctx=ctx).items():
-        numbers.update({f"{var}.{key}": value for key, value in terms.items()})
-    numbers.update(gronwall_record(st, params, forcing, ctx=ctx).scalars)
-    numbers["coriolis_work"] = coriolis_work(st, params, ctx=ctx)
-    return numbers, st.checksum(ctx)
 
 
 def _assert_close(got: dict, want: dict, rel: float, scale: float = 0.0):
@@ -210,31 +205,31 @@ def _sample_states(params):
 
 @pytest.mark.parametrize("case", ["smooth16", "smooth24", "physical", "forced"])
 def test_context_gives_what_the_standalone_calls_give(params, case):
+    # the checksum and the rotation work keep their stand-alone forms
     st, forcing = _sample_states(params)[case]
-    with_ctx, checksum = _monitors(st, params, forcing, sample_context(st, params))
-    alone, checksum_alone = _monitors(st, params, forcing)
-    assert checksum == checksum_alone
-    _assert_close(with_ctx, alone, rel=1e-13)
-    assert st.checksum(sample_context(st, params)) == st.checksum()
+    ctx = _ctx(st, params)
+    assert budget_terms(ctx, forcing)["v"]["coriolis_work"] == coriolis_work(st, params)
+    assert st.checksum(ctx) == st.checksum()
 
 
 def test_context_belongs_to_its_state(grid16, params):
     st = random_smooth(grid16, 5, amplitude=1.0)
     other = random_smooth(grid16, 6, amplitude=1.0)
-    ctx = sample_context(st, params)
-    with pytest.raises(DataError):
-        norm_report(other, params, ctx=ctx)
+    ctx = _ctx(st, params)
     with pytest.raises(DataError):
         other.checksum(ctx)
     with pytest.raises(DataError):
-        sample_context(st, params, MonitorConstants(Grid(8, 8, 8, params.p0, params.p1), params))
+        sample_context(st, MonitorConstants(Grid(8, 8, 8, params.p0, params.p1), params))
 
 
 def test_context_leaves_the_state_as_it_was(grid16, params):
     st = random_smooth(grid16, 5, amplitude=1.0)
     before = st.data.copy()
-    ctx = sample_context(st, params)
-    _monitors(st, params, ctx=ctx)
+    ctx = _ctx(st, params)
+    norm_report(ctx)
+    budget_terms(ctx)
+    gronwall_record(ctx)
+    st.checksum(ctx)
     assert np.array_equal(st.data, before)
 
 
@@ -266,7 +261,7 @@ def test_budget_terms_match_their_3d_definitions(grid16, params, band, projected
     st = random_smooth(grid16, 31, amplitude=1.0, band=band)
     if not projected:
         st, params = _unprojected_with_surface_geopotential(st, params)
-    bt = budget_terms(st, params)
+    bt = budget_terms(_ctx(st, params))
     for var, rows in (("v", (st.v1, st.v2)), ("theta", (st.theta,)), ("q", (st.q,))):
         which = "v" if var == "v" else var
         diss_v = sum(_vertical_dissipation_3d(f, params, which) for f in rows)
@@ -327,7 +322,7 @@ def _gronwall_3d(st, params, forcing=None):
 @pytest.mark.parametrize("case", ["smooth16", "smooth24", "forced"])
 def test_gronwall_scalars_match_their_3d_definitions(params, case):
     st, forcing = _sample_states(params)[case]
-    _assert_close(gronwall_record(st, params, forcing).scalars,
+    _assert_close(gronwall_record(_ctx(st, params), forcing).scalars,
                   _gronwall_3d(st, params, forcing), rel=1e-12)
 
 
@@ -341,9 +336,10 @@ def test_defective_runs_record_the_faithful_monitors(grid16, params, variant):
                on_sample=lambda s, sample: seen.append((s, sample)))
     assert len(seen) == len(traj.gronwall) == 4
     for (s, sample), gron in zip(seen, traj.gronwall):
-        assert sample.report == norm_report(s, params)
-        assert sample.budget == budget_terms(s, params)
-        assert gron.scalars == gronwall_record(s, params).scalars
+        ctx = _ctx(s, params)
+        assert sample.report == norm_report(ctx)
+        assert sample.budget == budget_terms(ctx)
+        assert gron.scalars == gronwall_record(ctx).scalars
         assert sample.checksum == s.checksum()
 
 
@@ -351,7 +347,7 @@ def test_defective_runs_record_the_faithful_monitors(grid16, params, variant):
 
 
 def test_budget_terms_zero_state(grid16, params):
-    bt = budget_terms(State.zeros(grid16, SPECTRAL), params)
+    bt = budget_terms(_ctx(State.zeros(grid16, SPECTRAL), params))
     for var in ("v", "theta", "q"):
         for key, value in bt[var].items():
             assert value == 0.0, (var, key)
@@ -361,7 +357,7 @@ def test_budget_energy_of_harmonic(grid16, params):
     g = grid16
     v1 = _harmonic(g, lambda x, y, p: np.sin(TAU * x) + 0.0 * p)
     st = State(v1, _zero(g), _zero(g), _zero(g))
-    bt = budget_terms(st, params)
+    bt = budget_terms(_ctx(st, params))
     assert bt["v"]["E"] == pytest.approx(0.5 * g.Lp / 2.0, rel=1e-12)
     assert bt["theta"]["E"] == 0.0
 
@@ -408,7 +404,7 @@ def test_budget_coupling_routes_agree(grid16, params):
 
     for seed in (9, 11, 13):
         st = random_smooth(grid16, seed, amplitude=1.0)
-        bt = budget_terms(st, params)
+        bt = budget_terms(_ctx(st, params))
         cp, hf = bt["v"]["coupling"], bt["v"]["coupling_heat_flux"]
         phys = st.as_physical()
         phi = diagnose_phi(phys.theta, params).as_spectral()
@@ -519,7 +515,7 @@ def test_minkowski_holds_for_seeded_velocities(grid16):
 
 
 def test_gronwall_series_zero_state(grid16, params):
-    records = [gronwall_record(State.zeros(grid16, SPECTRAL, t=0.01 * k), params)
+    records = [gronwall_record(_ctx(State.zeros(grid16, SPECTRAL, t=0.01 * k), params))
                for k in range(4)]
     series = gronwall_series(records, params)
     for form, data in series.items():
@@ -528,7 +524,7 @@ def test_gronwall_series_zero_state(grid16, params):
 
 
 def test_gronwall_series_needs_uniform_records(grid16, params):
-    records = [gronwall_record(State.zeros(grid16, SPECTRAL, t=t), params)
+    records = [gronwall_record(_ctx(State.zeros(grid16, SPECTRAL, t=t), params))
                for t in (0.0, 0.01, 0.05)]
     with pytest.raises(SamplingError):
         gronwall_series(records, params)
@@ -556,10 +552,10 @@ def test_gronwall_diffusion_only_signs():
 
 def test_gronwall_records_carry_forcing_terms(grid16, params):
     ms = ManufacturedSolution(get_case("gentle"), grid16, params)
-    rec = gronwall_record(ms.initial_state(), params, forcing=ms.forcing)
+    rec = gronwall_record(_ctx(ms.initial_state(), params), forcing=ms.forcing)
     assert rec.scalars["fv_h1s"] > 0.0
     assert rec.scalars["fth_h1s"] > 0.0
-    rec0 = gronwall_record(ms.initial_state(), params)
+    rec0 = gronwall_record(_ctx(ms.initial_state(), params))
     assert rec0.scalars["fv_h1s"] == 0.0
 
 

@@ -13,6 +13,7 @@ from moistpe.model import ModelVariant, barotropic_project, divergence_residual
 from moistpe.norms import sobolev_norm
 from moistpe.monitors import coriolis_work as coriolis_work_applied
 from moistpe.params import PhysParams
+from moistpe import probes
 from moistpe.probes import (
     _seeded_table,
     gronwall_probe,
@@ -230,7 +231,18 @@ def test_invariants_run_reports_a_blowup_as_its_one_failed_check():
 def test_invariants_run_too_short_for_the_budget_is_a_sampling_error():
     # 3 steps give 4 samples, one short of a budget past the startup
     with pytest.raises(SamplingError, match="at least 5"):
-        invariants_run(n=8, dt=1e-4, t_end=3e-4)
+        invariants_run(n=16, dt=1e-4, t_end=3e-4)
+
+
+def test_invariants_run_checks_its_grid_before_the_run(monkeypatch):
+    # the probes' band 5 needs a ball of radius 5: at 8^3 the run used to
+    # finish before skew_suite raised
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started before the grid was checked")
+
+    monkeypatch.setattr(probes, "run", must_not_run)
+    with pytest.raises(ConfigError, match="band 5 does not fit"):
+        invariants_run(n=8, dt=1e-4, t_end=5e-4)
 
 
 # --- differential-inequality probe ----------------------------------------

@@ -9,14 +9,15 @@ limited to the files of src/moistpe next to this script's parent (the
 package is imported from there, under the trace):
 
   * a forced ERK4 run at 40^3, which takes the streamed inverse;
-  * an IMEX run with a norm row every step, a rolling checkpoint,
-    paper_parity data, a linear theta_bar, a proportional theta_h and a
-    phi_s file;
+  * an IMEX run with a norm row every step (6 of them, enough for a
+    budget residual past the startup), a rolling checkpoint, paper_parity
+    data, a linear theta_bar, a proportional theta_h and a phi_s file;
   * a run forced from a file, a resume from a checkpoint and a blowup;
   * verify --suite invariants under each --mutate;
   * the three probes;
   * verify --suite convergence, its studies at reduced sizes (REDUCED);
-  * verify and a probe with --out in a missing directory (exit 1).
+  * verify and a probe with --out in a missing directory, and verify with
+    --out naming a directory (exit 1).
 
 Each command's exit code is printed, then, per module, the line numbers of
 the statements nothing executed (runs of them as first-last), docstrings
@@ -49,7 +50,7 @@ CONFIGS = {
                        "forcing.kind": "manufactured:gentle", "output.norms_every": 3,
                        "output.norms_path": "{dir}/forced.ndjson",
                        "output.checkpoint_path": "{dir}/forced.mpes"},
-    "imex_dense": {**SMALL, "time.dt": "1e-3", "time.t_end": "3e-3",
+    "imex_dense": {**SMALL, "time.dt": "1e-3", "time.t_end": "5e-3",
                    "initial.kind": "random_smooth:3,0.5", "initial.symmetry": "paper_parity",
                    "physics.theta_bar": "linear:1.0,0.5",
                    "physics.theta_h": "proportional:0.1",
@@ -61,7 +62,7 @@ CONFIGS = {
                     "initial.kind": "random_smooth:4,0.5",
                     "forcing.kind": "file:{dir}/forcing.npz",
                     "output.norms_path": "{dir}/file_forced.ndjson"},
-    "resume": {**SMALL, "time.dt": "1e-3", "time.t_end": "5e-3",
+    "resume": {**SMALL, "time.dt": "1e-3", "time.t_end": "7e-3",
                "initial.kind": "file:{dir}/dense.mpes",
                "output.norms_path": "{dir}/resume.ndjson"},
     "blowup": {**SMALL, "time.dt": "0.05", "time.t_end": "1.0",
@@ -86,6 +87,8 @@ COMMANDS = [
     ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}/missing/x.ndjson"],
     ["probe", "minkowski", "--config", "{dir}/probes.cfg", "--quiet",
      "--out", "{dir}/missing/x.ndjson"],
+    # --out naming a directory: exit 1 before any work
+    ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}"],
 ]
 
 # the convergence studies' arguments for verify --suite convergence
