@@ -174,6 +174,9 @@ def cmd_run(args) -> int:
     if args.out is not None:
         cfg = cfg.with_(norms_path=args.out)
     _check_output_dir("output.norms_path", cfg.norms_path)
+    if cfg.norms_path != "none":  # --out included: it sets output.norms_path
+        _check_output_dir("output.norms_path, its CSV mirror",
+                          output.csv_mirror_path(cfg.norms_path))
     _check_output_dir("output.checkpoint_path", cfg.checkpoint_path)
     grid = config_mod.build_grid(cfg)
     params = _build_params(cfg, grid)

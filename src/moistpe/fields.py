@@ -290,8 +290,7 @@ def ifft_p(F: np.ndarray) -> np.ndarray:
 
 
 def horizontal_spectra(grid: Grid, coeff: np.ndarray, rows: HorizontalRows | None = None,
-                       factor=None, out: np.ndarray | None = None,
-                       work: np.ndarray | None = None) -> np.ndarray:
+                       factor=None, out: np.ndarray | None = None) -> np.ndarray:
     """The horizontal Fourier coefficients of one field or a stack at every
     p-level: F with
 
@@ -308,17 +307,15 @@ def horizontal_spectra(grid: Grid, coeff: np.ndarray, rows: HorizontalRows | Non
     with their Hermitian part, the part irfftn_norm reads.  factor, a
     multiplier along the stored kp axis broadcasting against the rows of
     coeff (i kp, say), multiplies coeff first: the samples are then those
-    of irfftn_norm(grid, factor * coeff).  Given out and work (two arrays
-    of shape (..., n_rows, np//2 + 1)), the result goes into out and
-    nothing is allocated.
+    of irfftn_norm(grid, factor * coeff).  Given out, the result goes into
+    it; the gathered rows and their mirrors are new arrays either way.
     """
     rows = HorizontalRows(grid, band=False) if rows is None else rows
     n, h = grid.np, grid.np // 2
     lead = coeff.shape[:-3]
     flat = coeff.reshape(lead + (-1, h + 1))
-    direct = np.take(flat, rows.indices, axis=-2, out=None if work is None else work[0], mode="clip")
-    mirror = np.take(flat, rows.mirrors, axis=-2, out=None if work is None else work[1],
-                     mode="clip")
+    direct = np.take(flat, rows.indices, axis=-2, mode="clip")
+    mirror = np.take(flat, rows.mirrors, axis=-2, mode="clip")
     if factor is not None:
         direct *= factor
         mirror *= factor

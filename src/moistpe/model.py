@@ -38,6 +38,7 @@ transforms along p.  Only advection and rotation go through 3-D transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -353,13 +354,15 @@ _VARIABLES = ("v", "v", "theta", "q")  # the viscosity pair of v1, v2, theta, q
 
 
 def _hermitian_planes(grid: Grid, M) -> np.ndarray:
-    """The multiplier M (rfft layout, broadcastable) with its Hermitian part
-    on the kp = 0 and Nyquist planes: what M becomes between an inverse and
-    a forward 3-D transform, acting on a Hermitian spectrum.  It differs
+    """The multiplier M (rfft layout, x and y axes of length 1 or full)
+    with its Hermitian part on the kp = 0 and Nyquist planes, on the whole
+    kp axis and as thin as M on x and y: what M becomes between an inverse
+    and a forward 3-D transform, acting on a Hermitian spectrum.  It differs
     from M only where M(-k) != -M(k): for i kx and i ky, on the x and y
-    Nyquist rows, which only a variant without dealiasing keeps."""
-    M = np.array(np.broadcast_to(M, grid.spectral_shape), dtype=np.complex128)
-    ix, iy = -np.arange(grid.nx) % grid.nx, -np.arange(grid.ny) % grid.ny
+    Nyquist rows, which only a variant without dealiasing keeps, and in the
+    sign of a zero real part."""
+    M = np.array(np.broadcast_to(M, M.shape[:2] + grid.spectral_shape[2:]), dtype=np.complex128)
+    ix, iy = (-np.arange(n) % n for n in M.shape[:2])
     for j in (0, -1):
         plane = M[:, :, j]
         plane += np.conj(plane[ix][:, iy])
@@ -388,7 +391,9 @@ class _VerticalBand:
                  and q, nu for theta
     iKX, iKY     i kx and i ky on the box's kept planes (rows.box, in its
                  layout), Hermitian on the kp = 0 and Nyquist planes
-                 (_hermitian_planes)
+                 (_hermitian_planes); each varies along one axis only, so
+                 iKX has the box's x rows and iKY its y rows, and both
+                 broadcast over the other
     """
 
     def __init__(self, grid: Grid, params: PhysParams, co: Coefficients, dealias: bool):
@@ -415,8 +420,8 @@ class _VerticalBand:
             nu = _viscosities(params, which)[1]
             self.nu[i] = nu if which == "theta" else nu * ikp[:rows.planes]
         jx, jy = rows.box
-        self.iKX, self.iKY = (_hermitian_planes(grid, 1j * K)[jx][:, jy, :rows.planes]
-                              for K in (grid.KX, grid.KY))
+        self.iKX = _hermitian_planes(grid, 1j * grid.KX)[jx, :, :rows.planes]
+        self.iKY = _hermitian_planes(grid, 1j * grid.KY)[:, jy, :rows.planes]
 
     def outer_theta(self, s: np.ndarray) -> None:
         """theta's viscous chain on the rows, in place: from the spectra
@@ -565,12 +570,18 @@ class Workspace:
     """What the tendency and the time steppers reuse for one (grid, params,
     variant): the coefficient profiles, the i*k multipliers, the
     operators along p on the rows (band, a _VerticalBand), for a variant
-    with viscosity mu*|k_h|^2 of each field on the box's kept planes
-    (mu_box: complex, like the spectra it multiplies, and in the box's
-    layout, grid.box), the implicit multipliers lam of the IMEX split
-    (stacked like a state), and scratch buffers sized by the grid.
-    For a variant without dealiasing the box is the whole half spectrum,
-    one block.
+    with viscosity mu*|k_h|^2 of each field on the box (mu_box: complex,
+    like the spectra it multiplies, in the box's layout, grid.box, and one
+    plane thick, since it does not vary along p), and scratch buffers sized
+    by the grid.  For a variant without dealiasing the box is the whole
+    half spectrum, one block.
+
+    The implicit multipliers lam of the IMEX split (stacked like a state)
+    and the real temporary real of an IMEX step are built the first time an
+    IMEX step reads them, so an ERK4 run never holds them.  lam_max, the
+    stiffest of them, which the ERK4 stability check reads, is lam's value
+    at the corner of the spectrum (largest |k_h|^2 and kp^2): each rounded
+    step of lam grows with both, so it is lam's maximum bit for bit.
 
     The band and its row scratch exist only for a variant with a term along
     p (pressure or viscosity); otherwise band is None.  An advection-only
@@ -596,11 +607,13 @@ class Workspace:
     box), are views of one buffer, scratch, as large as the largest of them
     (spec, on the cubic grids from 16^3 to 64^3).  The phases run one after
     the other: _products is done with spec before _row_terms fills
-    rows_work, rows_work is dead once its targets are in box_terms, and
-    only then does the tail write box_tmp.  Each phase writes every element
-    it reads before reading it, so what another phase left there is never
-    read.  rows_in and box_terms are live beside rows_work and keep their
-    own buffers.  At 64^3 the workspace holds 36.0 MB.
+    rows_work, rows_work is dead once its targets are in the terms
+    _row_terms returns, and only then does the tail write box_tmp.  Each
+    phase writes every element it reads before reading it, so what another
+    phase left there is never read.  The gathered rows and the terms on the
+    box are live beside rows_work; they are made per call, so they are not
+    held through _products, where every step peaks.  At 64^3 the workspace
+    holds 15.4 MB.
     """
 
     # Where splitting the stack starts to pay: the time of a warm in-ball
@@ -622,19 +635,15 @@ class Workspace:
         self.grid = grid
         self.params = params
         self.variant = variant
+        self.c_mean = co.c_mean
         # p-planes a masked product can occupy
         self.planes = grid.planes(variant.dealias)
         self.iK = tuple(np.broadcast_to(1j * K, grid.spectral_shape)
                         for K in (grid.KX, grid.KY, grid.KP))
-        kp2 = grid.KP**2
-        mu_kh2, lam = {}, {}
-        for which in ("v", "theta", "q"):
-            mu, nu = _viscosities(params, which)
-            mu_kh2[which] = mu * grid.kh2
-            lam[which] = (mu_kh2[which] + nu * co.c_mean * kp2 if variant.viscosity
-                          else np.zeros(grid.spectral_shape))
-        self.lam = np.stack([lam[which] for which in _VARIABLES])
-        self.lam_max = float(self.lam.max())
+        # lam's largest value, at the corner of the spectrum (see above)
+        corner = float(grid.kh2[..., 0].max()), float((grid.kp**2).max())
+        self.lam_max = (max(self._lam(which, *corner) for which in _VARIABLES)
+                        if variant.viscosity else 0.0)
         # scratch of tendency: the spectral input of the inverse of v1, v2,
         # omega's antiderivative and the 12 derivatives, and the products
         # (spec, slabs and prod: see above)
@@ -645,30 +654,25 @@ class Workspace:
                  else grid.nx)
         self.slabs = [slice(x, min(x + width, grid.nx)) for x in range(0, grid.nx, width)]
         self.prod = None if self.streamed else np.empty((4,) + grid.shape)
-        # scratch of the steps: a stage state or spectral temporary, and a
-        # real temporary, each stacked like a state
+        # scratch of the steps: a stage state or spectral temporary, stacked
+        # like a state
         self.stage = np.empty((4,) + grid.spectral_shape, dtype=np.complex128)
-        self.real = np.empty((4,) + grid.spectral_shape)
         self.band = None  # without a term along p: no operators on the rows
         if variant.pressure or variant.viscosity:
             self.band = _VerticalBand(grid, params, co, variant.dealias)
-            # scratch of the operators on the rows: the rows gathered from
-            # the state and their mirrors, six fields on the rows (four
-            # fluxes, the integrand, a temporary), one plane of them, and on
-            # the box's kept planes six fields (five results, and i ky times
-            # the last of them)
+            # scratch of the operators on the rows: six fields on the rows
+            # (four fluxes, the integrand, a temporary) and one plane of them
             rows = self.band.rows
             jx, jy = rows.box
-            self.rows_in = np.empty((2, 4, rows.indices.size, grid.np // 2 + 1),
-                                    dtype=np.complex128)
             shapes["rows_work"] = (6,) + rows.shape + (grid.np,)
             self.rows_plane = np.empty(rows.shape, dtype=np.complex128)
-            self.box_terms = np.empty((6,) + rows.src.shape, dtype=np.complex128)
             if variant.viscosity:
-                # mu |k_h|^2 of v1, v2, theta and q on the box, and a temporary
-                self.mu_box = np.stack([mu_kh2[which][jx][:, jy, :self.planes]
+                # mu |k_h|^2 of v1, v2, theta and q on the box, one plane,
+                # and a temporary on the box's kept planes
+                kh2 = grid.kh2[..., :1][jx][:, jy]
+                self.mu_box = np.stack([_viscosities(params, which)[0] * kh2
                                         for which in _VARIABLES]).astype(np.complex128)
-                shapes["box_tmp"] = self.mu_box.shape
+                shapes["box_tmp"] = self.mu_box.shape[:3] + (self.planes,)
         # spec, rows_work and box_tmp are views of the one buffer scratch
         # (see above)
         sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
@@ -676,23 +680,46 @@ class Workspace:
         for name, shape in shapes.items():
             setattr(self, name, self.scratch[:sizes[name]].reshape(shape))
 
+    def _lam(self, which: str, kh2, kp2):
+        """mu |k_h|^2 + nu c_mean kp^2 of variable which, in lam's order of
+        operations."""
+        mu, nu = _viscosities(self.params, which)
+        return mu * kh2 + nu * self.c_mean * kp2
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The implicit multipliers of the IMEX split, stacked like a state,
+        zero without viscosity."""
+        g = self.grid
+        if not self.variant.viscosity:
+            return np.zeros((4,) + g.spectral_shape)
+        kp2 = g.KP**2
+        return np.stack([self._lam(which, g.kh2, kp2) for which in _VARIABLES])
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        """A real temporary of an IMEX step, stacked like a state."""
+        return np.empty((4,) + self.grid.spectral_shape)
+
 
 def _row_terms(ws: Workspace, U: np.ndarray) -> np.ndarray:
     """The terms along p of the spectral state U on the box's kept planes
     (fields.HorizontalRows.targets), stacked: the viscous fluxes
     W = dealias(c df/dp) of v1 and v2, theta's outer viscous term
     (_VerticalBand.outer_theta), W of q, and the spectrum of Phi, in the
-    first five fields of ws.box_terms, which is returned."""
+    first five fields of a new six-field array, which is returned (the
+    tail takes i ky times Phi in the sixth)."""
     g, vb, X = ws.grid, ws.band, ws.rows_work
-    horizontal_spectra(g, U, vb.rows, vb.factor, out=X[:4], work=ws.rows_in)
+    horizontal_spectra(g, U, vb.rows, vb.factor, out=X[:4])
     np.multiply(X[2], vb.integrand, out=X[4])
     X[:4] *= vb.profiles
     fft_p(X[:5])
     vb.outer_theta(X[2])
     fft_p(X[2])
     vb.phi_hat(X[4], ws.rows_plane, X[5])
-    vb.rows.targets(X[:5], out=ws.box_terms[:5])
-    return ws.box_terms
+    terms = np.empty((6,) + vb.rows.src.shape, dtype=np.complex128)
+    vb.rows.targets(X[:5], out=terms[:5])
+    return terms
 
 
 def _derivatives(ws: Workspace, U: np.ndarray, out: np.ndarray, ball: bool) -> None:

@@ -446,13 +446,17 @@ def budget_terms(ctx: SampleContext, forcing=None) -> dict:
 
 def uniform_prefix(times) -> int:
     """The number of leading times spaced like the first two: each spacing
-    within 1e-9 max(1, dt) of the first, dt, which must be positive.  The
+    within max(1e-9 dt, 16 eps max|t|) of the first, dt, which must be
+    positive.  The first bound is relative to the step, so a step below
+    1e-9 is judged like any other; the second allows for the rounding of
+    t0 + k dt at large times, a few units in the last place of t.  The
     centered differences of energy_budget and gronwall_series take only
     times that are all in it."""
     dts = np.diff(times)
     if len(dts) == 0 or not dts[0] > 0.0:
         return min(len(times), 1)
-    off = np.abs(dts - dts[0]) > 1e-9 * max(1.0, dts[0])
+    tol = max(1e-9 * dts[0], 16 * np.finfo(np.float64).eps * np.abs(times).max())
+    off = np.abs(dts - dts[0]) > tol
     return 1 + (int(np.argmax(off)) if off.any() else len(dts))
 
 

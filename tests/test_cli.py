@@ -459,6 +459,28 @@ def test_run_checkpoint_path_naming_a_directory_stops_before_the_run(tmp_path, c
     assert list(folder.iterdir()) == []
 
 
+@pytest.mark.parametrize("via", ["config", "--out"])
+def test_run_whose_csv_mirror_is_a_directory_stops_before_the_run(tmp_path, capsys,
+                                                                  monkeypatch, via):
+    # the NDJSON used to be written after the whole run, and its CSV mirror
+    # (n.csv next to n.ndjson) then ended in an IsADirectoryError traceback
+    mirror = tmp_path / "n.csv"
+    mirror.mkdir()
+    norms = str(tmp_path / "n.ndjson")
+    cfg = _write_config(tmp_path, **({"output.norms_path": norms} if via == "config" else {}))
+    flags = ["--out", norms] if via == "--out" else []
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr("moistpe.cli.run_trajectory", must_not_step)
+    assert main(["run", "--config", cfg, "--quiet"] + flags) == 1
+    _assert_configuration_error(capsys, "output.norms_path", "CSV mirror", str(mirror),
+                                "is a directory")
+    assert sorted(tmp_path.iterdir()) == [mirror, tmp_path / "run.cfg"]
+    assert list(mirror.iterdir()) == []
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

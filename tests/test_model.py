@@ -704,14 +704,13 @@ def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     tendency(_ball_state(grid16, seed=3), params, ws=ws)
     tendency(_off_ball_state(grid16), params, ws=ws)
     assert np.array_equal(first.data, kept)
-    for scratch in (ws.spec, ws.prod, ws.rows_in, ws.rows_work,
-                    ws.rows_plane, ws.box_terms, ws.box_tmp):
+    for scratch in (ws.spec, ws.prod, ws.rows_work, ws.rows_plane, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
 
 
 # every scratch buffer of a workspace: scratch holds spec, rows_work and
 # box_tmp, which the tendency's phases take in turn
-_SCRATCH = ("scratch", "prod", "rows_in", "rows_plane", "box_terms", "stage", "real")
+_SCRATCH = ("scratch", "prod", "rows_plane", "stage", "real")
 
 
 @pytest.mark.parametrize("n", [16, 24, 40])

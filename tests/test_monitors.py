@@ -26,6 +26,7 @@ from moistpe.monitors import (
     sample_context,
     trilinear_bound,
     trilinear_form,
+    uniform_prefix,
 )
 from moistpe.norms import sobolev_norm, spectral_weighted_sum, weighted_norm_w
 from moistpe.params import PhysParams, Profile
@@ -451,6 +452,19 @@ def test_budget_needs_uniform_samples_even_when_there_are_enough():
     samples = [TrajectorySample(t, "", None, {}) for t in (0.0, 0.1, 0.2, 0.35, 0.5, 0.6)]
     with pytest.raises(SamplingError, match="need uniformly spaced"):
         energy_budget(samples)
+
+
+@pytest.mark.parametrize("times, want", [
+    ([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 4.5e-10], 5),
+    ([1e4 + k * 1e-4 for k in range(9)], 9),
+    ([k * 1e-4 for k in range(9)] + [9.5e-4], 9),
+], ids=["step-below-1e-9", "t0-1e4", "off-grid-last"])
+def test_uniform_prefix_is_relative_to_the_step_and_to_the_times(times, want):
+    # a step below 1e-9 is judged on its own scale (an absolute floor of
+    # 1e-9 took the off-grid 4.5e-10 in), the spacings of t0 + k dt at
+    # t0 = 1e4 differ only in the last bits of t, and an off-grid final
+    # sample ends the prefix
+    assert uniform_prefix(times) == want
 
 
 # --- trilinear probe ------------------------------------------------------

@@ -129,6 +129,47 @@ def test_erk4_rejects_steps_beyond_the_stability_limit():
     check_erk4_stability(ws, 0.99 * ERK4_STABILITY_LIMIT / ws.lam_max)
 
 
+_VISCOSITIES = (1e-7, 3e-4, 1e-2, 0.37, 5.0, 2e3)
+
+
+def test_lam_max_is_the_largest_implicit_multiplier_bit_for_bit():
+    # lam_max is taken at the corner of the spectrum without building lam;
+    # it must be lam's maximum exactly, on uneven grids and pressure shells,
+    # a profile that moves c_mean, every pairing of the six viscosities and
+    # each variant (zero without viscosity)
+    rng = np.random.default_rng(11)
+    variants = (FAITHFUL, FAITHFUL.with_(viscosity=False), FAITHFUL.with_(dealias=False))
+    for _ in range(4):
+        nx, ny, n_p = (int(n) for n in 2 * rng.integers(4, 13, size=3))
+        p0 = float(rng.uniform(0.05, 0.5))
+        p1 = p0 + float(rng.uniform(0.3, 2.0))
+        g = Grid(nx, ny, n_p, p0, p1)
+        for i, mu in enumerate(_VISCOSITIES):
+            nu = _VISCOSITIES[(i + 1 + int(rng.integers(5))) % 6]
+            pr = PhysParams(p0=p0, p1=p1, mu_v=mu, nu_v=nu, mu_theta=nu, nu_theta=mu,
+                            mu_q=_VISCOSITIES[5 - i], nu_q=_VISCOSITIES[i - 1],
+                            theta_bar=Profile.linear(1.0, float(rng.uniform(-0.3, 0.5))))
+            for variant in variants:
+                ws = Workspace(g, pr, variant)
+                assert "lam" not in vars(ws)
+                assert ws.lam_max.hex() == float(ws.lam.max()).hex()
+                assert (ws.lam_max > 0.0) == variant.viscosity
+
+
+def test_an_erk4_step_leaves_the_imex_buffers_unbuilt():
+    # lam and real belong to the IMEX split: an ERK4 run never builds them,
+    # an IMEX run builds them at its first step
+    g = _grid(16)
+    pr = PhysParams()
+    st = project_state(random_smooth(g, 2, amplitude=0.5, band=2))
+    ws = Workspace(g, pr)
+    check_erk4_stability(ws, 1e-3)
+    erk4_step(st, 1e-3, ws)
+    assert "lam" not in vars(ws) and "real" not in vars(ws)
+    imex_step(st, None, 1e-3, ws)
+    assert "lam" in vars(ws) and "real" in vars(ws)
+
+
 # --- order ------------------------------------------------------------------
 
 def _final(g, pr, scheme, dt, seed=6, t_end=0.02):

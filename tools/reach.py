@@ -16,8 +16,9 @@ package is imported from there, under the trace):
   * verify --suite invariants under each --mutate;
   * the three probes;
   * verify --suite convergence, its studies at reduced sizes (REDUCED);
-  * verify and a probe with --out in a missing directory, and verify with
-    --out naming a directory (exit 1).
+  * verify and a probe with --out in a missing directory, verify with
+    --out naming a directory, and a run whose CSV mirror of its norms path
+    is a directory (exit 1).
 
 Each command's exit code is printed, then, per module, the line numbers of
 the statements nothing executed (runs of them as first-last), docstrings
@@ -87,8 +88,10 @@ COMMANDS = [
     ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}/missing/x.ndjson"],
     ["probe", "minkowski", "--config", "{dir}/probes.cfg", "--quiet",
      "--out", "{dir}/missing/x.ndjson"],
-    # --out naming a directory: exit 1 before any work
+    # --out naming a directory, or a norms path whose CSV mirror is one
+    # (mirror.csv, made by _write_inputs): exit 1 before any work
     ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}"],
+    ["run", "--config", "{dir}/probes.cfg", "--quiet", "--out", "{dir}/mirror.ndjson"],
 ]
 
 # the convergence studies' arguments for verify --suite convergence
@@ -168,6 +171,7 @@ def _write_inputs(folder: str) -> None:
     rng = np.random.default_rng(0)
     n = SMALL["grid.nx"]
     np.save(os.path.join(folder, "phi_s.npy"), 0.1 * rng.standard_normal((n, n)))
+    os.mkdir(os.path.join(folder, "mirror.csv"))
     np.savez(os.path.join(folder, "forcing.npz"),
              **{k: 1e-3 * rng.standard_normal((n, n, n)) for k in ("fv1", "fv2", "ftheta", "fq")})
     for name, overrides in CONFIGS.items():
