@@ -24,6 +24,7 @@ from .model import (
     Diagnostics,
     ModelVariant,
     Tendency,
+    Workspace,
     barotropic_project,
     diagnose,
     diagnose_omega,
@@ -74,6 +75,7 @@ __all__ = [
     "StepConfig",
     "Tendency",
     "Trajectory",
+    "Workspace",
     "barotropic_project",
     "dealias",
     "derivative",

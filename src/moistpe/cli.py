@@ -58,6 +58,13 @@ def _say(quiet: bool, *parts) -> None:
         print(*parts)
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _seed_kwargs(args) -> dict:
     """Forward --seed only when given, so each probe keeps its own default."""
     return {} if args.seed is None else {"seed": args.seed}
@@ -158,8 +165,6 @@ def _check_output_dir(key: str, path: str) -> None:
     """The directory an output file goes into must exist, and the path must
     not be a directory itself, before the run starts, not be found wrong
     when the run is over."""
-    if path == "none":
-        return
     if os.path.isdir(path):
         raise ConfigError(f"{key}: {path!r} is a directory, not a file")
     folder = os.path.dirname(os.path.abspath(path))
@@ -167,17 +172,35 @@ def _check_output_dir(key: str, path: str) -> None:
         raise ConfigError(f"{key}: directory {folder!r} of {path!r} does not exist")
 
 
+def _check_run_outputs(cfg, norms_key: str) -> None:
+    """The norms path (named norms_key), its CSV mirror and the checkpoint
+    path, those that are not none, each pass _check_output_dir and name
+    three different files.  The checkpoint may be the file the run starts
+    from: that resumes in place."""
+    outputs = []
+    if cfg.norms_path != "none":
+        outputs += [(norms_key, cfg.norms_path),
+                    (f"the CSV mirror of {norms_key}", output.csv_mirror_path(cfg.norms_path))]
+    if cfg.checkpoint_path != "none":
+        outputs.append(("output.checkpoint_path", cfg.checkpoint_path))
+    seen = {}
+    for key, path in outputs:
+        _check_output_dir(key, path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {key} name the same file {path!r}")
+        seen[real] = key
+
+
 def cmd_run(args) -> int:
     if args.config is None:
         raise UsageError("run: --config is required", args.usage)
     cfg = config_mod.load(args.config)
+    norms_key = "output.norms_path"
     if args.out is not None:
         cfg = cfg.with_(norms_path=args.out)
-    _check_output_dir("output.norms_path", cfg.norms_path)
-    if cfg.norms_path != "none":  # --out included: it sets output.norms_path
-        _check_output_dir("output.norms_path, its CSV mirror",
-                          output.csv_mirror_path(cfg.norms_path))
-    _check_output_dir("output.checkpoint_path", cfg.checkpoint_path)
+        norms_key = "--out (output.norms_path)"
+    _check_run_outputs(cfg, norms_key)
     grid = config_mod.build_grid(cfg)
     params = _build_params(cfg, grid)
     step_cfg = config_mod.build_step_config(cfg)
@@ -233,7 +256,13 @@ def cmd_verify(args) -> int:
     if unknown:
         raise UsageError(f"verify: unknown suite(s) {unknown}; choose from {sorted(known)}",
                          args.usage)
-    variant = MUTATIONS[args.mutate]
+    if "invariants" not in suites:
+        given = [flag for flag, value in (("--mutate", args.mutate), ("--seed", args.seed))
+                 if value is not None]
+        if given:
+            raise UsageError(f"verify: the invariants suite alone takes {' and '.join(given)}, "
+                             f"and --suite {args.suite!r} does not select it", args.usage)
+    variant = MUTATIONS[args.mutate or "none"]
 
     rows = []
     failed = False
@@ -331,7 +360,7 @@ def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
     if config:
         p.add_argument("--config", default=None, help="path to a run config file")
     p.add_argument("--out", default=None, help="output path (NDJSON)")
-    p.add_argument("--seed", type=int, default=None, help="override the random seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the random seed (>= 0)")
     p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
 
@@ -349,8 +378,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_verify, config=False)
     p_verify.add_argument("--suite", default="convergence,invariants",
                           help="comma list: convergence,invariants")
-    p_verify.add_argument("--mutate", default="none", choices=list(MUTATIONS),
-                          help="run the dynamics with a known defect (testing aid)")
+    p_verify.add_argument("--mutate", default=None, choices=list(MUTATIONS),
+                          help="run the invariants with a known defect (testing aid)")
 
     p_probe = sub.add_parser("probe", help="emit inequality probe series")
     p_probe.add_argument("kind", choices=PROBE_KINDS)
@@ -364,9 +393,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        if args.out is not None:  # written when the work is done, so checked first
-            _check_output_dir("--out (output.norms_path)" if args.command == "run" else "--out",
-                              args.out)
+        # written when the work is done, so checked first (run checks its
+        # own outputs together)
+        if args.out is not None and args.command != "run":
+            _check_output_dir("--out", args.out)
         return args.cmd(args)
     except UsageError as exc:
         print(f"{exc.usage}{exc}", file=sys.stderr)

@@ -239,6 +239,8 @@ def parse_initial_kind(token: str) -> tuple[str, dict]:
             raise ConfigError(f"initial.kind: bad random_smooth arguments {rest!r}: {exc}") from exc
         if args["seed"] is None:
             raise ConfigError("initial.kind: random_smooth needs a seed")
+        if args["seed"] < 0:
+            raise ConfigError(f"initial.kind: random_smooth seed must be >= 0, got {args['seed']}")
         if not 0.0 < args["amplitude"] < math.inf:
             raise ConfigError("initial.kind: random_smooth amplitude must be positive and finite")
         if args["band"] is not None and args["band"] < 1:

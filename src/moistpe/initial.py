@@ -42,6 +42,8 @@ def random_smooth(
     """
     if symmetry not in SYMMETRY_CHOICES:
         raise ConfigError(f"unknown symmetry {symmetry!r}; choose from {SYMMETRY_CHOICES}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if band is not None and band < 1:
         raise ConfigError(f"band must be at least 1, got {band}")
     if not 0.0 < amplitude < np.inf:

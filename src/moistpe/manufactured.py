@@ -7,9 +7,11 @@ profiles U.  The compensating forcing splits by homogeneity in m:
     f(t) = m'(t) U - m(t) L[U] - m(t)^2 Q[U] - S
 
 where L collects the linear operator response (viscosity, Coriolis, pressure
-gradient, with the static contribution S of theta_h and Phi_s removed), and
-Q the quadratic advective response.  L and S are evaluated through the
-production tendency with advection switched off, so every truncation the
+gradient, with the static contribution S of the surface geopotential Phi_s
+removed), and Q the quadratic advective response.  L and S are evaluated
+through the production tendency with advection switched off (S only when
+Phi_s is given: the zero state's Phi is Phi_s plus a function of p alone, so
+S = -grad Phi_s on v1 and v2 and zero otherwise), so every truncation the
 solver applies to linear terms is reproduced exactly and contributes no
 error.  Q is evaluated with truncation disabled: the profiles have per-axis
 mode index at most four, their advective products at most seven, and a
@@ -35,8 +37,7 @@ the tendency's transforms skip what lies outside it.
 Each array is stored on its own support inside that box: L, dense with
 the transforms' roundoff, on the whole box; U on |j| <= 4 (9 x 9 x 5 modes
 a field); Q on |j| <= 8, where the box holds it (17 x 17 x 9 from n = 26);
-and S, which is zero unless the surface geopotential phi_s is given, only
-when it is not zero.  At 64^3 they take 2.8 MB.
+and S only when phi_s is given.  At 64^3 they take 2.8 MB.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Field3D, SPECTRAL
 from .grid import Grid
-from .model import FAITHFUL, Forcing, ModelVariant, tendency
+from .model import FAITHFUL, Forcing, ModelVariant, Workspace, tendency
 from .params import PhysParams
 from .state import State
 
@@ -147,8 +148,8 @@ class ManufacturedSolution:
     roundoff at 2 band that is kept only where the ball holds it (see the
     module docstring).  The linear response L is stored on that box, the
     profiles U on |j| <= band, the quadratic response Q on |j| <= 2 band
-    within the box, and the static response S on the box when it is not
-    zero (None otherwise).  forcing is a model.Forcing on the box: the
+    within the box, and the static response S on the box when phi_s is
+    given (None otherwise).  forcing is a model.Forcing on the box: the
     tendency adds its values there, and forcing(t) gives the full stack,
     zero off the box, read-only, a new array for each call.
     exact_state returns full stacks.
@@ -171,19 +172,24 @@ class ManufacturedSolution:
         # where U and Q lie in the box's layout
         self._ubox, self._qbox = _box(grid, u_reach, reach), _box(grid, q_reach, reach)
 
-        # stacked like a state: the static response S and the linear
-        # response L on the box, the quadratic response Q and the profiles
-        # U on their boxes
-        S = tendency(State.zeros(grid, SPECTRAL), params, variant=FAITHFUL).data[box]
-        self._L = tendency(ustate, params, variant=FAITHFUL.with_(advection=False)).data[box] - S
-        # S is subtracted last, and subtracting +0 changes no bit
-        self._S = S if S.view(np.uint64).any() else None
+        # stacked like a state: the linear response L and the static
+        # response S on the box, the quadratic response Q and the profiles
+        # U on their boxes.  S, the zero state's tendency, is taken only
+        # with phi_s (see the module docstring); without it, it is +0, whose
+        # subtraction changes no bit
+        ws = Workspace(grid, params, FAITHFUL.with_(advection=False))
+        self._L = tendency(ustate, ws).data[box]
+        self._S = None
+        if params.phi_s is not None:
+            self._S = tendency(State.zeros(grid, SPECTRAL), ws).data[box]
+            self._L -= self._S
+        del ws  # one workspace at a time
         # band-exact (see the module docstring): the transforms leave
         # roundoff outside the band; a product of the profiles has under
         # twice it, and the box cuts 2 band where the ball does not hold it
-        self._Q = tendency(ustate, params, variant=ModelVariant(
-            advection=True, coriolis=False, pressure=False,
-            viscosity=False, dealias=False)).data[_box(grid, q_reach)]
+        ws = Workspace(grid, params, ModelVariant(
+            advection=True, coriolis=False, pressure=False, viscosity=False, dealias=False))
+        self._Q = tendency(ustate, ws).data[_box(grid, q_reach)]
         self._u_index = _box(grid, u_reach)  # U's box in a state's stack
         self._U = ustate.data[self._u_index]
         self.forcing = Forcing(grid, box, self._on_box)

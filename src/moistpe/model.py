@@ -567,14 +567,14 @@ class Forcing:
 
 
 class Workspace:
-    """What the tendency and the time steppers reuse for one (grid, params,
-    variant): the coefficient profiles, the i*k multipliers, the
-    operators along p on the rows (band, a _VerticalBand), for a variant
-    with viscosity mu*|k_h|^2 of each field on the box (mu_box: complex,
-    like the spectra it multiplies, in the box's layout, grid.box, and one
-    plane thick, since it does not vary along p), and scratch buffers sized
-    by the grid.  For a variant without dealiasing the box is the whole
-    half spectrum, one block.
+    """The model of a tendency call, its (grid, params, variant), and what
+    the tendency and the time steppers reuse for it: the coefficient
+    profiles, the i*k multipliers, the operators along p on the rows (band,
+    a _VerticalBand), for a variant with viscosity mu*|k_h|^2 of each field
+    on the box (mu_box: complex, like the spectra it multiplies, in the
+    box's layout, grid.box, and one plane thick, since it does not vary
+    along p), and scratch buffers sized by the grid.  For a variant without
+    dealiasing the box is the whole half spectrum, one block.
 
     The implicit multipliers lam of the IMEX split (stacked like a state)
     and the real temporary real of an IMEX step are built the first time an
@@ -812,14 +812,9 @@ def _products(ws: Workspace, Un: np.ndarray, ball: bool) -> np.ndarray:
     return H
 
 
-def tendency(
-    state: State,
-    params: PhysParams,
-    forcing: Forcing | None = None,
-    variant: ModelVariant = FAITHFUL,
-    ws: Workspace | None = None,
-) -> Tendency:
-    """Evaluate the semi-discrete right-hand side at the state's time.
+def tendency(state: State, ws: Workspace, forcing: Forcing | None = None) -> Tendency:
+    """Evaluate the semi-discrete right-hand side of the model of ws (its
+    grid, params and variant) at the state's time.
 
     All operator terms are truncated by the 2/3 mask (variant permitting) and
     supplied forcing is added untruncated, on its box (Forcing), so evolved
@@ -858,22 +853,19 @@ def tendency(
     element in that order.  Without dealiasing the box is the whole half
     spectrum, one block, so both variants share the one tail.
 
-    ws is the Workspace of (grid, params, variant); a temporary one is built
-    when none is given.  The transforms prune what is zero (fields.fft_xy
-    and fields.ifft_xy): whenever the variant dealiases the forward one
-    computes the box alone, skipping the p-planes beyond the 2/3 ball
-    (grid.ball, grid.planes) and, in its y pass, the x rows beyond the
-    ball's radius on x.  When the state lies inside the ball
-    (fields.in_ball) the i k multiplies that feed the inverse ones run on
-    the box alone, the rest of their planes set to zero, and the inverses
-    skip those planes and the y rows beyond the ball's radius on y in their
-    x pass, bit for bit as the full transforms.
+    The state must lie on ws.grid; one on another grid is a DataError.  The
+    transforms prune what is zero (fields.fft_xy and fields.ifft_xy):
+    whenever the variant dealiases the forward one computes the box alone,
+    skipping the p-planes beyond the 2/3 ball (grid.ball, grid.planes) and,
+    in its y pass, the x rows beyond the ball's radius on x.  When the state
+    lies inside the ball (fields.in_ball) the i k multiplies that feed the
+    inverse ones run on the box alone, the rest of their planes set to
+    zero, and the inverses skip those planes and the y rows beyond the
+    ball's radius on y in their x pass, bit for bit as the full transforms.
     """
-    g = state.grid
-    if ws is None:
-        ws = Workspace(g, params, variant)
-    elif ws.grid != g or ws.params is not params or ws.variant != variant:
-        raise DataError("tendency: the workspace belongs to another grid, params or variant")
+    g, variant = state.grid, ws.variant
+    if ws.grid != g:
+        raise DataError("tendency: the state lies on another grid than its workspace")
     U = state.as_spectral().data
     # nk: planes kept by the masked transforms; n: planes the state occupies
     nk = ws.planes

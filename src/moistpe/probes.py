@@ -61,6 +61,8 @@ def _seeded_table(seed: int, band: int, decay: float) -> tuple[np.ndarray, np.nd
     is placed only by those mirrors, and the origin is real: the counts are
     2, 0 and 1 there, and 1 off the plane.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if band < 1:
         raise ConfigError(f"band must be >= 1, got {band}")
     shape = (2 * band + 1, 2 * band + 1, band + 1)

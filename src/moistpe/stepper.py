@@ -89,11 +89,6 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
-def _tendency(state: State, ws: Workspace, forcing) -> np.ndarray:
-    """The stacked tendency at state, in a fresh array the caller may overwrite."""
-    return tendency(state, ws.params, forcing=forcing, variant=ws.variant, ws=ws).data
-
-
 def _projected(grid: Grid, data: np.ndarray, t: float) -> State:
     """The spectral state of data, its velocity projected in place."""
     _project_in_place(grid, data[0], data[1])
@@ -112,7 +107,7 @@ def imex_euler_step(state: State, dt: float, ws: Workspace,
     implicit part unconditionally dissipative, which the bootstrap relies on."""
     u = state.as_spectral().data
     # (u + dt (F + lam u)) / (1 + dt lam), built in the array of F
-    new = _explicit_part(_tendency(state, ws, forcing), u, ws)
+    new = _explicit_part(tendency(state, ws, forcing).data, u, ws)
     np.multiply(dt, new, out=new)
     np.add(u, new, out=new)
     np.divide(new, np.add(1.0, np.multiply(dt, ws.lam, out=ws.real), out=ws.real), out=new)
@@ -131,9 +126,9 @@ def imex_step(state: State, n_prev, dt: float, ws: Workspace,
         sub = state
         for _ in range(10):
             sub = imex_euler_step(sub, dt / 10.0, ws, forcing)
-        return sub, _explicit_part(_tendency(sub, ws, forcing), sub.data, ws)
+        return sub, _explicit_part(tendency(sub, ws, forcing).data, sub.data, ws)
     u = state.as_spectral().data
-    n_cur = _explicit_part(_tendency(state, ws, forcing), u, ws)
+    n_cur = _explicit_part(tendency(state, ws, forcing).data, u, ws)
     # ((1 - dt/2 lam) u + dt (3/2 n_cur - 1/2 n_prev)) / (1 + dt/2 lam)
     half, tmp, fac = 0.5 * dt, ws.stage, ws.real
     new = np.multiply(1.5, n_cur)
@@ -172,15 +167,15 @@ def erk4_step(state: State, dt: float, ws: Workspace,
     # the running sum ((k1 + 2 k2) + 2 k3) + k4, each stage tendency folded
     # in as soon as the next stage state is built from it, in the array of
     # that tendency
-    k1 = _tendency(state, ws, forcing)
-    k = _tendency(stage(0.5, k1, t + 0.5 * dt), ws, forcing)
+    k1 = tendency(state, ws, forcing).data
+    k = tendency(stage(0.5, k1, t + 0.5 * dt), ws, forcing).data
     st = stage(0.5, k, t + 0.5 * dt)
     acc = np.add(k1, np.multiply(2.0, k, out=k), out=k)
     del k1
-    k = _tendency(st, ws, forcing)
+    k = tendency(st, ws, forcing).data
     st = stage(1.0, k, t + dt)
     acc = np.add(acc, np.multiply(2.0, k, out=k), out=k)
-    k = _tendency(st, ws, forcing)
+    k = tendency(st, ws, forcing).data
     np.add(acc, k, out=k)
     # u + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in the array of k4
     np.multiply(dt / 6.0, k, out=k)

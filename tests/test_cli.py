@@ -10,6 +10,7 @@ import pytest
 
 import moistpe
 from moistpe import config as config_mod
+from moistpe import convergence
 from moistpe import fields
 from moistpe import probes
 from moistpe.checkpoint import read_checkpoint, write_checkpoint
@@ -481,6 +482,44 @@ def test_run_whose_csv_mirror_is_a_directory_stops_before_the_run(tmp_path, caps
     assert list(mirror.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", ["mirror", "norms", "out", "via-parent"])
+def test_run_whose_output_paths_collide_stops_before_the_run(tmp_path, capsys, monkeypatch,
+                                                             case):
+    # the norms NDJSON, its CSV mirror and the checkpoint used to overwrite
+    # one another: out.csv ended up holding the checkpoint
+    norms, checkpoint = {"mirror": ("out.ndjson", "out.csv"), "norms": ("a.ndjson", "a.ndjson"),
+                         "out": ("b.ndjson", "b.csv"),
+                         "via-parent": ("c.ndjson", "sub/../c.csv")}[case]
+    (tmp_path / "sub").mkdir()
+    overrides = {"output.checkpoint_path": tmp_path / checkpoint}
+    flags = []
+    if case == "out":
+        flags = ["--out", str(tmp_path / norms)]
+    else:
+        overrides["output.norms_path"] = tmp_path / norms
+    cfg = _write_config(tmp_path, **overrides)
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("the run started before its output paths were checked")
+
+    monkeypatch.setattr("moistpe.cli.run_trajectory", must_not_step)
+    assert main(["run", "--config", cfg, "--quiet"] + flags) == 1
+    norms_key = "--out (output.norms_path)" if case == "out" else "output.norms_path"
+    _assert_configuration_error(capsys, norms_key, "output.checkpoint_path", "name the same file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "sub"]
+
+
+def test_run_may_checkpoint_onto_the_file_it_resumes_from(tmp_path):
+    ck = tmp_path / "state.mpes"
+    cfg = _write_config(tmp_path, "a.cfg", **{"output.checkpoint_path": ck})
+    assert main(["run", "--config", cfg, "--quiet"]) == 0
+    cfg = _write_config(tmp_path, "b.cfg", **{"initial.kind": f"file:{ck}",
+                                              "time.t_end": "1e-2",
+                                              "output.checkpoint_path": ck})
+    assert main(["run", "--config", cfg, "--quiet"]) == 0
+    assert read_checkpoint(str(ck))[1].t == pytest.approx(1e-2)
+
+
 def test_run_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -586,6 +625,48 @@ def test_verify_forwards_seed(monkeypatch):
     assert main(["verify", "--suite", "invariants", "--quiet"]) == 0
     assert calls[0]["seed"] == 5
     assert calls[1].get("seed", 11) == 11
+
+
+@pytest.mark.parametrize("flags", [["--mutate", "coriolis"], ["--seed", "3"],
+                                   ["--mutate", "none", "--seed", "0"]],
+                         ids=["mutate", "seed", "both"])
+def test_verify_flags_of_the_invariants_need_that_suite(capsys, monkeypatch, flags):
+    # the convergence suite used to run faithful and unseeded and could exit 0
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("verify started a suite")
+
+    monkeypatch.setattr(convergence, "suite", must_not_run)
+    assert main(["verify", "--suite", "convergence", "--quiet"] + flags) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "invariants" in err and "Traceback" not in err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "invariants", "--seed", "-1"],
+    ["probe", "minkowski", "--seed", "-700"],
+    ["probe", "gronwall", "--seed", "-3"],
+    ["probe", "trilinear", "--seed", "1.5"],
+    ["run", "--config", "unread.cfg", "--seed", "-2"],
+], ids=["verify", "minkowski", "gronwall", "trilinear-float", "run"])
+def test_seed_is_an_integer_of_at_least_zero(capsys, monkeypatch, argv):
+    # a negative seed used to reach numpy's generator and end in its
+    # ValueError traceback
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command started before --seed was checked")
+
+    for name in ("invariants_run", "minkowski_suite", "trilinear_suite", "gronwall_probe"):
+        monkeypatch.setattr(probes, name, must_not_run)
+    assert main(argv + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--seed" in err and repr(argv[-1]) in err
+    assert "Traceback" not in err
+
+
+def test_run_with_a_negative_random_smooth_seed_is_a_configuration_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, **{"initial.kind": "random_smooth:-4,0.5"})
+    assert main(["run", "--config", cfg, "--quiet"]) == 1
+    _assert_configuration_error(capsys, "initial.kind", "seed must be >= 0")
 
 
 # --- probe ------------------------------------------------------------------

@@ -211,6 +211,8 @@ def test_unparseable_value_names_key():
     ("physics.theta_bar = constant:-1\n", "physics.theta_bar"),
     ("initial.kind = random_smooth:1,nan\n", "initial.kind"),
     ("initial.kind = random_smooth:1,inf\n", "initial.kind"),
+    # a negative seed used to end in numpy's ValueError when the run drew it
+    ("initial.kind = random_smooth:-4,0.5\n", "initial.kind: random_smooth seed"),
 ])
 def test_validation_errors_name_dotted_keys(text, fragment):
     with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
@@ -256,7 +258,7 @@ def test_parse_initial_kind_variants():
     for bad in ("random_smooth:", "random_smooth:1,2,3,4", "random_smooth:a",
                 "random_smooth:amplitude=2", "random_smooth:1,-0.5", "random_smooth:1,nan",
                 "random_smooth:1,inf", "random_smooth:1,1,0", "random_smooth:1,1,-2",
-                "warmpool"):
+                "random_smooth:-4,0.5", "random_smooth:seed=-1", "warmpool"):
         with pytest.raises(ConfigError, match="initial.kind"):
             parse_initial_kind(bad)
 

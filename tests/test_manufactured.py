@@ -1,10 +1,12 @@
 """Forced exact trajectories and the convergence harness built on them."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from moistpe import manufactured
 from moistpe.convergence import (
     ORDER_PAIRS,
     ORDER_WINDOWS,
@@ -19,7 +21,7 @@ from moistpe.grid import Grid
 from moistpe.manufactured import CASES, ManufacturedSolution, _profiles, get_case
 from moistpe.model import FAITHFUL, ModelVariant, Workspace, divergence_residual, tendency
 from moistpe.norms import sobolev_norm
-from moistpe.params import PhysParams
+from moistpe.params import PhysParams, Profile
 from moistpe.state import State
 from moistpe.stepper import StepConfig, erk4_step, run
 
@@ -31,7 +33,7 @@ def grid24(params):
 
 def _instantaneous_residual(ms):
     """Norm of tendency(U) + forcing(0); zero iff U is a discrete steady state."""
-    rhs = tendency(ms.initial_state(), ms.params)
+    rhs = tendency(ms.initial_state(), Workspace(ms.grid, ms.params))
     worst = 0.0
     for f, fo in zip((rhs.v1, rhs.v2, rhs.theta, rhs.q), ms.forcing(0.0)):
         worst = max(worst, sobolev_norm(Field3D.spectral(ms.grid, f.data + fo), 0))
@@ -216,11 +218,10 @@ def _assert_the_forcing_of_the_full_stacks(grid, params):
     ms = ManufacturedSolution(get_case("brisk"), grid, params)
     band = ms.case.band
     u = _profiles(ms.case, grid)
-    S = tendency(State.zeros(grid, SPECTRAL), params).data
-    L = tendency(u, params, variant=FAITHFUL.with_(advection=False)).data - S
-    quad = tendency(u, params, variant=ModelVariant(advection=True, coriolis=False,
-                                                    pressure=False, viscosity=False,
-                                                    dealias=False)).data
+    S = tendency(State.zeros(grid, SPECTRAL), Workspace(grid, params)).data
+    L = tendency(u, Workspace(grid, params, FAITHFUL.with_(advection=False))).data - S
+    quad = tendency(u, Workspace(grid, params, ModelVariant(
+        advection=True, coriolis=False, pressure=False, viscosity=False, dealias=False))).data
     Q = np.where(grid.band_mask(2 * band), quad, 0.0)
     U = np.where(grid.band_mask(band), u.data, 0.0)
     for t in (0.0, 0.3, 0.37):
@@ -249,6 +250,51 @@ def test_forcing_with_phi_s_subtracts_its_static_response(params):
     assert ms._S is not None and np.any(S)
 
 
+def _digest(a):
+    if a is None:
+        return None
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(repr((a.dtype.str, a.shape)).encode() + a.tobytes()).hexdigest()[:16]
+
+
+# the stored arrays L, Q, U and S and the forcing on its box at t = 0, 0.3
+# and 0.37, as sha256 of their dtype, shape and bytes, recorded when S was
+# the faithful zero state's tendency taken on every grid and kept when any
+# of its bits was set
+_SETUP_DIGESTS = {
+    "16 gentle": ["a476819d025e8018", "ca19265b28e4d6e5", "5c9bceceb68ed620", None,
+                  "90f8df30b60e83c3", "2d4b49a133e3dc58", "feef09635d5e5c02"],
+    "24 brisk": ["d25e18b06fe5e153", "cb892021e4f9d4ad", "9b4d5078b2f746e9", None,
+                 "34ce30f741dced55", "53b12d24209effa8", "fa5a91216ab7f3b1"],
+    "16 gentle phi_s": ["40f1259e6c94446c", "ca19265b28e4d6e5", "5c9bceceb68ed620",
+                        "3b1f2298b0b40889", "1628b337ca7159fd", "abf816a29de7beae",
+                        "389e248d450f5ba1"],
+}
+
+
+@pytest.mark.parametrize("name", list(_SETUP_DIGESTS))
+def test_setup_keeps_its_bits_from_two_tendencies_or_three_with_phi_s(name, params, monkeypatch):
+    n, case = (24, "brisk") if name.startswith("24") else (16, "gentle")
+    grid = Grid(n, n, n, params.p0, params.p1)
+    if name.endswith("phi_s"):
+        x, y = grid.x[:, None], grid.y[None, :]
+        params = params.with_(phi_s=np.sin(2 * np.pi * x) + 0.5 * np.cos(2 * np.pi * (x + y)),
+                              theta_bar=Profile.linear(1.0, 0.5))
+    calls = []
+
+    def counted(state, ws, forcing=None):
+        calls.append(ws)
+        return tendency(state, ws, forcing)
+
+    monkeypatch.setattr(manufactured, "tendency", counted)
+    ms = ManufacturedSolution(get_case(case), grid, params)
+    assert len(calls) == (3 if params.phi_s is not None else 2)
+    assert len({id(ws) for ws in calls}) == 2
+    got = [_digest(a) for a in (ms._L, ms._Q, ms._U, ms._S)]
+    got += [_digest(ms.forcing.on_box(t)) for t in (0.0, 0.3, 0.37)]
+    assert got == _SETUP_DIGESTS[name]
+
+
 def test_forcing_is_read_only_and_unchanged_by_steps(grid16, params):
     ms = ManufacturedSolution(get_case("brisk"), grid16, params)
     first = ms.forcing(0.01)
@@ -257,8 +303,9 @@ def test_forcing_is_read_only_and_unchanged_by_steps(grid16, params):
     with pytest.raises(ValueError):
         first[0] += 1.0
     state = ms.exact_state(0.01)
-    tendency(state, params, forcing=ms.forcing)
-    erk4_step(state, 1e-3, Workspace(grid16, params), forcing=ms.forcing)
+    ws = Workspace(grid16, params)
+    tendency(state, ws, ms.forcing)
+    erk4_step(state, 1e-3, ws, forcing=ms.forcing)
     again = ms.forcing(0.01)
     for f, c in zip(again, copies):
         assert np.array_equal(f, c)

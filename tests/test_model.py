@@ -196,7 +196,7 @@ def _viscosity(f, params):
     viscosity-only tendency of the state with f in every slot."""
     g = f.grid
     state = State.of(g, np.stack([f.as_spectral().data] * 4), SPECTRAL, 0.0)
-    return irfftn_norm(g, -tendency(state, params, variant=VISCOUS).data)
+    return irfftn_norm(g, -tendency(state, Workspace(g, params, VISCOUS)).data)
 
 
 def test_viscosity_of_constant_vanishes(grid16, params):
@@ -255,7 +255,7 @@ def test_advection_does_no_work_on_a_state_that_fills_the_ball(shape, params):
     assert in_ball(g, U)
     assert all(np.any(U * (j == k)) for j, k in zip(g.mode_index, g.ball))
     advection = ModelVariant(coriolis=False, pressure=False, viscosity=False)
-    A = tendency(state, params, variant=advection).data
+    A = tendency(state, Workspace(g, params, advection)).data
     pairing = _pair(g, U, A) / math.sqrt(_pair(g, U, U) * _pair(g, A, A))
     assert abs(pairing) <= 1e-14
 
@@ -271,7 +271,7 @@ def test_viscous_tendency_matches_standalone_operators(grid16, params, distinct)
                               mu_v=2e-2, nu_v=3e-2, mu_theta=4e-3,
                               nu_theta=5e-3, mu_q=6e-3, nu_q=7e-3)
     state = project_state(random_smooth(grid16, 5, amplitude=1.0)).as_spectral()
-    got = tendency(state, params, variant=VISCOUS).data
+    got = tendency(state, Workspace(grid16, params, VISCOUS)).data
     want = tendency_3d(state, params, variant=VISCOUS)
     for a, b in zip(got, want):
         diff = sobolev_norm(Field3D.spectral(grid16, a - b), 0)
@@ -337,7 +337,7 @@ def test_pressure_term_is_minus_the_dealiased_gradient_of_phi(shape, kind, deali
     params = _surface_params(g, params)
     state = _oracle_state(g, kind)
     variant = ModelVariant(advection=False, coriolis=False, viscosity=False, dealias=dealias)
-    tend = tendency(state, params, variant=variant).data
+    tend = tendency(state, Workspace(g, params, variant)).data
     phi = diagnose_phi(state.theta.as_physical(), params)
     mask = g.dealias_mask if dealias else 1.0
     want = [-derivative(phi, axis).as_spectral().data * mask for axis in "xy"]
@@ -353,7 +353,7 @@ def test_tendency_matches_the_3d_assembly(shape, kind, name, params):
     params = _surface_params(g, params)
     state = _oracle_state(g, kind)
     variant = _ORACLE_VARIANTS[name]
-    got = tendency(state, params, variant=variant).data
+    got = tendency(state, Workspace(g, params, variant)).data
     assert max(_relative_misfits(got, tendency_3d(state, params, variant=variant))) <= 1e-13
 
 
@@ -377,9 +377,10 @@ def test_tendency_commutes_with_a_shift_and_a_quarter_turn(n, name, params):
     g = Grid(n, n, n, params.p0, params.p1)
     variant = _ORACLE_VARIANTS[name]
     samples = _ball_state(g).as_physical().data
+    ws = Workspace(g, params, variant)
 
     def rate(data):
-        return irfftn_norm(g, tendency(State.of(g, data, PHYSICAL), params, variant=variant).data)
+        return irfftn_norm(g, tendency(State.of(g, data, PHYSICAL), ws).data)
 
     want = rate(samples)
     deviation = {move: np.abs(rate(fn(samples)) - fn(want)).max() / np.abs(want).max()
@@ -400,7 +401,7 @@ def test_one_tendency_moves_19_fields_and_prunes_to_the_band(grid16, params, fft
     state = _ball_state(g)
     ws = Workspace(g, params)
     fft_log.clear()
-    tendency(state, params, ws=ws)
+    tendency(state, ws)
     three_d = _fields_moved(g, fft_log)
     along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
     x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
@@ -461,7 +462,7 @@ def test_a_streamed_tendency_moves_19_fields_one_group_per_x_pass(params, fft_lo
     ws = Workspace(g, params)
     assert ws.streamed and ws.spec.shape[0] == 3 and len(ws.slabs) == 2
     fft_log.clear()
-    tendency(state, params, ws=ws)
+    tendency(state, ws)
     three_d = _fields_moved(g, fft_log)
     along_p = [shape for name, shape, axis in fft_log if name in ("fft", "ifft") and axis == -1]
     x_pass = [shape for name, shape, axis in fft_log if name == "ifft" and axis == -3]
@@ -488,11 +489,11 @@ def test_the_streamed_and_whole_stack_inverses_agree_bit_for_bit(shape, kind, na
     state = _oracle_state(g, kind)
     variant = _ORACLE_VARIANTS[name]
     own = Workspace(g, params, variant)
-    want = tendency(state, params, variant=variant, ws=own).data
+    want = tendency(state, own).data
     monkeypatch.setattr(Workspace, "STREAM_BYTES", 1 << 62 if own.streamed else 0)
     other = Workspace(g, params, variant)
     assert other.streamed != own.streamed
-    assert np.array_equal(tendency(state, params, variant=variant, ws=other).data, want)
+    assert np.array_equal(tendency(state, other).data, want)
 
 
 # --- finite-difference reference agreement ----------------------------------
@@ -612,7 +613,7 @@ def test_reference_factor_must_be_positive(grid8, params):
 
 def test_rest_state_is_steady(grid16, params):
     rest = State.zeros(grid16)
-    t = tendency(rest, params)
+    t = tendency(rest, Workspace(grid16, params))
     for f in (t.v1, t.v2, t.theta, t.q):
         assert np.abs(f.data).max() <= 1e-14
 
@@ -621,7 +622,7 @@ def test_pure_rotation_tendency(grid16, params):
     var = ModelVariant(advection=False, pressure=False, viscosity=False)
     v1, v2 = seeded_velocity(grid16, 19, band=5)
     st = State(v1, v2, Field3D.zeros(grid16), Field3D.zeros(grid16))
-    t = tendency(st, params, variant=var)
+    t = tendency(st, Workspace(grid16, params, var))
     f = params.f_cor
     got1 = t.v1.as_physical().data
     got2 = t.v2.as_physical().data
@@ -656,8 +657,8 @@ def test_tendency_off_the_ball_transforms_every_plane(grid16, params, dealias):
     forced = np.stack([rfftn_norm(g, rng.standard_normal(g.shape)) for _ in range(4)])
     viscous = VISCOUS.with_(dealias=dealias)
     ws = Workspace(g, params, viscous)
-    tendency(_ball_state(g), params, variant=viscous, ws=ws)
-    tend = tendency(state, params, forcing=Forcing.static(g, forced), variant=viscous, ws=ws)
+    tendency(_ball_state(g), ws)
+    tend = tendency(state, ws, Forcing.static(g, forced))
     want = tendency_3d(state, params, forcing=lambda t: forced, variant=viscous)
     for got, w in zip(tend.data, want):
         diff = sobolev_norm(Field3D.spectral(g, got - w), 0)
@@ -669,9 +670,9 @@ def test_workspace_after_an_off_ball_call_gives_the_fresh_result(grid16, params)
     # after it must not read what that call left beyond the kept planes
     ws = Workspace(grid16, params)
     ball = _ball_state(grid16)
-    tendency(_off_ball_state(grid16), params, ws=ws)
-    reused = tendency(ball, params, ws=ws)
-    fresh = tendency(ball, params)
+    tendency(_off_ball_state(grid16), ws)
+    reused = tendency(ball, ws)
+    fresh = tendency(ball, Workspace(grid16, params))
     for a, b in zip((reused.v1, reused.v2, reused.theta, reused.q),
                     (fresh.v1, fresh.v2, fresh.theta, fresh.q)):
         assert np.array_equal(a.data, b.data)
@@ -690,19 +691,19 @@ def test_tendency_with_rows_beyond_the_ball_transforms_every_row(shape, axis, pa
     beyond = jx > bx if axis == "x" else jy > by
     assert np.any(state.data * beyond) and not in_ball(g, state.data)
     ws = Workspace(g, params)
-    tendency(_oracle_state(g, "ball"), params, ws=ws)
-    got = tendency(state, params, ws=ws).data
-    assert np.array_equal(got, tendency(state, params).data)
+    tendency(_oracle_state(g, "ball"), ws)
+    got = tendency(state, ws).data
+    assert np.array_equal(got, tendency(state, Workspace(g, params)).data)
     assert max(_relative_misfits(got, tendency_3d(state, params))) <= 1e-13
 
 
 def test_tendency_results_do_not_alias_the_workspace(grid16, params):
     # a Runge-Kutta step holds four tendencies of one workspace at once
     ws = Workspace(grid16, params)
-    first = tendency(_ball_state(grid16), params, ws=ws)
+    first = tendency(_ball_state(grid16), ws)
     kept = first.data.copy()
-    tendency(_ball_state(grid16, seed=3), params, ws=ws)
-    tendency(_off_ball_state(grid16), params, ws=ws)
+    tendency(_ball_state(grid16, seed=3), ws)
+    tendency(_off_ball_state(grid16), ws)
     assert np.array_equal(first.data, kept)
     for scratch in (ws.spec, ws.prod, ws.rows_work, ws.rows_plane, ws.box_tmp):
         assert not np.shares_memory(first.data, scratch)
@@ -727,7 +728,7 @@ def test_no_phase_reads_scratch_it_did_not_write(n, name, params, monkeypatch):
                "advection-only": ModelVariant(coriolis=False, pressure=False, viscosity=False),
                }[name]
     states = [_oracle_state(g, kind) for kind in ("ball", "off-ball", "ball")]
-    want = [tendency(state, params, variant=variant).data for state in states]
+    want = [tendency(state, Workspace(g, params, variant)).data for state in states]
     row_terms = model._row_terms
 
     def poisoned_row_terms(ws, U):
@@ -746,17 +747,18 @@ def test_no_phase_reads_scratch_it_did_not_write(n, name, params, monkeypatch):
         for buffer in _SCRATCH:
             if getattr(ws, buffer, None) is not None:
                 getattr(ws, buffer).fill(np.nan)
-        got = tendency(state, params, variant=variant, ws=ws).data
+        got = tendency(state, ws).data
         assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
     assert in_ball(g, states[0].data) and not in_ball(g, states[1].data)
 
 
-def test_tendency_rejects_a_workspace_of_other_params(grid16, params):
+def test_tendency_rejects_a_state_on_another_grid_than_its_workspace(grid16, params):
     ws = Workspace(grid16, params)
-    with pytest.raises(DataError):
-        tendency(_ball_state(grid16), params.with_(mu_v=0.5), ws=ws)
-    with pytest.raises(DataError):
-        tendency(_ball_state(grid16), params, variant=FAITHFUL.with_(dealias=False), ws=ws)
+    for shape in [(16, 16, 8), (16, 16, 24), (24, 16, 16)]:
+        with pytest.raises(DataError, match="another grid"):
+            tendency(_ball_state(Grid(*shape, P0, P1)), ws)
+    with pytest.raises(DataError, match="another grid"):
+        tendency(_ball_state(Grid(16, 16, 16, P0, 0.5 * (P0 + P1))), ws)
 
 
 # --- projection -------------------------------------------------------------

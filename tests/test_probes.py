@@ -132,6 +132,15 @@ def test_seeded_coefficients_are_deterministic_and_hermitian():
         _seeded_table(3, 0, 2.0)
 
 
+def test_seeded_fields_reject_a_negative_seed(grid16):
+    # numpy's generator used to raise a bare ValueError; minkowski_suite
+    # draws seed0 + 500, so seed0 = -700 reached it
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        _seeded_table(-1, 4, 2.0)
+    with pytest.raises(ConfigError, match="seed"):
+        probes.minkowski_suite(grid16, n=1, seed0=-700)
+
+
 def test_seeded_scalar_is_resolution_independent(grid16, params):
     f16 = seeded_scalar(grid16, 7).as_physical().data
     g32 = Grid(32, 32, 32, params.p0, params.p1)

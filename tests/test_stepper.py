@@ -222,7 +222,7 @@ def test_erk4_step_is_the_classical_combination_of_its_stage_tendencies(forced):
     ws = Workspace(g, pr)
 
     def k_at(s):
-        return tendency(s, pr, forcing=forcing, ws=ws).data
+        return tendency(s, ws, forcing).data
 
     def stage(c, k, t_stage):
         return project_state(State.of(g, u + np.multiply(c * dt, k), "spectral", t_stage))
@@ -295,6 +295,12 @@ def test_random_draws_keep_their_checksums(shape):
 def test_random_smooth_takes_the_config_symmetry_tokens():
     with pytest.raises(ConfigError, match="symmetry"):
         random_smooth(_grid(8), 1, symmetry="mirror")
+
+
+def test_random_smooth_rejects_a_negative_seed():
+    # numpy's generator used to raise a bare ValueError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -4"):
+        random_smooth(_grid(8), -4, amplitude=0.5)
 
 
 def _divergent_case():

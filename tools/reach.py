@@ -17,8 +17,10 @@ package is imported from there, under the trace):
   * the three probes;
   * verify --suite convergence, its studies at reduced sizes (REDUCED);
   * verify and a probe with --out in a missing directory, verify with
-    --out naming a directory, and a run whose CSV mirror of its norms path
-    is a directory (exit 1).
+    --out naming a directory, a run whose CSV mirror of its norms path
+    is a directory, a run whose checkpoint path is that mirror, verify
+    with a negative --seed and verify --mutate without the invariants
+    suite (each exit 1 before any work).
 
 Each command's exit code is printed, then, per module, the line numbers of
 the statements nothing executed (runs of them as first-last), docstrings
@@ -71,6 +73,8 @@ CONFIGS = {
                "output.checkpoint_path": "{dir}/blowup.mpes",
                "output.checkpoint_every": 1},
     "probes": SMALL,
+    "collide": {**SMALL, "output.norms_path": "{dir}/collide.ndjson",
+                "output.checkpoint_path": "{dir}/collide.csv"},
 }
 
 COMMANDS = [
@@ -92,6 +96,11 @@ COMMANDS = [
     # (mirror.csv, made by _write_inputs): exit 1 before any work
     ["verify", "--suite", "invariants", "--quiet", "--out", "{dir}"],
     ["run", "--config", "{dir}/probes.cfg", "--quiet", "--out", "{dir}/mirror.ndjson"],
+    # a checkpoint path that is the norms path's CSV mirror, a negative
+    # seed, and --mutate without the invariants suite: exit 1 before any work
+    ["run", "--config", "{dir}/collide.cfg", "--quiet"],
+    ["verify", "--suite", "invariants", "--seed", "-1", "--quiet"],
+    ["verify", "--suite", "convergence", "--mutate", "coriolis", "--quiet"],
 ]
 
 # the convergence studies' arguments for verify --suite convergence
